@@ -38,65 +38,53 @@ def _pneg(a):
     return tuple(-x for x in a)
 
 
-def _psub(a, b):
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a, b):
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
+    bnz = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in bnz:
                 out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _pscale(a, k):
-    if not k:
-        return ()
-    return tuple(x * k for x in a)
-
-
-def _pcontent(a):
-    g = 0
-    for x in a:
-        g = math.gcd(g, x)
-        if g == 1:
-            return 1
-    return g if g else 0
+    return tuple(out)
 
 
 def _pprim(a):
     """Primitive part with positive leading coefficient."""
     if not a:
         return ()
-    g = _pcontent(a)
+    g = math.gcd(*a)
     if a[-1] < 0:
         g = -g
+    if g == 1:
+        return a
     return tuple(x // g for x in a)
 
 
 def _pdiv_exact(a, b):
-    """Quotient of an exact division a = q*b (raises if inexact)."""
+    """Quotient q of a = q*b, or None when b does not divide a exactly."""
     if not a:
         return ()
-    r = list(a)
-    lb = b[-1]
     db = len(b) - 1
+    if len(a) <= db or (b[0] and a[0] % b[0]):
+        return None
+    lb = b[-1]
+    r = list(a)
+    bnz = [(j, y) for j, y in enumerate(b[:-1]) if y]
     q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        if r[i]:
-            c, rem = divmod(r[i], lb)
+    for k in range(len(q) - 1, -1, -1):
+        x = r[k + db]
+        if x:
+            c, rem = divmod(x, lb)
             if rem:
-                raise ArithmeticError("inexact polynomial division")
-            q[i - db] = c
-            for j, y in enumerate(b):
-                r[i - db + j] -= c * y
-    if any(r):
-        raise ArithmeticError("inexact polynomial division")
-    return _ptrim(q)
+                return None
+            q[k] = c
+            for j, y in bnz:
+                r[k + j] -= c * y
+    if any(r[:db]):
+        return None
+    return tuple(q)
 
 
 def _pseudo_rem(a, b):
@@ -116,10 +104,6 @@ def _pseudo_rem(a, b):
         r = list(_ptrim(r))
 
 
-def _nterms(a):
-    return sum(1 for x in a if x)
-
-
 def _ptrail(a):
     for i, x in enumerate(a):
         if x:
@@ -127,22 +111,115 @@ def _ptrail(a):
     return 0
 
 
-def _pgcd(a, b):
+def _prs_gcd(a, b):
     """Primitive gcd (positive leading coefficient) via a primitive PRS."""
     a, b = _pprim(a), _pprim(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    if _nterms(a) == 1 or _nterms(b) == 1:
-        k = min(_ptrail(a), _ptrail(b))
-        return (0,) * k + (1,)
     if len(a) < len(b):
         a, b = b, a
     while b:
         r = _pseudo_rem(a, b)
         a, b = b, _pprim(r)
     return a
+
+
+def _peval(a, x):
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _plift(v, x):
+    """The polynomial whose coefficients are the symmetric x-adic digits of v."""
+    out = []
+    half = x // 2
+    while v:
+        v, c = divmod(v, x)
+        if c > half:
+            c -= x
+            v += 1
+        out.append(c)
+    return tuple(out)
+
+
+_HEU_TRIES = 6
+
+
+def _heu_gcd(a, b):
+    """GCDHEU (Char, Geddes and Gonnet 1989): (g, a/g, b/g), or None if it gives up.
+
+    Both inputs have positive degree.  The integer gcd of a(xi) and b(xi)
+    is lifted back to a polynomial h.  For xi >= 2*min(|a|, |b|) + 2 (max
+    norms of the primitive parts), an h that divides both a and b is their
+    gcd, so h counts only once both exact divisions succeed; they also give
+    the cofactors.  A failed try grows xi.
+    """
+    pa, pb = _pprim(a), _pprim(b)
+    xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 2
+    for _ in range(_HEU_TRIES):
+        h = _pprim(_plift(math.gcd(_peval(pa, xi), _peval(pb, xi)), xi))
+        if len(h) == 1:
+            return h, a, b
+        qa = _pdiv_exact(a, h)
+        if qa is not None:
+            qb = _pdiv_exact(b, h)
+            if qb is not None:
+                return h, qa, qb
+        xi = 3 * xi + math.isqrt(xi) + 1
+    return None
+
+
+def _pgcd(a, b):
+    """Primitive gcd g of nonzero a and b, with cofactors: (g, a/g, b/g).
+
+    g has positive leading coefficient and a = g*(a/g), b = g*(b/g) hold
+    exactly in Z[t].  The power of t is split off first; the rest comes
+    from GCDHEU, or from the primitive PRS when GCDHEU gives up.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return (1,), a, b
+    ta, tb = _ptrail(a), _ptrail(b)
+    k = min(ta, tb)
+    a0, b0 = a[ta:], b[tb:]
+    if len(a0) == 1 or len(b0) == 1:
+        return (0,) * k + (1,), a[k:], b[k:]
+    res = _heu_gcd(a0, b0)
+    if res is None:
+        g = _prs_gcd(a0, b0)
+        res = g, _pdiv_exact(a0, g), _pdiv_exact(b0, g)
+    g, qa, qb = res
+    return ((0,) * k + g, (0,) * (ta - k) + qa, (0,) * (tb - k) + qb)
+
+
+def _canonical(num, cof, g):
+    """Canonical (num, den) of the fraction num/(cof*g).
+
+    Every common factor of num and the denominator must divide g (so
+    gcd(num, cof) = 1); only gcd(num, g) is then taken.  The integer
+    contents are made coprime and the denominator's leading coefficient
+    positive.
+    """
+    if not num:
+        return (), (1,)
+    if len(g) > 1:
+        _, num, g = _pgcd(num, g)
+    den = g if cof == (1,) else cof if g == (1,) else _pmul(cof, g)
+    cg = math.gcd(*num, *den)
+    if den[-1] < 0:
+        cg = -cg
+    if cg != 1:
+        num = tuple(x // cg for x in num)
+        den = tuple(x // cg for x in den)
+    return num, den
+
+
+def _sum(a, b, c, d):
+    """a/b + c/d by Henrici's method: with g = gcd(b, d), only gcd(num, g) remains."""
+    if b == d:
+        return RatFunc(*_canonical(_padd(a, c), (1,), b), _reduced=True)
+    g, bq, dq = _pgcd(b, d)
+    num = _padd(_pmul(a, dq), _pmul(c, bq))
+    return RatFunc(*_canonical(num, _pmul(bq, dq), g), _reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -159,22 +236,10 @@ class RatFunc:
         if not den:
             raise ZeroDivisionError("zero denominator in Q(t)")
         if not _reduced:
-            if not num:
-                den = (1,)
-            else:
-                g = _pgcd(num, den)
-                if g != (1,):
-                    num = _pdiv_exact(num, g)
-                    den = _pdiv_exact(den, g)
-                cg = math.gcd(_pcontent(num), _pcontent(den))
-                if den[-1] < 0:
-                    cg = -cg
-                if cg != 1:
-                    num = tuple(x // cg for x in num)
-                    den = tuple(x // cg for x in den)
+            num, den = _canonical(num, (1,), den)
         self.num = num
         self.den = den
-        self._hash = hash((num, den))
+        self._hash = None
 
     # -- construction helpers
 
@@ -218,10 +283,7 @@ class RatFunc:
             return o
         if not o.num:
             return self
-        if self.den == o.den:
-            return RatFunc(_padd(self.num, o.num), self.den)
-        return RatFunc(_padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-                       _pmul(self.den, o.den))
+        return _sum(self.num, self.den, o.num, o.den)
 
     __radd__ = __add__
 
@@ -232,8 +294,11 @@ class RatFunc:
         o = RatFunc.coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(_psub(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-                       _pmul(self.den, o.den))
+        if not o.num:
+            return self
+        if not self.num:
+            return -o
+        return _sum(self.num, self.den, _pneg(o.num), o.den)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -248,14 +313,19 @@ class RatFunc:
             return o
         if o.is_one():
             return self
-        return RatFunc(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        # Henrici: cancel across the operands, so the product is reduced
+        _, a, d = _pgcd(self.num, o.den)
+        _, c, b = _pgcd(o.num, self.den)
+        return RatFunc(*_canonical(_pmul(a, c), _pmul(b, d), (1,)), _reduced=True)
 
     __rmul__ = __mul__
 
     def inv(self):
         if not self.num:
             raise ZeroDivisionError("inverse of 0 in Q(t)")
-        return RatFunc(self.den, self.num)
+        if self.num[-1] < 0:
+            return RatFunc(_pneg(self.den), _pneg(self.num), _reduced=True)
+        return RatFunc(self.den, self.num, _reduced=True)
 
     def __truediv__(self, other):
         o = RatFunc.coerce(other)
@@ -290,6 +360,13 @@ class RatFunc:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # a constant hashes like the int or Fraction it equals
+        if self._hash is None:
+            num, den = self.num, self.den
+            if len(num) <= 1 and len(den) == 1:
+                self._hash = hash(Fraction(num[0] if num else 0, den[0]))
+            else:
+                self._hash = hash((num, den))
         return self._hash
 
     def sort_key(self):

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -108,3 +110,22 @@ def test_text_format(capsys):
                         "--sign", "-")
     assert code == 0
     assert "kernel dimension: 0" in out
+
+
+def _readme_commands():
+    """The argument lists of the `qsphere ...` lines in the README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    cmds = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in cmds if argv and argv[0] == "qsphere"]
+
+
+def test_readme_command_examples_run(capsys):
+    cmds = _readme_commands()
+    assert len(cmds) >= 6
+    for argv in cmds:
+        if argv[0] == "selftest":
+            continue
+        code, out = run_cli(capsys, "--format", "json", *argv)
+        assert code == 0, argv
+        json.loads(out)

@@ -1,11 +1,16 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from qsphere import fodc, linalg, scalars
+from qsphere.dualfunc import DualEngine
 from qsphere.scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam,
                              XcData, qint, qfact, qbinom, cn_value,
                              check_admissible, parse_ratfunc, qpow, Quad,
-                             QuadRing)
+                             QuadRing, _padd, _pmul, _pneg, _pgcd, _prs_gcd,
+                             _pdiv_exact, _heu_gcd)
 
 
 def test_qint_small_values():
@@ -163,3 +168,153 @@ def test_quad_extension_arithmetic():
     assert y == ring.one
     # conjugation fixes exactly the mu-free part
     assert x.conj().re == x.re and x.conj().im == -x.im
+
+
+def test_constants_hash_like_numbers():
+    assert {ONE: "x"}.get(1) == "x"
+    assert {ZERO: "z"}.get(0) == "z"
+    assert hash(RatFunc.from_int(-7)) == hash(-7)
+    assert hash(RatFunc.from_fraction(Fraction(3, 4))) == hash(Fraction(3, 4))
+    assert {Fraction(-5, 6): 1}.get(RatFunc.from_fraction(Fraction(-5, 6))) == 1
+
+
+def _naive_pmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def test_pmul_operand_order():
+    rng = random.Random(77)
+    sparse = (0,) * 160 + (1,)
+    dense = tuple(rng.randint(-9, 9) for _ in range(39)) + (5,)
+    holey = (3, 0, 0, -2, 0, 0, 0, 7)
+    for a, b in [(dense, sparse), (dense, dense), (holey, sparse),
+                 (holey, dense), ((0, 0, -4), (2,))]:
+        assert _pmul(a, b) == _pmul(b, a) == _naive_pmul(a, b)
+
+
+# -- oracle tests: Henrici arithmetic and GCDHEU against cross-multiplication
+# and the primitive PRS gcd
+
+def _prs_fraction(num, den):
+    """Reference canonical form: divide out the PRS gcd, then fix contents and sign."""
+    if not any(num):
+        return (), (1,)
+    g = _prs_gcd(num, den)
+    num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
+    cg = math.gcd(*num, *den)
+    if den[-1] < 0:
+        cg = -cg
+    return tuple(x // cg for x in num), tuple(x // cg for x in den)
+
+
+def _planted(rng):
+    """A nonzero polynomial times a random product of factors the engine meets."""
+    factors = [(-1, 0, 0, 0, 1),                       # q - q^-1, times t^2
+               (-1,) + (0,) * 7 + (1,),                # q^2 - q^-2, times t^4
+               (1, 0, 2, 0, 1),                        # (q + 1)^2
+               (1, 0, 0, 0, 2, 0, 0, 0, 1),            # (q^2 + 1)^2
+               (1, 0, 1, 0, 1),                        # [3] times q^2
+               (0, 0, 1),                              # q
+               (0, 1)]                                 # q^(1/2)
+    p = tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 4))) + (rng.choice((-3, -1, 1, 2)),)
+    for _ in range(rng.randint(0, 3)):
+        p = _pmul(p, rng.choice(factors))
+    return p
+
+
+def _rand_canonical(rng):
+    kind = rng.random()
+    if kind < 0.15:
+        return ZERO
+    num = _planted(rng)
+    if kind < 0.45:
+        den = (0,) * rng.randint(0, 6) + (rng.choice((1, 2, 3, 6)),)   # monomial
+    else:
+        den = _planted(rng)
+    return RatFunc(*_prs_fraction(num, den), _reduced=True)
+
+
+def test_henrici_arithmetic_matches_cross_multiplication():
+    rng = random.Random(20261018)
+    for _ in range(250):
+        x, y = _rand_canonical(rng), _rand_canonical(rng)
+        a, b, c, d = x.num, x.den, y.num, y.den
+        cross_sum = _padd(_pmul(a, d), _pmul(c, b))
+        cross_diff = _padd(_pmul(a, d), _pneg(_pmul(c, b)))
+        bd = _pmul(b, d)
+        for got, (num, den) in [(x + y, _prs_fraction(cross_sum, bd)),
+                                (x - y, _prs_fraction(cross_diff, bd)),
+                                (x * y, _prs_fraction(_pmul(a, c), bd))]:
+            assert (got.num, got.den) == (num, den)
+        assert (x - x).is_zero() and x + ZERO == x and ZERO - x == -x
+        if y:
+            q = x / y
+            assert (q.num, q.den) == _prs_fraction(_pmul(a, d), _pmul(b, c))
+
+
+def test_pgcd_matches_prs_on_planted_factors():
+    rng = random.Random(1989)
+    for _ in range(200):
+        common = _planted(rng)
+        a = _pmul(common, _planted(rng))
+        b = _pmul(common, _planted(rng))
+        g, qa, qb = _pgcd(a, b)
+        assert g == _prs_gcd(a, b)
+        assert _pmul(g, qa) == a and _pmul(g, qb) == b
+
+
+def test_heu_gcd_retries_then_gives_up(monkeypatch):
+    # at the first evaluation point the integer gcd lifts to 2t - 1, which
+    # divides neither input; the gcd is t - 2
+    a, b = (2, 1, 3, 2, -4, 1), (2, 1, -3, 1)
+    assert _heu_gcd(a, b)[0] == _prs_gcd(a, b) == (-2, 1)
+    monkeypatch.setattr(scalars, "_HEU_TRIES", 1)
+    assert _heu_gcd(a, b) is None
+    assert _pgcd(a, b) == ((-2, 1), (-1, -1, -2, -2, 1), (-1, -1, 1))
+
+
+def test_prs_fallback_gives_the_same_arithmetic(monkeypatch):
+    rng = random.Random(4511)
+    pairs = [(_rand_canonical(rng), _rand_canonical(rng)) for _ in range(60)]
+    fast = [(x + y, x - y, x * y) for x, y in pairs]
+    monkeypatch.setattr(scalars, "_HEU_TRIES", 0)
+    for (x, y), want in zip(pairs, fast):
+        assert (x + y, x - y, x * y) == want
+    common = (1, 0, 2, 0, 1)
+    assert _pgcd(_pmul(common, (3, 1)), _pmul(common, (-1, 1)))[0] == common
+
+
+def _freeness_solutions(monkeypatch):
+    seen = []
+    real = linalg.solve_with_rank
+
+    def spy(a_rows, b_cols):
+        out = real(a_rows, b_cols)
+        seen.append((a_rows, b_cols, out))
+        return out
+
+    c = CParam.generic(1)
+    pres = fodc.build_rform_calculus(1, "id", c, engine=DualEngine(c))
+    monkeypatch.setattr(linalg, "solve_with_rank", spy)
+    report = fodc.verify_freeness(pres, 2)
+    monkeypatch.setattr(linalg, "solve_with_rank", real)
+    assert report["pass"] and report["rank"] == report["unknowns"] == 48
+    (a_rows, b_cols, (rank, sols)), = seen
+    return a_rows, b_cols, sols
+
+
+def test_n1_freeness_solutions_exact_and_canonical(monkeypatch):
+    a_rows, b_cols, sols = _freeness_solutions(monkeypatch)
+    for b, x in zip(b_cols, sols):
+        for row, rhs in zip(a_rows, b):
+            assert sum((u * v for u, v in zip(row, x) if u and v), ZERO) == rhs
+        for v in x:
+            assert (v.num, v.den) == _prs_fraction(v.num, v.den)
+    monkeypatch.setattr(scalars, "_HEU_TRIES", 0)
+    _, _, prs_sols = _freeness_solutions(monkeypatch)
+    assert ([[(v.num, v.den) for v in x] for x in prs_sols]
+            == [[(v.num, v.den) for v in x] for x in sols])
