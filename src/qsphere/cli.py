@@ -2,8 +2,9 @@
 
 Commands: selftest, classify, eigenvalues, tangent-space, build-fodc,
 de-generated, mu-rep.  Reports are emitted as qsphere-report/1 JSON or as
-plain text tables; the exit code is 0 exactly when every certificate in
-the report passes.
+plain text tables.  Exit codes: 0 when every certificate in the report
+passes, 1 when one fails, 2 for a usage or parameter error, 3 when an
+internal cross-check fails (an AssertionError inside the engine).
 
 The parameter c is given as one of
     inf         the c = infinity sphere
@@ -325,6 +326,9 @@ def main(argv=None):
     except (ValueError, ArithmeticError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except AssertionError as e:
+        print("internal check failed: %s" % e, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -179,15 +179,6 @@ class DualEngine:
             out = out + PsiVector.symbol(l, lam, 0, coeff * lam ** power)
         return out
 
-    def apply_operator(self, kind, v):
-        if kind == "phi":
-            return self.phi(v)
-        if kind == "varphi":
-            return self.varphi(v)
-        if kind == "kappa":
-            return self.kappa(v)
-        raise ValueError("unknown operator %r" % kind)
-
     def xc_right_action(self, v):
         """The right action of X_c, termwise in the lambda-grading."""
         _require_m0(v)

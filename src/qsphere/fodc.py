@@ -280,6 +280,7 @@ class CalculusPresentation:
         self.omega = list(W_basis)      # coords of omega = sum gamma^i b_i
         self._rform_cache = {}
         self._twist_cache = {}
+        self._d_cache = {}
 
     # Gamma elements are coordinate lists xi = [x_1, ..., x_N] meaning
     # sum_i gamma^i x_i
@@ -329,10 +330,18 @@ class CalculusPresentation:
         return out
 
     def d(self, x):
-        """The differential omega x - x omega."""
-        left = self.rmult(self.omega, x)
-        right = self.lmult(x, self.omega)
-        return [u - v for u, v in zip(left, right)]
+        """The differential omega x - x omega, linear in x: d(m) is kept per monomial."""
+        out = self.zero()
+        for mono, cc in x.terms.items():
+            dm = self._d_cache.get(mono)
+            if dm is None:
+                m = self.alg.element({mono: ONE})
+                dm = [u - v for u, v in zip(self.rmult(self.omega, m),
+                                            self.lmult(m, self.omega))]
+                self._d_cache[mono] = dm
+            for k in range(self.N):
+                out[k] = out[k] + dm[k] * cc
+        return out
 
     def coords_eq(self, u, v):
         return all(x == y for x, y in zip(u, v))

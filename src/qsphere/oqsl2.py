@@ -339,6 +339,24 @@ def pi_coeff(i, j):
 
 
 # ---------------------------------------------------------------------------
+# 2x2 matrices with at most one nonzero entry per row
+
+_GEN_POS = {"a": (0, 0), "b": (0, 1), "c": (1, 0), "d": (1, 1)}
+
+
+def _monomial_rows(matrix, what):
+    """Each row of a 2x2 matrix as its one nonzero (column, value), or None."""
+    rows = []
+    for row in matrix:
+        nonzero = [(col, v) for col, v in enumerate(row) if not v.is_zero()]
+        if len(nonzero) > 1:
+            raise AssertionError("matrix of %r has a row with two nonzero "
+                                 "entries" % (what,))
+        rows.append(nonzero[0] if nonzero else None)
+    return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
 # dual functionals and their evaluation
 #
 # Letters: ('f', lam) is the character f_lam; ('fs',) is f_mu evaluated in a
@@ -388,47 +406,52 @@ class Evaluator:
     def __init__(self, ring=RAT_RING):
         self.ring = ring
         self._memo = {}
-        self._matmemo = {}
+        self._rowmemo = {}
 
     def letter_matrix(self, letter):
-        m = self._matmemo.get(letter)
-        if m is not None:
-            return m
         ring = self.ring
         z, o = ring.zero, ring.one
         kind = letter[0]
         if kind == "f":
-            m = ((ring.embed(letter[1]), z), (z, ring.embed(letter[1].inv())))
-        elif kind == "fs":
+            return ((ring.embed(letter[1]), z), (z, ring.embed(letter[1].inv())))
+        if kind == "fs":
             mu = ring.mu
-            m = ((mu, z), (z, mu.inv()))
-        elif kind == "g":
-            m = ((o, z), (z, ring.embed(-ONE)))
-        elif kind == "E":
-            m = ((z, z), (o, z))
-        elif kind == "F":
-            m = ((z, o), (z, z))
-        elif kind == "K":
-            m = ((ring.embed(qpow(-2 * letter[1])), z),
-                 (z, ring.embed(qpow(2 * letter[1]))))
-        else:
-            raise ValueError("unknown letter %r" % (letter,))
-        self._matmemo[letter] = m
-        return m
+            return ((mu, z), (z, mu.inv()))
+        if kind == "g":
+            return ((o, z), (z, ring.embed(-ONE)))
+        if kind == "E":
+            return ((z, z), (o, z))
+        if kind == "F":
+            return ((z, o), (z, z))
+        if kind == "K":
+            return ((ring.embed(qpow(-2 * letter[1])), z),
+                    (z, ring.embed(qpow(2 * letter[1]))))
+        raise ValueError("unknown letter %r" % (letter,))
 
-    _GEN_POS = {"a": (0, 0), "b": (0, 1), "c": (1, 0), "d": (1, 1)}
+    def letter_rows(self, letter):
+        rows = self._rowmemo.get(letter)
+        if rows is None:
+            rows = _monomial_rows(self.letter_matrix(letter), letter)
+            self._rowmemo[letter] = rows
+        return rows
 
     def word_on_gen(self, word, gen):
-        i, j = self._GEN_POS[gen]
-        if not word:
-            return self.ring.one if i == j else self.ring.zero
-        # entry (i, j) of the product of the letter matrices
-        row = self.letter_matrix(word[0])[i]
-        for letter in word[1:]:
-            m = self.letter_matrix(letter)
-            row = (row[0] * m[0][0] + row[1] * m[1][0],
-                   row[0] * m[0][1] + row[1] * m[1][1])
-        return row[j]
+        """Entry (i, j) of the product of the letter matrices, gen = u_ij.
+
+        Every letter matrix has at most one nonzero entry per row, so row
+        i of a partial product is zero or a single (column, value) pair.
+        """
+        i, j = _GEN_POS[gen]
+        val = None
+        for letter in word:
+            entry = self.letter_rows(letter)[i]
+            if entry is None:
+                return self.ring.zero
+            i, v = entry
+            val = v if val is None else val * v
+        if i != j:
+            return self.ring.zero
+        return self.ring.one if val is None else val
 
     def word_unit_value(self, word):
         for letter in word:
@@ -470,10 +493,6 @@ def eval_functional(fword, x):
     return Evaluator().eval(fword.letters(), x)
 
 
-def eval_letters(letters, x, ring=RAT_RING):
-    return Evaluator(ring).eval(tuple(letters), x)
-
-
 # ---------------------------------------------------------------------------
 # the standard universal r-form
 #
@@ -489,6 +508,12 @@ _R_GEN = {
     ("c", "b"): qpow(-1) * QHAT,
 }
 
+# M(x)_rs = r(u_rs, x) for a generator x, as rows: M(a) and M(d) are
+# diagonal, M(b) has only the entry r(c, b), and M(c) = 0
+_R_ROWS = {x: _monomial_rows([[_R_GEN.get((u, x), ZERO) for u in row]
+                              for row in (("a", "b"), ("c", "d"))], x)
+           for x in GENS}
+
 _RFORM_CACHE = {}
 
 
@@ -502,25 +527,28 @@ def rform_words(w1, w2):
         v = word_counit(w2)
     elif not w2:
         v = word_counit(w1)
-    elif len(w1) == 1:
-        if len(w2) == 1:
-            v = _R_GEN.get((w1[0], w2[0]), ZERO)
-        else:
-            h, rest = w2[0], w2[1:]
-            v = ZERO
-            for x, y in _GEN_COPROD[w1[0]]:
-                left = rform_words((x,), rest)
-                if left:
-                    v = v + left * rform_words((y,), (h,))
     else:
-        g, w = w1[:1], w1[1:]
+        # r(g w, z) = sum r(g, z(1)) r(w, z(2)), and with g = u_ij,
+        # r(g, x_1...x_m) is entry (i, j) of M(x_m)...M(x_1).  Choose the
+        # z(1) letters from the right, walking row i; a branch ends at its
+        # first zero row.
+        i, j = _GEN_POS[w1[0]]
+        branches = [(i, ONE, ())]
+        for h in reversed(w2):
+            grown = []
+            for row, val, z2 in branches:
+                for x, y in _GEN_COPROD[h]:
+                    entry = _R_ROWS[x][row]
+                    if entry is not None:
+                        grown.append((entry[0], val * entry[1], (y,) + z2))
+            branches = grown
+        w = w1[1:]
         v = ZERO
-        for choice in itertools.product(*[_GEN_COPROD[letter] for letter in w2]):
-            z1 = tuple(x for x, _ in choice)
-            z2 = tuple(y for _, y in choice)
-            left = rform_words(g, z1)
-            if left:
-                v = v + left * rform_words(w, z2)
+        for row, val, z2 in branches:
+            if row == j:
+                right = rform_words(w, z2)
+                if right:
+                    v = v + val * right
     _RFORM_CACHE[key] = v
     return v
 

@@ -104,6 +104,11 @@ def _pseudo_rem(a, b):
         r = list(_ptrim(r))
 
 
+def _is_monomial(a):
+    """a = c*t^k; a general polynomial fails on its constant coefficient."""
+    return len(a) == 1 or not a[0] and not any(a[1:-1])
+
+
 def _ptrail(a):
     for i, x in enumerate(a):
         if x:
@@ -313,9 +318,18 @@ class RatFunc:
             return o
         if o.is_one():
             return self
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if _is_monomial(a) and _is_monomial(c) and _is_monomial(b) and _is_monomial(d):
+            # Laurent monomials: the t-exponents add, one integer gcd reduces
+            n, m = a[-1] * c[-1], b[-1] * d[-1]
+            g = math.gcd(n, m)
+            e = len(a) + len(c) - len(b) - len(d)
+            if e >= 0:
+                return RatFunc((0,) * e + (n // g,), (m // g,), _reduced=True)
+            return RatFunc((n // g,), (0,) * -e + (m // g,), _reduced=True)
         # Henrici: cancel across the operands, so the product is reduced
-        _, a, d = _pgcd(self.num, o.den)
-        _, c, b = _pgcd(o.num, self.den)
+        _, a, d = _pgcd(a, d)
+        _, c, b = _pgcd(c, b)
         return RatFunc(*_canonical(_pmul(a, c), _pmul(b, d), (1,)), _reduced=True)
 
     __rmul__ = __mul__
@@ -650,9 +664,6 @@ class Quad:
         if d.is_zero():
             raise ZeroDivisionError("non-invertible quadratic extension element")
         return Quad(self.re / d, -self.im / d, self.lam)
-
-    def conj(self):
-        return Quad(self.re, -self.im, self.lam)
 
     def is_zero(self):
         return self.re.is_zero() and self.im.is_zero()

@@ -1,9 +1,11 @@
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from qsphere import fodc
 from qsphere.cli import main, parse_param_spec, CnSpec
 from qsphere.scalars import CParam, qpow
 
@@ -105,6 +107,18 @@ def test_selftest_single_criterion(capsys):
     assert "AC-2 PASS" in out
 
 
+def test_internal_check_failure_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("coaction leg leaves the W-span")
+
+    monkeypatch.setattr(fodc, "build_rform_calculus", broken)
+    code = main(["--format", "json", "build-fodc", "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal check failed: coaction leg leaves the W-span\n"
+
+
 def test_text_format(capsys):
     code, out = run_cli(capsys, "eigenvalues", "--c", "s=1", "--l", "1",
                         "--sign", "-")
@@ -120,7 +134,18 @@ def _readme_commands():
     return [argv[1:] for argv in cmds if argv and argv[0] == "qsphere"]
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _golden_path(argv):
+    """tests/golden/<the arguments without leading dashes, joined by "_">.json"""
+    name = "_".join(arg.lstrip("-") for arg in argv)
+    return GOLDEN / (re.sub(r"[^A-Za-z0-9=.,+-]", "_", name) + ".json")
+
+
 def test_readme_command_examples_run(capsys):
+    # Each README command's JSON report must match its recorded output byte
+    # for byte: arithmetic and evaluation changes may not move any report.
     cmds = _readme_commands()
     assert len(cmds) >= 6
     for argv in cmds:
@@ -129,3 +154,4 @@ def test_readme_command_examples_run(capsys):
         code, out = run_cli(capsys, "--format", "json", *argv)
         assert code == 0, argv
         json.loads(out)
+        assert out == _golden_path(argv).read_text(), argv

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc, CParam, qpow
@@ -175,3 +177,29 @@ def test_presentation_json_roundtrip(eng):
     assert doc["dim"] == 3
     assert doc["components"] == [[1, 2]]
     assert set(doc["differential_table"]) == {"em1", "e0", "e1", "A"}
+
+
+@pytest.mark.parametrize("n, nu, c", [(1, "id", GENERIC), (1, "flip", INF)])
+def test_memoized_differential_is_the_commutator(n, nu, c):
+    pres = build_rform_calculus(n, nu, c, engine=DualEngine(c))
+    alg = pres.alg
+    assert pres.is_zero_coords(pres.d(alg.unit()))
+    monos = [m for m in alg.normal_monomials(2) if m]
+    rng = random.Random("d/%s/%d" % (nu, n))
+    for _ in range(4):
+        picked = rng.sample(monos, 3)
+        x = alg.element({m: RatFunc.from_int(rng.choice((-3, -2, 2, 3)))
+                         for m in picked})
+        direct = [u - v for u, v in zip(pres.rmult(pres.omega, x),
+                                        pres.lmult(x, pres.omega))]
+        assert pres.coords_eq(pres.d(x), direct)
+        assert pres.coords_eq(pres.d(x), direct)
+    # the cached d(m) is never handed out: editing a result changes nothing
+    m = alg.element({monos[0]: ONE})
+    first = pres.d(m)
+    want = [alg.element(dict(u.terms)) for u in first]
+    first[0] = alg.unit()
+    for u in first[1:]:
+        u.terms.clear()
+    assert pres.coords_eq(pres.d(m), want)
+    assert not pres.is_zero_coords(want)

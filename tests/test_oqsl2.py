@@ -1,11 +1,15 @@
 import itertools
 
-from qsphere.scalars import ZERO, ONE, Q, QINV, QHAT, RatFunc, qpow
+import pytest
+
+from qsphere import oqsl2
+from qsphere.scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, qpow,
+                             RAT_RING, QuadRing)
 from qsphere.oqsl2 import (A_, B_, C_, D_, UNIT, SL2Element, FunctionalWord,
                            antipode, coproduct, confluence_report,
                            eval_functional, hopf_axioms_report, parse_sl2,
                            pi_coeff, rform, rform_well_defined_report,
-                           reduce_word, all_words, Evaluator, word_counit)
+                           reduce_word, all_words, Evaluator, word_counit, GENS)
 
 
 def test_unit_law_and_off_diagonal_commute():
@@ -153,3 +157,85 @@ def test_parser_roundtrip():
     x = parse_sl2("a^2*b - q*c + 3")
     assert parse_sl2(str(x)) == x
     assert parse_sl2("a*d - q*b*c") == UNIT
+
+
+# -- the monomial walks against the dense product and the full expansion
+
+
+def _dense_products(ev, letters, max_len):
+    """Every word up to max_len with the dense product of its 2x2 letter matrices."""
+    one, zero = ev.ring.one, ev.ring.zero
+    level = {(): ((one, zero), (zero, one))}
+    for n in range(max_len + 1):
+        yield from level.items()
+        if n < max_len:
+            nxt = {}
+            for word, p in level.items():
+                for letter in letters:
+                    m = ev.letter_matrix(letter)
+                    nxt[word + (letter,)] = tuple(
+                        tuple(row[0] * m[0][k] + row[1] * m[1][k] for k in (0, 1))
+                        for row in p)
+            level = nxt
+
+
+@pytest.mark.parametrize("ring, first", [(RAT_RING, ("f", RatFunc.from_int(3))),
+                                         (QuadRing(RatFunc.from_int(3)), ("fs",))])
+def test_word_on_gen_matches_dense_product(ring, first):
+    ev = Evaluator(ring)
+    letters = [first, ("g",), ("E",), ("F",), ("K", 1), ("K", -1)]
+    for word, p in _dense_products(ev, letters, 5):
+        for gen in GENS:
+            i, j = oqsl2._GEN_POS[gen]
+            assert ev.word_on_gen(word, gen) == p[i][j], (word, gen)
+
+
+def test_non_monomial_letter_is_an_internal_error():
+    class Dense(Evaluator):
+        def letter_matrix(self, letter):
+            if letter == ("X",):
+                return ((self.ring.one, self.ring.one), (self.ring.zero, self.ring.one))
+            return super().letter_matrix(letter)
+
+    ev = Dense()
+    assert ev.word_on_gen((("F",), ("E",)), "a") == ONE
+    with pytest.raises(AssertionError, match="two nonzero entries"):
+        ev.word_on_gen((("E",), ("X",)), "c")
+
+
+def _expanded_rform(w1, w2, memo):
+    """The r-form by the full coproduct expansion of the second word."""
+    key = (w1, w2)
+    if key in memo:
+        return memo[key]
+    if not w1:
+        v = word_counit(w2)
+    elif not w2:
+        v = word_counit(w1)
+    elif len(w1) == 1:
+        if len(w2) == 1:
+            v = oqsl2._R_GEN.get((w1[0], w2[0]), ZERO)
+        else:
+            v = ZERO
+            for x, y in oqsl2._GEN_COPROD[w1[0]]:
+                left = _expanded_rform((x,), w2[1:], memo)
+                if left:
+                    v = v + left * _expanded_rform((y,), w2[:1], memo)
+    else:
+        v = ZERO
+        for choice in itertools.product(*[oqsl2._GEN_COPROD[g] for g in w2]):
+            left = _expanded_rform(w1[:1], tuple(x for x, _ in choice), memo)
+            if left:
+                v = v + left * _expanded_rform(w1[1:], tuple(y for _, y in choice), memo)
+    memo[key] = v
+    return v
+
+
+def test_rform_words_matches_full_expansion():
+    pairs = [(w1, w2) for w1 in all_words(2) for w2 in all_words(4)]
+    oqsl2._RFORM_CACHE.clear()
+    memo = {}
+    want = [_expanded_rform(w1, w2, memo) for w1, w2 in pairs]
+    oqsl2._RFORM_CACHE.clear()
+    got = [oqsl2.rform_words(w1, w2) for w1, w2 in pairs]
+    assert got == want
