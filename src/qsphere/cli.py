@@ -45,14 +45,14 @@ def parse_param_spec(text):
     raise ValueError("cannot parse c-specifier %r" % text)
 
 
-def _classifiable(cspec, n2_max):
+def _classifiable(cspec):
     if isinstance(cspec, CnSpec):
         raise ValueError("cn: parameters are excluded from classification "
                          "(accepted only by mu-rep)")
-    rep = check_admissible(cspec, n2_max)
+    rep = check_admissible(cspec)
     if not rep["admissible"]:
-        raise ValueError("c is an exceptional value (witness n2=%s); "
-                         "classification requires c in J2 \\ {0}" % rep["witness_n2"])
+        raise ValueError("c is 0 or an exceptional value c(n); "
+                         "classification requires c in J2 \\ {0}")
     return rep
 
 
@@ -101,11 +101,11 @@ def cmd_selftest(args):
 
 def cmd_classify(args):
     c = parse_param_spec(args.c)
-    _classifiable(c, args.n2_max)
+    _classifiable(c)
     engine = DualEngine(c)
     scan = engine.scan_weights(args.lmax)
     lines = ["J^c up to l = %d:" % args.lmax]
-    certs = [{"name": "scan routes agree", "pass": True}]
+    certs = []
     components = []
     for sign, l in scan:
         ts = fodc.tangent_space(c, [(sign, l)], engine=engine)
@@ -125,14 +125,14 @@ def cmd_classify(args):
             lines.append("  %-8s dim 0  trivial calculus" % entry["lambda"])
         components.append(entry)
     report = {"schema": "qsphere-report/1", "command": "classify",
-              "params": {"c": args.c, "lmax": args.lmax, "n2_max": args.n2_max},
+              "params": {"c": args.c, "lmax": args.lmax},
               "components": components, "certificates": certs, "lines": lines}
     return _emit(report, args.format)
 
 
 def cmd_eigenvalues(args):
     c = parse_param_spec(args.c)
-    _classifiable(c, args.n2_max)
+    _classifiable(c)
     sign = +1 if args.sign == "+" else -1
     data, verdict, diff = uqsl2rep.charpoly_check(args.l, c, sign)
     kd = uqsl2rep.kernel_dim(args.l, c, sign)
@@ -143,8 +143,7 @@ def cmd_eigenvalues(args):
     for i, pr in enumerate(pairs):
         lines.append("pair %d: sum = %s ; prod = %s" % (i + 1, pr["sum"], pr["prod"]))
     report = {"schema": "qsphere-report/1", "command": "eigenvalues",
-              "params": {"c": args.c, "l": args.l, "sign": args.sign,
-                         "n2_max": args.n2_max},
+              "params": {"c": args.c, "l": args.l, "sign": args.sign},
               "pairs": pairs,
               "zero_root_multiplicity": data.zero_root_multiplicity,
               "kernel_dim": kd,
@@ -167,7 +166,7 @@ def _parse_components(text):
 
 def cmd_tangent_space(args):
     c = parse_param_spec(args.c)
-    _classifiable(c, args.n2_max)
+    _classifiable(c)
     comps = _parse_components(args.components)
     ts = fodc.tangent_space(c, comps)
     certs = [{"name": "counit/coproduct/Xc closure", "pass": ts.certificate["pass"]}]
@@ -177,8 +176,7 @@ def cmd_tangent_space(args):
         irr = fodc.irreducibility_report(ts)
         certs.append({"name": "irreducible", "pass": irr["pass"]})
     report = {"schema": "qsphere-report/1", "command": "tangent-space",
-              "params": {"c": args.c, "components": args.components,
-                         "n2_max": args.n2_max}}
+              "params": {"c": args.c, "components": args.components}}
     report.update(fodc.tangent_space_json(ts))
     report["command"] = "tangent-space"
     report["certificates"] = certs
@@ -188,7 +186,7 @@ def cmd_tangent_space(args):
 
 def cmd_build_fodc(args):
     c = parse_param_spec(args.c)
-    _classifiable(c, args.n2_max)
+    _classifiable(c)
     nu = "flip" if args.nu == "flip" else "id"
     pres = fodc.build_rform_calculus(args.n, nu, c)
     certs = [
@@ -211,7 +209,7 @@ def cmd_build_fodc(args):
 
 def cmd_de_generated(args):
     c = parse_param_spec(args.c)
-    _classifiable(c, args.n2_max)
+    _classifiable(c)
     r = fodc.classify_de_generated(c, Lmax=args.lmax)
     lines = ["calculi generated by the differentials of the generators: %d"
              % r["count"]]
@@ -222,11 +220,12 @@ def cmd_de_generated(args):
     lines.append("pruned components (dimension beyond the separating bound): %s"
                  % (r["pruned_components"] or "none"))
     report = {"schema": "qsphere-report/1", "command": "de-generated",
-              "params": {"c": args.c, "lmax": args.lmax, "n2_max": args.n2_max},
+              "params": {"c": args.c, "lmax": args.lmax},
               "count": r["count"],
               "calculi": [{"components": [list(sl) for sl in e["components"]],
                            "dim": e["dim"]} for e in r["calculi"]],
-              "certificates": [{"name": "bounded search completed", "pass": True}],
+              "certificates": [{"name": "candidate tangent spaces closed",
+                                "pass": r["candidates_closed"]}],
               "lines": lines}
     return _emit(report, args.format)
 
@@ -273,8 +272,6 @@ def build_parser():
                                  description="Exact engine for the quantum "
                                  "sphere and its covariant calculi")
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument("--n2-max", type=int, default=64, dest="n2_max",
-                    help="bound for the exceptional-value scan (default 64)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("selftest", help="run the full acceptance suite")

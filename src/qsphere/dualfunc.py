@@ -22,15 +22,15 @@ psi X_c = q^-1 phi(psi) + lam varphi(psi) + alpha (1 - lam^-1) kappa(psi).
 from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam, XcData,
                       qint, qbinom, qpow, QuadRing)
 from . import linalg, oqsl2, podles, uqsl2rep
+from .algebra import LinComb
 
 
-class PsiVector:
+class PsiVector(LinComb):
     """Linear combination of dual-coalgebra symbols (m, l, lam)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+    UNIT = None
 
     @staticmethod
     def symbol(l, lam, m=0, coeff=ONE):
@@ -39,69 +39,20 @@ class PsiVector:
             raise ValueError("psi symbols need a nonzero lambda subscript")
         return PsiVector({(m, l, lam): coeff} if coeff else None)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, ZERO) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        return PsiVector(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return PsiVector({k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        c = RatFunc.coerce(other)
-        if c is None:
-            return NotImplemented
-        if not c:
-            return PsiVector()
-        return PsiVector({k: v * c for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, PsiVector) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def value_at_unit(self):
         """Evaluation on 1: only the (0, 0, lam) symbols contribute."""
-        out = ZERO
-        for (m, l, _), v in self.terms.items():
-            if m == 0 and l == 0:
-                out = out + v
-        return out
+        return self.coeff_sum(lambda sym: sym[0] == 0 and sym[1] == 0)
 
     def grades(self):
         return {lam for (_, _, lam) in self.terms}
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (m, l, lam) in sorted(self.terms, key=lambda k: (k[0], k[1], k[2].sort_key())):
-            c = self.terms[(m, l, lam)]
-            name = "psi^%d_(%s)" % (l, lam) if m == 0 else "psi^{%d,%d}_(%s)" % (m, l, lam)
-            cs = str(c)
-            if any(op in cs[1:] for op in "+-/") or "*" in cs:
-                cs = "(" + cs + ")"
-            parts.append(name if cs == "1" else ("-" + name if cs == "-1" else cs + "*" + name))
-        return " + ".join(parts).replace("+ -", "- ")
+    def _mono_str(self, sym):
+        m, l, lam = sym
+        return "psi^%d_(%s)" % (l, lam) if m == 0 else "psi^{%d,%d}_(%s)" % (m, l, lam)
 
-    __repr__ = __str__
+    @staticmethod
+    def _sort_key(sym):
+        return (sym[0], sym[1], sym[2].sort_key())
 
 
 EPSILON = PsiVector.symbol(0, ONE)      # psi^0_1 is the counit
@@ -126,9 +77,6 @@ class HWModule:
         self.matE = matE
         self.matF = matF
         self.matK = matK
-
-    def dim(self):
-        return self.l + 1
 
 
 class DualEngine:
@@ -289,35 +237,11 @@ class DualEngine:
             if fv != ck * prev:
                 raise AssertionError("varphi does not stay on the orbit line")
             matF[k - 1][k] = ck
-        mod = HWModule(sign, l, lam0, basis, matE, matF, matK)
-        self._check_module_relations(mod)
-        return mod
-
-    @staticmethod
-    def _check_module_relations(mod):
-        E, F, K = mod.matE, mod.matF, mod.matK
-        n = mod.l + 1
-        Kinv = linalg.zeros(n, n)
-        for k in range(n):
-            Kinv[k][k] = K[k][k].inv()
-        comm = linalg.matsub(linalg.matmul(E, F), linalg.matmul(F, E))
-        rhs = linalg.scalmul(QHAT.inv(), linalg.matsub(K, Kinv))
-        if not linalg.is_zero_matrix(linalg.matsub(comm, rhs)):
-            raise AssertionError("module fails EF - FE relation")
-        ke = linalg.matsub(linalg.matmul(K, E),
-                           linalg.scalmul(Q * Q, linalg.matmul(E, K)))
-        kf = linalg.matsub(linalg.matmul(K, F),
-                           linalg.scalmul(qpow(-4), linalg.matmul(F, K)))
-        if not (linalg.is_zero_matrix(ke) and linalg.is_zero_matrix(kf)):
-            raise AssertionError("module fails K-conjugation relations")
-        p = linalg.identity(n)
-        for _ in range(mod.l):
-            p = linalg.matmul(p, E)
-        if linalg.is_zero_matrix(p):
-            raise AssertionError("E nilpotent too early")
-        p = linalg.matmul(p, E)
-        if not linalg.is_zero_matrix(p):
-            raise AssertionError("E not nilpotent of order l+1")
+        # E is the unit shift, so it is nilpotent of order l+1 by construction
+        failures = uqsl2rep.relation_failures(matE, matF, matK)
+        if failures:
+            raise AssertionError("module fails %s" % ", ".join(failures))
+        return HWModule(sign, l, lam0, basis, matE, matF, matK)
 
     # -- the phi-matrix route to the displayed tridiagonal matrix
 

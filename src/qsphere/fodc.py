@@ -10,7 +10,6 @@ commutator with the canonical invariant one-form.
 """
 
 import itertools
-import json
 
 from .scalars import ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam, qpow
 from . import linalg, oqsl2, podles
@@ -46,13 +45,7 @@ def _coordinates(vectors):
     symbols = sorted({s for v in vectors for s in v.terms},
                      key=lambda s: (s[0], s[1], s[2].sort_key()))
     index = {s: i for i, s in enumerate(symbols)}
-    rows = []
-    for v in vectors:
-        row = [ZERO] * len(symbols)
-        for s, c in v.terms.items():
-            row[index[s]] = c
-        rows.append(row)
-    return symbols, rows
+    return symbols, [linalg.coordinate_row(v.terms, index) for v in vectors]
 
 
 def _in_span(basis_vectors, v):
@@ -60,7 +53,7 @@ def _in_span(basis_vectors, v):
     return linalg.in_span(rows[:-1], rows[-1]) is not None
 
 
-def tangent_space(c: CParam, components, engine=None, Lmax=None):
+def tangent_space(c: CParam, components, engine=None):
     """Build and certify the tangent space for a list of (sign, l) components."""
     engine = engine or DualEngine(c)
     components = sorted(set(components), key=lambda sl: (sl[1], -sl[0]))
@@ -106,7 +99,6 @@ def tangent_space(c: CParam, components, engine=None, Lmax=None):
     if xc_witness:
         cert["xc_witness"] = xc_witness
 
-    cert["contains_counit"] = True      # by construction
     cert["pass"] = cert["dim_matches"] and cop_ok and xc_ok
     if not cert["pass"]:
         first = next(k for k in ("dim_matches", "coproduct_closed", "xc_closed")
@@ -174,6 +166,8 @@ def classify_de_generated(c: CParam, Lmax=6, engine=None):
     3-dimensional span of the generators, so the enumeration is pruned to
     components with l <= 2 and total dimension <= 3; the trivial component
     (+1, 0) carries the zero calculus and is excluded from the counts.
+    `candidates_closed` says whether every enumerated candidate passed its
+    tangent-space certificate.
     """
     engine = engine or DualEngine(c)
     jset = engine.scan_weights(Lmax)
@@ -182,12 +176,14 @@ def classify_de_generated(c: CParam, Lmax=6, engine=None):
     W = engine.alg.generators_e()
     calculi = []
     rejected = []
+    closed = True
     for size in range(1, len(eligible) + 1):
         for combo in itertools.combinations(eligible, size):
             dim = sum(l + 1 for _, l in combo)
             if dim > 3:
                 continue
             ts = tangent_space(c, combo, engine=engine)
+            closed = closed and ts.certificate["pass"]
             rk = linalg.rank(pairing_matrix(ts, W))
             entry = {"components": sorted(combo, key=lambda sl: (sl[1], -sl[0])),
                      "dim": dim, "pairing_rank": rk}
@@ -197,7 +193,7 @@ def classify_de_generated(c: CParam, Lmax=6, engine=None):
                 rejected.append(entry)
     calculi.sort(key=lambda e: (e["dim"], e["components"]))
     return {"calculi": calculi, "rejected": rejected, "pruned_components": pruned,
-            "Lmax": Lmax, "count": len(calculi)}
+            "Lmax": Lmax, "count": len(calculi), "candidates_closed": closed}
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +230,7 @@ def submodule_report(n, c: CParam, alg=None):
 
 def _podles_row(alg, x, degree):
     monos = alg.normal_monomials(degree)
-    idx = {m: i for i, m in enumerate(monos)}
-    row = [ZERO] * len(monos)
-    for m, v in x.terms.items():
-        row[idx[m]] = v
-    return row
+    return linalg.coordinate_row(x.terms, {m: i for i, m in enumerate(monos)})
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +419,7 @@ def build_rform_calculus(n, nu, c: CParam, engine=None):
     N = len(W)
     deg = 2 * n
     rows = [_podles_row(alg, b, deg) for b in W]
+    idx = {m: k for k, m in enumerate(alg.normal_monomials(deg))}
 
     # coaction matrix: Delta_B b_i = sum_j b_j (x) psi[j][i]
     psi = [[oqsl2.SL2Element() for _ in range(N)] for _ in range(N)]
@@ -436,12 +429,7 @@ def build_rform_calculus(n, nu, c: CParam, engine=None):
         for (pm, am), cc in co.items():
             by_amono.setdefault(am, {})[pm] = cc
         for am, pvec in by_amono.items():
-            target = [ZERO] * len(rows[0])
-            monos = alg.normal_monomials(deg)
-            idx = {m: k for k, m in enumerate(monos)}
-            for pm, cc in pvec.items():
-                target[idx[pm]] = cc
-            coeffs = linalg.in_span(rows, target)
+            coeffs = linalg.in_span(rows, linalg.coordinate_row(pvec, idx))
             if coeffs is None:
                 raise AssertionError("coaction leg leaves the W-span")
             for j in range(N):
@@ -474,15 +462,13 @@ def chi_functionals(n, nu, c: CParam, degree=None, engine=None):
     W = submodule_Vn(n, c, alg)
     monos = alg.normal_monomials(degree)
     elems = [alg.element({m: ONE}) for m in monos]
+    embedded = [alg.embed(nu_apply(nu, x)) for x in elems]
     chi_rows = []
     for b in W:
         sb = oqsl2.antipode(alg.embed(b), inverse=True)
         eps_b = alg.counit(b)
-        row = []
-        for x in elems:
-            val = oqsl2.rform(alg.embed(nu_apply(nu, x)), sb) - eps_b * alg.counit(x)
-            row.append(val)
-        chi_rows.append(row)
+        chi_rows.append([oqsl2.rform(y, sb) - eps_b * alg.counit(x)
+                         for x, y in zip(elems, embedded)])
 
     sign = -1 if nu == "flip" else +1
     mod = engine.build_module(sign, 2 * n)
@@ -559,11 +545,7 @@ def verify_freeness(pres: CalculusPresentation, degree=2, coeff_degree=None):
     big_idx = {m: i for i, m in enumerate(big)}
 
     def gamma_vec(coords):
-        out = [ZERO] * (N * len(big))
-        for j in range(N):
-            for m, v in coords[j].terms.items():
-                out[j * len(big) + big_idx[m]] = v
-        return out
+        return [v for x in coords for v in linalg.coordinate_row(x.terms, big_idx)]
 
     columns = []
     for i in range(N):
@@ -595,11 +577,3 @@ def tangent_space_json(ts: TangentSpace):
         "dim_calculus": ts.dim - 1,
         "certificate": {k: v for k, v in ts.certificate.items()},
     }
-
-
-def emit_json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def parse_json(text):
-    return json.loads(text)

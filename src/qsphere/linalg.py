@@ -52,6 +52,14 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def coordinate_row(terms, index):
+    """The dict {key: value} as a row, key going to column index[key]."""
+    row = [ZERO] * len(index)
+    for k, v in terms.items():
+        row[index[k]] = v
+    return row
+
+
 def is_zero_matrix(a):
     return all(not x for row in a for x in row)
 
@@ -60,55 +68,18 @@ def mat_eq(a, b):
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-def rank(rows):
-    """Exact rank; the input is not modified."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    if nr == 0:
-        return 0
-    nc = len(m[0])
-    r = 0
-    for col in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][col].inv()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == nr:
-            break
-    return r
-
-
-def nullity(rows):
-    if not rows:
-        return 0
-    return len(rows[0]) - rank(rows)
-
-
 def _entry_weight(x):
     return len(x.num) + len(x.den)
 
 
-def solve_with_rank(a_rows, b_cols):
-    """One elimination pass: (rank of A, per-column solution or None).
+def _eliminate(rows, nc):
+    """Gauss-Jordan elimination on the first nc columns of a copy of `rows`.
 
-    Pivots are chosen by smallest entry complexity, which keeps the
-    rational-function growth of the elimination in check.
+    Returns the reduced nonzero rows and the pivot columns, row i holding
+    the pivot of pivots[i].  Pivots are chosen by smallest entry
+    complexity, which keeps the rational-function growth in check.
     """
-    nr = len(a_rows)
-    nc = len(a_rows[0]) if nr else 0
-    aug = [list(a_rows[i]) + [col[i] for col in b_cols] for i in range(nr)]
-    aug = [row for row in aug if any(row)]
+    aug = [list(row) for row in rows if any(row)]
     nr = len(aug)
     pivots = []
     r = 0
@@ -135,10 +106,29 @@ def solve_with_rank(a_rows, b_cols):
         r += 1
         if r == nr:
             break
+    return aug, pivots
+
+
+def rank(rows):
+    """Exact rank; the input is not modified."""
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
+
+
+def nullity(rows):
+    if not rows:
+        return 0
+    return len(rows[0]) - rank(rows)
+
+
+def solve_with_rank(a_rows, b_cols):
+    """One elimination pass: (rank of A, per-column solution or None)."""
+    nc = len(a_rows[0]) if a_rows else 0
+    aug, pivots = _eliminate([list(a_rows[i]) + [col[i] for col in b_cols]
+                              for i in range(len(a_rows))], nc)
+    r = len(pivots)
     sols = []
     for k in range(len(b_cols)):
-        bad = any(aug[i][nc + k] for i in range(r, nr))
-        if bad:
+        if any(row[nc + k] for row in aug[r:]):
             sols.append(None)
             continue
         x = [ZERO] * nc

@@ -14,6 +14,7 @@ Every element is kept in PBW normal form with basis
 
 import itertools
 
+from .algebra import LinComb, RewriteSystem, accumulate, tensor_terms
 from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, qpow,
                       RAT_RING, QuadRing, ExprParser)
 
@@ -30,198 +31,40 @@ RULES = {
     ("d", "a"): [(ONE, ()), (QINV, ("b", "c"))],
 }
 
-_NF_CACHE = {}
+_REWRITING = RewriteSystem(RULES)
 
 
 def reduce_word(word):
     """Normal form of a free word as a dict {PBW monomial: coefficient}."""
-    cached = _NF_CACHE.get(word)
-    if cached is not None:
-        return cached
-    for i in range(len(word) - 1):
-        rule = RULES.get((word[i], word[i + 1]))
-        if rule is None:
-            continue
-        acc = {}
-        for coeff, rep in rule:
-            for m, c in reduce_word(word[:i] + rep + word[i + 2:]).items():
-                v = acc.get(m, ZERO) + coeff * c
-                if v:
-                    acc[m] = v
-                elif m in acc:
-                    del acc[m]
-        _NF_CACHE[word] = acc
-        return acc
-    out = {word: ONE}
-    _NF_CACHE[word] = out
-    return out
+    return _REWRITING.reduce_word(word)
 
 
 def word_counit(word):
     return ONE if all(g in ("a", "d") for g in word) else ZERO
 
 
-class SL2Element:
+class SL2Element(LinComb):
     """Linear combination of PBW monomials with RatFunc coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+    __slots__ = ()
 
     @staticmethod
     def from_word(word, coeff=ONE):
-        out = {}
-        for m, c in reduce_word(tuple(word)).items():
-            v = coeff * c
-            if v:
-                out[m] = v
-        return SL2Element(out)
+        return SL2Element(reduce_word(tuple(word))) * coeff
 
     @staticmethod
     def unit(coeff=ONE):
-        return SL2Element({(): coeff}) if coeff else SL2Element()
+        return SL2Element({(): coeff} if coeff else None)
 
     @staticmethod
     def gen(name):
         return SL2Element({(name,): ONE})
 
-    @staticmethod
-    def _scalar(x):
-        if isinstance(x, SL2Element):
-            return None
-        c = RatFunc.coerce(x)
-        return c
-
-    def __add__(self, other):
-        c = SL2Element._scalar(other)
-        if c is not None:
-            other = SL2Element.unit(c)
-        elif not isinstance(other, SL2Element):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, v in other.terms.items():
-            w = out.get(m, ZERO) + v
-            if w:
-                out[m] = w
-            elif m in out:
-                del out[m]
-        return SL2Element(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SL2Element({m: -v for m, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, SL2Element) else -RatFunc.coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        c = SL2Element._scalar(other)
-        if c is not None:
-            if not c:
-                return SL2Element()
-            return SL2Element({m: v * c for m, v in self.terms.items()})
-        if not isinstance(other, SL2Element):
-            return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for m, c in reduce_word(m1 + m2).items():
-                    v = out.get(m, ZERO) + c12 * c
-                    if v:
-                        out[m] = v
-                    elif m in out:
-                        del out[m]
-        return SL2Element(out)
-
-    def __rmul__(self, other):
-        c = SL2Element._scalar(other)
-        if c is None:
-            return NotImplemented
-        return self * c
-
-    def __truediv__(self, other):
-        c = RatFunc.coerce(other)
-        if c is None:
-            return NotImplemented
-        return self * c.inv()
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("monomial powers must be nonnegative integers")
-        out = SL2Element.unit()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        c = SL2Element._scalar(other)
-        if c is not None:
-            other = SL2Element.unit(c)
-        elif not isinstance(other, SL2Element):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+    def _mono_mul(self, m1, m2):
+        return reduce_word(m1 + m2)
 
     def counit(self):
-        out = ZERO
-        for m, c in self.terms.items():
-            if word_counit(m):
-                out = out + c
-        return out
-
-    def degree(self):
-        return max((len(m) for m in self.terms), default=0)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=lambda w: (len(w), w)):
-            parts.append(_term_str(self.terms[m], m))
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
-
-
-def _word_str(word):
-    if not word:
-        return "1"
-    out = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        out.append(word[i] if j - i == 1 else "%s^%d" % (word[i], j - i))
-        i = j
-    return "*".join(out)
-
-def _term_str(coeff, word):
-    ws = _word_str(word)
-    if not word:
-        return str(coeff)
-    cs = str(coeff)
-    if cs == "1":
-        return ws
-    if cs == "-1":
-        return "-" + ws
-    if any(op in cs[1:] for op in "+-/") or "*" in cs:
-        cs = "(" + cs + ")"
-    return cs + "*" + ws
+        return self.coeff_sum(word_counit)
 
 
 A_ = SL2Element.gen("a")
@@ -267,14 +110,7 @@ def word_coproduct(word):
         pairs = nxt
     out = {}
     for (u, v), c in pairs.items():
-        for mu, cu in reduce_word(u).items():
-            for mv, cv in reduce_word(v).items():
-                k = (mu, mv)
-                val = out.get(k, ZERO) + c * cu * cv
-                if val:
-                    out[k] = val
-                elif k in out:
-                    del out[k]
+        accumulate(out, tensor_terms(reduce_word(u), reduce_word(v)), c)
     _COPROD_CACHE[word] = out
     return out
 
@@ -283,12 +119,7 @@ def coproduct(x):
     """Coproduct of an element as {(mono, mono): coeff}."""
     out = {}
     for m, c in x.terms.items():
-        for k, v in word_coproduct(m).items():
-            val = out.get(k, ZERO) + c * v
-            if val:
-                out[k] = val
-            elif k in out:
-                del out[k]
+        accumulate(out, word_coproduct(m), c)
     return out
 
 
@@ -574,29 +405,7 @@ def all_words(max_len):
 
 def confluence_report(max_len=3):
     """Reduce every short word by every applicable first rewrite; all must agree."""
-    checked = 0
-    for word in all_words(max_len):
-        results = []
-        for i in range(len(word) - 1):
-            rule = RULES.get((word[i], word[i + 1]))
-            if rule is None:
-                continue
-            acc = {}
-            for coeff, rep in rule:
-                for m, c in reduce_word(word[:i] + rep + word[i + 2:]).items():
-                    v = acc.get(m, ZERO) + coeff * c
-                    if v:
-                        acc[m] = v
-                    elif m in acc:
-                        del acc[m]
-            results.append(acc)
-        if results:
-            base = reduce_word(word)
-            for r in results:
-                if r != base:
-                    return {"confluent": False, "witness": word, "checked": checked}
-            checked += 1
-    return {"confluent": True, "witness": None, "checked": checked}
+    return _REWRITING.confluence_report(GENS, max_len)
 
 
 def hopf_axioms_report(max_len=3):

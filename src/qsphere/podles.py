@@ -15,8 +15,7 @@ the indecomposable representations mu_n at c = c(n), and the localization
 check onto the opposite Borel algebra.
 """
 
-import itertools
-
+from .algebra import LinComb, RewriteSystem, accumulate, tensor_terms
 from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, qpow, CParam)
 from . import oqsl2
 from .oqsl2 import SL2Element, pi_coeff
@@ -54,13 +53,12 @@ class PodlesAlgebra:
         else:
             mp = [(ONE, ("A",)), (-ONE, ("A", "A")), (cv, ())]
             pm = [(q2, ("A",)), (-q4, ("A", "A")), (cv, ())]
-        self.rules = {
+        self.rewriting = RewriteSystem({
             ("m", "A"): [(qpow(-4), ("A", "m"))],
             ("p", "A"): [(q2, ("A", "p"))],
             ("m", "p"): mp,
             ("p", "m"): pm,
-        }
-        self._nf = {}
+        })
         self._embed_letter = None
         self._embed_cache = {}
         self._act_cache = {}
@@ -70,26 +68,7 @@ class PodlesAlgebra:
     # -- normal form
 
     def reduce_word(self, word):
-        cached = self._nf.get(word)
-        if cached is not None:
-            return cached
-        for i in range(len(word) - 1):
-            rule = self.rules.get((word[i], word[i + 1]))
-            if rule is None:
-                continue
-            acc = {}
-            for coeff, rep in rule:
-                for m, c in self.reduce_word(word[:i] + rep + word[i + 2:]).items():
-                    v = acc.get(m, ZERO) + coeff * c
-                    if v:
-                        acc[m] = v
-                    elif m in acc:
-                        del acc[m]
-            self._nf[word] = acc
-            return acc
-        out = {word: ONE}
-        self._nf[word] = out
-        return out
+        return self.rewriting.reduce_word(word)
 
     # -- element constructors
 
@@ -121,14 +100,6 @@ class PodlesAlgebra:
     def generators_e(self):
         """[e_{-1}, e_0, e_1] as elements."""
         return [self.em1(), self.e0(), self.e1()]
-
-    def from_word(self, word, coeff=ONE):
-        out = {}
-        for m, c in self.reduce_word(tuple(word)).items():
-            v = coeff * c
-            if v:
-                out[m] = v
-        return self.element(out)
 
     def parse(self, text):
         symbols = {"em1": self.em1(), "e1": self.e1(), "A": self.A(),
@@ -175,20 +146,17 @@ class PodlesAlgebra:
         if self._embed_letter is None:
             wm, w0, wp = self.eps_weights()
             weights = {-1: wm, 0: w0, 1: wp}
-            img = {}
-            for i, letter in ((-1, "m"), (1, "p")):
-                e = SL2Element()
+            e = {}
+            for i in (-1, 0, 1):
+                e[i] = SL2Element()
                 for j in (-1, 0, 1):
-                    e = e + weights[j] * pi_coeff(j, i)
-                img[letter] = e
-            e0 = SL2Element()
-            for j in (-1, 0, 1):
-                e0 = e0 + weights[j] * pi_coeff(j, 0)
+                    e[i] = e[i] + weights[j] * pi_coeff(j, i)
+            img = {"m": e[-1], "p": e[1]}
             scale = (Q * Q + 1).inv()
             if self.c.is_infinity():
-                img["A"] = -scale * e0
+                img["A"] = -scale * e[0]
             else:
-                img["A"] = scale * (SL2Element.unit() - e0)
+                img["A"] = scale * (SL2Element.unit() - e[0])
             self._embed_letter = img
         return self._embed_letter
 
@@ -281,20 +249,12 @@ class PodlesAlgebra:
             def coact_ei(i):
                 t = {}
                 for j in (-1, 0, 1):
-                    pij = pi_coeff(j, i)
-                    for pm, pc in ee[j].terms.items():
-                        for am, ac in pij.terms.items():
-                            k = (pm, am)
-                            v = t.get(k, ZERO) + pc * ac
-                            if v:
-                                t[k] = v
-                            elif k in t:
-                                del t[k]
+                    accumulate(t, tensor_terms(ee[j].terms, pi_coeff(j, i).terms))
                 return t
             scale = (Q * Q + 1).inv()
-            tA = tens_scal(-scale, coact_ei(0))
+            tA = accumulate({}, coact_ei(0), -scale)
             if not self.c.is_infinity():
-                tA = tens_add(tA, {((), ()): scale})
+                accumulate(tA, {((), ()): scale})
             self._coact_letter = {"m": coact_ei(-1), "p": coact_ei(1), "A": tA}
         return self._coact_letter
 
@@ -307,162 +267,43 @@ class PodlesAlgebra:
             if t is None:
                 t = {((), ()): ONE}
                 for g in mono:
-                    t = tens_mul(self, t, letters[g])
+                    t = self._tens_mul(t, letters[g])
                 self._coact_cache[mono] = t
-            out = tens_add(out, tens_scal(coeff, t))
+            accumulate(out, t, coeff)
+        return out
+
+    def _tens_mul(self, t1, t2):
+        """Product in B (x) O_q(SL2) of {(sphere word, SL2 word): coeff} dicts."""
+        out = {}
+        for (p1, a1), c1 in t1.items():
+            for (p2, a2), c2 in t2.items():
+                accumulate(out, tensor_terms(self.reduce_word(p1 + p2),
+                                             oqsl2.reduce_word(a1 + a2)), c1 * c2)
         return out
 
 
-class PodlesElement:
+class PodlesElement(LinComb):
     """Linear combination of sphere normal-form monomials, tied to its algebra."""
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg",)
 
     def __init__(self, alg, terms):
         self.alg = alg
         self.terms = terms
 
+    def _new(self, terms):
+        return PodlesElement(self.alg, terms)
+
     def _coerce(self, other):
-        if isinstance(other, PodlesElement):
-            if other.alg is not self.alg:
-                raise ValueError("mixing sphere algebras with different c")
-            return other
-        c = RatFunc.coerce(other)
-        if c is None:
-            return None
-        return self.alg.unit(c)
+        if isinstance(other, PodlesElement) and other.alg is not self.alg:
+            raise ValueError("mixing sphere algebras with different c")
+        return LinComb._coerce(self, other)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, v in o.terms.items():
-            w = out.get(m, ZERO) + v
-            if w:
-                out[m] = w
-            elif m in out:
-                del out[m]
-        return PodlesElement(self.alg, out)
+    def _mono_mul(self, m1, m2):
+        return self.alg.reduce_word(m1 + m2)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PodlesElement(self.alg, {m: -v for m, v in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, PodlesElement):
-            c = RatFunc.coerce(other)
-            if c is None:
-                return NotImplemented
-            if not c:
-                return self.alg.element()
-            return PodlesElement(self.alg, {m: v * c for m, v in self.terms.items()})
-        o = self._coerce(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                c12 = c1 * c2
-                for m, c in self.alg.reduce_word(m1 + m2).items():
-                    v = out.get(m, ZERO) + c12 * c
-                    if v:
-                        out[m] = v
-                    elif m in out:
-                        del out[m]
-        return PodlesElement(self.alg, out)
-
-    def __rmul__(self, other):
-        c = RatFunc.coerce(other)
-        if c is None:
-            return NotImplemented
-        return self * c
-
-    def __truediv__(self, other):
-        c = RatFunc.coerce(other)
-        if c is None:
-            return NotImplemented
-        return self * c.inv()
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be nonnegative integers")
-        out = self.alg.unit()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def degree(self):
-        return max((len(m) for m in self.terms), default=0)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=lambda w: (len(w), w)):
-            word = tuple(_PRINT[g] for g in m)
-            parts.append(oqsl2._term_str(self.terms[m], word))
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
-
-
-# tensor helpers for B (x) O_q(SL2), entries keyed (sphere word, SL2 word)
-
-def tens_add(t1, t2):
-    out = dict(t1)
-    for k, v in t2.items():
-        w = out.get(k, ZERO) + v
-        if w:
-            out[k] = w
-        elif k in out:
-            del out[k]
-    return out
-
-
-def tens_scal(c, t):
-    if not c:
-        return {}
-    return {k: c * v for k, v in t.items()}
-
-
-def tens_mul(alg, t1, t2):
-    out = {}
-    for (p1, a1), c1 in t1.items():
-        for (p2, a2), c2 in t2.items():
-            c12 = c1 * c2
-            for pm, pc in alg.reduce_word(p1 + p2).items():
-                for am, ac in oqsl2.reduce_word(a1 + a2).items():
-                    k = (pm, am)
-                    v = out.get(k, ZERO) + c12 * pc * ac
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
-    return out
+    def _mono_str(self, m):
+        return super()._mono_str(tuple(_PRINT[g] for g in m))
 
 
 # ---------------------------------------------------------------------------
@@ -470,55 +311,29 @@ def tens_mul(alg, t1, t2):
 
 def confluence_report(c: CParam, max_len=3):
     """All first rewriting steps of short words lead to the same normal form."""
-    alg = PodlesAlgebra(c)
-    checked = 0
-    for n in range(max_len + 1):
-        for word in itertools.product(LETTERS, repeat=n):
-            results = []
-            for i in range(len(word) - 1):
-                rule = alg.rules.get((word[i], word[i + 1]))
-                if rule is None:
-                    continue
-                acc = {}
-                for coeff, rep in rule:
-                    for m, cc in alg.reduce_word(word[:i] + rep + word[i + 2:]).items():
-                        v = acc.get(m, ZERO) + coeff * cc
-                        if v:
-                            acc[m] = v
-                        elif m in acc:
-                            del acc[m]
-                results.append(acc)
-            if results:
-                base = alg.reduce_word(word)
-                for r in results:
-                    if r != base:
-                        return {"confluent": False, "witness": word, "checked": checked}
-                checked += 1
-    return {"confluent": True, "witness": None, "checked": checked}
+    return PodlesAlgebra(c).rewriting.confluence_report(LETTERS, max_len)
+
+
+def _rule_failures(alg, images, one):
+    """(rule, residual) of each rewriting rule of alg that fails on the letter images."""
+    failures = []
+    for (x, y), rhs in alg.rewriting.rules.items():
+        res = images[x] * images[y]
+        for coeff, rep in rhs:
+            term = one
+            for g in rep:
+                term = term * images[g]
+            res = res - coeff * term
+        if not res.is_zero():
+            failures.append(("%s*%s" % (_PRINT[x], _PRINT[y]), str(res)))
+    return failures
 
 
 def embedded_relations_report(c: CParam):
     """The four rewritten defining relations hold for the embedded generators."""
     alg = PodlesAlgebra(c)
-    em1 = alg.embed(alg.em1())
-    e1 = alg.embed(alg.e1())
-    Aim = alg.embed(alg.A())
-    one = SL2Element.unit()
-    q2, q4 = Q * Q, qpow(8)
-    if c.is_infinity():
-        rels = [
-            ("e-e", em1 * e1 - (-Aim * Aim + one)),
-            ("ee-", e1 * em1 - (-q4 * Aim * Aim + one)),
-        ]
-    else:
-        cv = c.c_value()
-        rels = [
-            ("e-e", em1 * e1 - (Aim - Aim * Aim + cv * one)),
-            ("ee-", e1 * em1 - (q2 * Aim - q4 * Aim * Aim + cv * one)),
-        ]
-    rels.append(("eA", e1 * Aim - q2 * Aim * e1))
-    rels.append(("e-A", em1 * Aim - qpow(-4) * Aim * em1))
-    failures = [(name, str(res)) for name, res in rels if not res.is_zero()]
+    images = {g: alg.embed(alg.gen(g)) for g in LETTERS}
+    failures = _rule_failures(alg, images, SL2Element.unit())
     return {"pass": not failures, "failures": failures}
 
 
@@ -554,10 +369,7 @@ def basis_independence(c: CParam, degree):
     witness = None
     r = 0
     for mono, img in zip(monos, images):
-        row = [ZERO] * len(cols)
-        for w, v in img.terms.items():
-            row[colidx[w]] = v
-        rows.append(row)
+        rows.append(linalg.coordinate_row(img.terms, colidx))
         r2 = linalg.rank(rows)
         if r2 == r:
             witness = mono
@@ -659,77 +471,33 @@ def mu_coeff_rank(n, degree):
 # ---------------------------------------------------------------------------
 # localization check: the sphere maps into the opposite Borel algebra
 
-class BorelOp:
+class BorelOp(LinComb):
     """U_q(b^-)^op on the basis F^a K^b (a >= 0, b in Z) with the reversed product."""
 
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+    __slots__ = ()
+
+    UNIT = (0, 0)
 
     @staticmethod
     def mono(a, b, coeff=ONE):
         return BorelOp({(a, b): coeff} if coeff else None)
 
-    def __add__(self, other):
-        if isinstance(other, (int, RatFunc)):
-            other = BorelOp.mono(0, 0, RatFunc.coerce(other))
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, ZERO) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        return BorelOp(out)
+    def _mono_mul(self, m1, m2):
+        # opposite product: F^a1 K^b1 then F^a2 K^b2 multiplies as the
+        # usual product in reversed order
+        (a1, b1), (a2, b2) = m1, m2
+        return {(a1 + a2, b1 + b2): qpow(-4 * a1 * b2)}
 
-    __radd__ = __add__
+    def _mono_str(self, m):
+        return None if m == self.UNIT else "F^%d*K^%d" % m
 
-    def __neg__(self):
-        return BorelOp({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, RatFunc)):
-            other = BorelOp.mono(0, 0, RatFunc.coerce(other))
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, RatFunc)):
-            c = RatFunc.coerce(other)
-            return BorelOp({k: v * c for k, v in self.terms.items() if v * c})
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                # opposite product: F^a1 K^b1 then F^a2 K^b2 multiplies as
-                # the usual product in reversed order
-                k = (a1 + a2, b1 + b2)
-                v = out.get(k, ZERO) + c1 * c2 * qpow(-4 * a1 * b2)
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-        return BorelOp(out)
-
-    def __rmul__(self, other):
-        c = RatFunc.coerce(other)
-        if c is None:
-            return NotImplemented
-        return self * c
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, BorelOp) and self.terms == other.terms
+    @staticmethod
+    def _sort_key(m):
+        return m
 
     def counit(self):
         """Evaluation at F -> 0, K -> 1."""
-        out = ZERO
-        for (a, b), v in self.terms.items():
-            if a == 0:
-                out = out + v
-        return out
-
-    def __repr__(self):
-        return "BorelOp(%r)" % self.terms
+        return self.coeff_sum(lambda m: m[0] == 0)
 
 
 def verify_localization(c: CParam):
@@ -737,7 +505,6 @@ def verify_localization(c: CParam):
     if c.is_zero() or c.is_infinity():
         raise ValueError("the localization check needs generic c")
     s = c.s
-    cv = c.c_value()
     K = BorelOp.mono(0, 1)
     Kinv = BorelOp.mono(0, -1)
     F = BorelOp.mono(1, 0)
@@ -745,15 +512,8 @@ def verify_localization(c: CParam):
     e0 = s * (qpow(6) - qpow(-2)) * F + BorelOp.mono(0, 0)
     e1 = (-s * QHAT * QHAT) * (K * F * F) - QHAT * (K * F) + s * K
     Aim = (BorelOp.mono(0, 0) - e0) * (Q * Q + 1).inv()
-    q2, q4 = Q * Q, qpow(8)
-    one = BorelOp.mono(0, 0)
-    rels = {
-        "e-e": em1 * e1 - (Aim - Aim * Aim + cv * one),
-        "ee-": e1 * em1 - (q2 * Aim - q4 * Aim * Aim + cv * one),
-        "eA": e1 * Aim - q2 * (Aim * e1),
-        "e-A": em1 * Aim - qpow(-4) * (Aim * em1),
-    }
-    failures = [(name, repr(r)) for name, r in rels.items() if not r.is_zero()]
+    failures = _rule_failures(PodlesAlgebra(c), {"m": em1, "A": Aim, "p": e1},
+                              BorelOp.mono(0, 0))
     counits = {"em1": em1.counit(), "e0": e0.counit(), "e1": e1.counit()}
     counit_ok = (counits["em1"] == s and counits["e0"] == ONE and counits["e1"] == s)
     return {"pass": not failures and counit_ok, "failures": failures,

@@ -383,6 +383,12 @@ class RatFunc:
                 self._hash = hash((num, den))
         return self._hash
 
+    def lc_sign(self):
+        """The sign of lc(num) * lc(den), 0 for zero."""
+        if not self.num:
+            return 0
+        return 1 if (self.num[-1] > 0) == (self.den[-1] > 0) else -1
+
     def sort_key(self):
         return (len(self.den), self.den, len(self.num), self.num)
 
@@ -592,37 +598,22 @@ class XcData:
             self.alpha = -ONE / (c.s * QHAT)
 
 
-def check_admissible(c: CParam, n2_max=64):
-    """Report whether c avoids 0 and the exceptional values c(n), n = n2/2 <= n2_max/2.
+def check_admissible(c: CParam):
+    """Report whether c lies in J2 \\ {0}: c != 0 and c is not an exceptional value c(n).
 
-    Membership in J2 \\ {0} cannot be tested exhaustively, so the scan is
-    bounded; the bound is recorded in the report.
+    The sign of lc(num) * lc(den) is an invariant of a nonzero element of
+    Q(t) (the sign of its values at large t).  A finite c is built as s^2
+    with s in Q(t)^x, so that sign is positive; for every
+    c(n) = -q^(2n)/(q^(2n)+1)^2 it is negative.  So c = c(n) is excluded by
+    one sign, not by a bounded scan over n.
     """
-    report = {"bound_n2": n2_max, "is_zero": c.is_zero(), "witness_n2": None}
-    if c.is_infinity():
-        report["admissible"] = True
+    report = {"is_zero": c.is_zero(), "lc_sign": None}
+    if c.is_infinity() or c.is_zero():
+        report["admissible"] = c.is_infinity()
         return report
-    if c.is_zero():
-        report["admissible"] = False
-        return report
-    cv = c.c_value()
-    for n2 in range(0, n2_max + 1):
-        if cv == cn_value(n2):
-            report["witness_n2"] = n2
-            report["admissible"] = False
-            return report
-    report["admissible"] = True
+    report["lc_sign"] = c.c_value().lc_sign()
+    report["admissible"] = report["lc_sign"] > 0
     return report
-
-
-def require_classifiable(c: CParam, n2_max=64):
-    rep = check_admissible(c, n2_max)
-    if not rep["admissible"]:
-        if rep["is_zero"]:
-            raise ValueError("c = 0 is excluded from classification")
-        raise ValueError("c = c(n) with n2 = %d is excluded from classification"
-                         % rep["witness_n2"])
-    return rep
 
 
 # ---------------------------------------------------------------------------

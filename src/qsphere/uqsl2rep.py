@@ -57,22 +57,25 @@ class IrrepVl:
 
     def relations_report(self):
         """EF - FE = (K - K^-1)/(q - q^-1) and the K-conjugations, as matrices."""
-        n = self.l + 1
-        E, F, K = self.matE, self.matF, self.matK
-        Kinv = self.matKinv()
-        comm = linalg.matsub(linalg.matmul(E, F), linalg.matmul(F, E))
-        rhs = linalg.scalmul(QHAT.inv(), linalg.matsub(K, Kinv))
-        kek = linalg.matsub(linalg.matmul(K, E),
-                            linalg.scalmul(Q * Q, linalg.matmul(E, K)))
-        kfk = linalg.matsub(linalg.matmul(K, F),
-                            linalg.scalmul(qpow(-4), linalg.matmul(F, K)))
-        checks = {
-            "EF-FE": linalg.matsub(comm, rhs),
-            "KE=q2EK": kek,
-            "KF=q-2FK": kfk,
-        }
-        failures = [name for name, m in checks.items() if not linalg.is_zero_matrix(m)]
+        failures = relation_failures(self.matE, self.matF, self.matK)
         return {"pass": not failures, "failures": failures}
+
+
+def relation_failures(E, F, K):
+    """Names of the U_q(sl2) relations that matrices E, F and a diagonal K violate."""
+    n = len(K)
+    Kinv = linalg.zeros(n, n)
+    for k in range(n):
+        Kinv[k][k] = K[k][k].inv()
+    checks = {
+        "EF-FE": linalg.matsub(linalg.matsub(linalg.matmul(E, F), linalg.matmul(F, E)),
+                               linalg.scalmul(QHAT.inv(), linalg.matsub(K, Kinv))),
+        "KE=q2EK": linalg.matsub(linalg.matmul(K, E),
+                                 linalg.scalmul(Q * Q, linalg.matmul(E, K))),
+        "KF=q-2FK": linalg.matsub(linalg.matmul(K, F),
+                                  linalg.scalmul(qpow(-4), linalg.matmul(F, K))),
+    }
+    return [name for name, m in checks.items() if not linalg.is_zero_matrix(m)]
 
 
 def irrep(l, sign=+1):

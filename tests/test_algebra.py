@@ -1,0 +1,81 @@
+import itertools
+import random
+
+import pytest
+
+from qsphere.algebra import LinComb, RewriteSystem, accumulate
+from qsphere.oqsl2 import A_, B_, D_, UNIT, SL2Element
+from qsphere.podles import BorelOp, PodlesAlgebra
+from qsphere.dualfunc import PsiVector
+from qsphere.scalars import ZERO, ONE, Q, CParam, RatFunc
+
+
+def test_accumulate_drops_zero_sums():
+    out = {"x": ONE, "y": Q}
+    assert accumulate(out, {"x": -ONE, "z": Q}) is out
+    assert out == {"y": Q, "z": Q}
+    accumulate(out, {"y": ONE, "w": ONE}, ZERO)
+    assert out == {"y": Q, "z": Q}
+    accumulate(out, {"y": ONE}, -Q)
+    assert out == {"z": Q}
+
+
+def test_elements_on_the_unit_hash_like_scalars():
+    alg = PodlesAlgebra(CParam.generic(1))
+    for unit in (SL2Element.unit(), alg.unit(), BorelOp.mono(0, 0)):
+        assert unit == 1 and hash(unit) == hash(1)
+        assert {unit: "x"}.get(1) == "x"
+        assert {1: "x"}.get(unit) == "x"
+        assert 3 * unit == 3 and hash(3 * unit) == hash(3)
+    for zero in (SL2Element(), alg.element(), BorelOp(), PsiVector()):
+        assert hash(zero) == hash(0)
+    assert SL2Element() == 0 and alg.element() == 0
+    assert Q * UNIT == Q and hash(Q * UNIT) == hash(Q)
+    # equal elements off the unit hash equal: ad = 1 + q bc
+    assert hash(A_ * D_) == hash(UNIT + Q * B_ * SL2Element.gen("c"))
+
+
+def test_mixed_types_do_not_combine():
+    alg = PodlesAlgebra(CParam.generic(1))
+    other = PodlesAlgebra(CParam.generic(2))
+    with pytest.raises(TypeError):
+        A_ + alg.A()
+    with pytest.raises(TypeError):
+        PsiVector.symbol(0, ONE) + 1
+    with pytest.raises(TypeError):
+        PsiVector.symbol(0, ONE) * PsiVector.symbol(1, ONE)
+    with pytest.raises(ValueError):
+        alg.A() + other.A()
+    assert A_ != alg.A()
+
+
+def test_borel_product_is_associative_and_printed():
+    rng = random.Random(11)
+    ops = [BorelOp({(rng.randrange(3), rng.randrange(-2, 3)):
+                    RatFunc.from_int(rng.choice((-2, 1, 3))) for _ in range(2)})
+           for _ in range(4)]
+    for x, y, z in itertools.product(ops, repeat=3):
+        assert (x * y) * z == x * (y * z)
+    K, F = BorelOp.mono(0, 1), BorelOp.mono(1, 0)
+    assert str(2 + K * F) == "2 + F^1*K^1"
+    assert K * F - Q * Q * (F * K) == 0
+
+
+def test_rewrite_system_normal_forms_and_confluence():
+    # the q-plane yx -> q xy is confluent; its normal words are x^i y^j
+    plane = RewriteSystem({("y", "x"): [(Q, ("x", "y"))]})
+    assert plane.reduce_word(("y", "y", "x")) == {("x", "y", "y"): Q * Q}
+    rep = plane.confluence_report("xy", 4)
+    assert rep["confluent"] and rep["checked"] > 0
+    # with y^2 = 1 the overlap yyx resolves to x through yy and to q^2 x
+    # through yx, so the table is confluent for q -> -1 but not for q
+    clifford = RewriteSystem({("y", "y"): [(ONE, ())], ("y", "x"): [(-ONE, ("x", "y"))]})
+    assert clifford.confluence_report("xy", 4)["confluent"]
+    bad = RewriteSystem({("y", "y"): [(ONE, ())], ("y", "x"): [(Q, ("x", "y"))]})
+    rep = bad.confluence_report("xy", 4)
+    assert not rep["confluent"] and rep["witness"] == ("y", "y", "x")
+
+
+def test_lincomb_needs_a_product():
+    with pytest.raises(TypeError):
+        LinComb({("a",): ONE}) * LinComb({("b",): ONE})

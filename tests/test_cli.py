@@ -155,3 +155,21 @@ def test_readme_command_examples_run(capsys):
         assert code == 0, argv
         json.loads(out)
         assert out == _golden_path(argv).read_text(), argv
+
+
+def test_de_generated_certificate_reads_the_candidates(capsys, monkeypatch):
+    code, out = run_cli(capsys, "--format", "json", "de-generated", "--c", "s=1")
+    assert code == 0
+    assert json.loads(out)["certificates"] == [
+        {"name": "candidate tangent spaces closed", "pass": True}]
+    real = fodc.tangent_space
+
+    def failing(*args, **kwargs):
+        ts = real(*args, **kwargs)
+        ts.certificate["pass"] = False
+        return ts
+
+    monkeypatch.setattr(fodc, "tangent_space", failing)
+    code, out = run_cli(capsys, "--format", "json", "de-generated", "--c", "s=1")
+    assert code == 1
+    assert json.loads(out)["certificates"][0]["pass"] is False

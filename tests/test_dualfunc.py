@@ -139,7 +139,7 @@ def test_scan_jc(eng, eng_inf):
 
 def test_build_module_trivial(eng):
     mod = eng.build_module(+1, 0)
-    assert mod.dim() == 1
+    assert len(mod.basis) == 1
     assert mod.basis[0] == EPSILON
     assert mod.matK == [[ONE]]
     assert mod.matE == [[ZERO]] and mod.matF == [[ZERO]]
@@ -156,7 +156,7 @@ def test_build_module_weights(eng):
 def test_build_module_exceptional():
     eng = DualEngine(EXC_HALF)
     mod = eng.build_module(-1, 1)
-    assert mod.dim() == 2
+    assert len(mod.basis) == 2
     assert mod.lambda0 == -qpow(-2)
     assert [mod.matK[k][k] for k in range(2)] == [-qpow(-2), -qpow(2)]
 

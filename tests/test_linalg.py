@@ -1,3 +1,5 @@
+import random
+
 from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc, qpow
 from qsphere.linalg import (charpoly_tridiag, in_span, mat, matmul, nullity,
                             rank, solve, solve_with_rank, transpose, xp_eq,
@@ -70,3 +72,28 @@ def test_xp_helpers():
     assert xp_trailing_zeros([ZERO, ZERO, ONE]) == 2
     assert xp_trailing_zeros([ZERO, ZERO]) == 0
     assert xp_eq(xp_sub(p, p), [])
+
+
+def _random_laurent_matrix(rng, nr, nc):
+    """A sparse matrix of Laurent polynomials in t, some rows built as combinations."""
+    def entry():
+        if rng.random() < 0.6:
+            return ZERO
+        num = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+        num.append(rng.choice((-2, -1, 1, 2)))
+        return RatFunc(tuple(num), (0,) * rng.randint(0, 3) + (1,))
+    rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+    for _ in range(rng.randint(0, 2)):
+        i, j, k = (rng.randrange(nr) for _ in range(3))
+        rows[i] = [x * Q + y * QINV for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+def test_rank_agrees_with_transpose_and_solve_on_random_laurent_matrices():
+    rng = random.Random(2024)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        a = _random_laurent_matrix(rng, nr, nc)
+        r = rank(a)
+        assert r == rank(transpose(a)) == solve_with_rank(a, [])[0]
+        assert r == solve_with_rank(transpose(a), [])[0]

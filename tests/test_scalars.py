@@ -151,10 +151,25 @@ def test_cparam_and_xc_data():
 
 
 def test_check_admissible():
-    assert check_admissible(CParam.generic(1), 16)["admissible"]
-    assert check_admissible(CParam.infinity(), 16)["admissible"]
-    rep = check_admissible(CParam.zero(), 16)
+    assert check_admissible(CParam.generic(1))["admissible"]
+    assert check_admissible(CParam.infinity())["admissible"]
+    rep = check_admissible(CParam.zero())
     assert not rep["admissible"] and rep["is_zero"]
+
+
+def test_admissibility_leading_coefficient_sign():
+    # lc(num) * lc(den) is negative on every exceptional value c(n) and
+    # positive on every c = s^2, so the sign alone excludes c = c(n)
+    for n2 in range(0, 65):
+        assert cn_value(n2).lc_sign() == -1
+    for spec in ("1", "2", "-3", "1/2", "-2/3", "q", "-q", "q+1", "q-q^-1",
+                 "1/(q-q^-1)", "q^(1/2)-2*q^-3"):
+        c = CParam.generic(parse_ratfunc(spec))
+        assert c.c_value().lc_sign() == 1, spec
+        rep = check_admissible(c)
+        assert rep["admissible"] and rep["lc_sign"] == 1
+    assert ZERO.lc_sign() == 0
+    assert (-Q / (Q + 1)).lc_sign() == -1
 
 
 def test_quad_extension_arithmetic():
