@@ -3,7 +3,8 @@
 Commands: selftest, classify, eigenvalues, tangent-space, build-fodc,
 de-generated, mu-rep.  Reports are emitted as qsphere-report/1 JSON or as
 plain text tables.  Exit codes: 0 when every certificate in the report
-passes, 1 when one fails, 2 for a usage or parameter error, 3 when an
+passes, 1 when one fails or the report has none, 2 for a usage or
+parameter error (an unknown selftest criterion included), 3 when an
 internal cross-check fails (an AssertionError inside the engine).
 
 The parameter c is given as one of
@@ -61,7 +62,9 @@ def _sign_l_str(sign, l):
 
 
 def _report_pass(report):
-    return all(c.get("pass", False) for c in report["certificates"])
+    """Every certificate passes, and there is at least one."""
+    certs = report["certificates"]
+    return bool(certs) and all(c.get("pass", False) for c in certs)
 
 
 def _emit(report, fmt):
@@ -112,11 +115,11 @@ def cmd_classify(args):
         dim_calc = ts.dim - 1
         entry = {"component": [sign, l], "lambda": _sign_l_str(sign, l),
                  "dim_calculus": dim_calc}
+        certs.append({"name": "closure %s" % entry["lambda"],
+                      "pass": ts.certificate["pass"]})
         if (sign, l) != (+1, 0):
             irr = fodc.irreducibility_report(ts)
             entry["irreducible"] = irr["pass"]
-            certs.append({"name": "closure %s" % entry["lambda"],
-                          "pass": ts.certificate["pass"]})
             certs.append({"name": "irreducible %s" % entry["lambda"],
                           "pass": irr["pass"]})
             lines.append("  %-8s dim %d  irreducible calculus"

@@ -2,9 +2,12 @@
 
 A symbol (m, l, lam) stands for the restriction to the sphere of
 f_mu g^m E^l where mu^2 = lam; the classification span uses m = 0 only
-(written psi^l_lam).  Evaluation runs in the quadratic extension
-Q(t)[mu]/(mu^2 - lam), and the result of evaluating on any sphere element
-must be mu-free, which is asserted on every call.
+(written psi^l_lam).  Evaluation needs no square root of lam: f_mu(u_ij)
+= delta_ij mu^(±1), so on an O_q(SL2) monomial of length n the value lies
+in Q(t) mu^(n mod 2), and the sphere embeds into even lengths (the spin-1
+coefficients have degree 2 and the rewriting rules keep the parity of
+the length).  An embedded element with an odd-length monomial raises
+ArithmeticError.
 
 The raising/lowering/weight operators phi, varphi, kappa act on m = 0
 symbols by
@@ -20,7 +23,7 @@ psi X_c = q^-1 phi(psi) + lam varphi(psi) + alpha (1 - lam^-1) kappa(psi).
 """
 
 from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam, XcData,
-                      qint, qbinom, qpow, QuadRing)
+                      qint, qbinom, qpow)
 from . import linalg, oqsl2, podles, uqsl2rep
 from .algebra import LinComb
 
@@ -89,7 +92,8 @@ class DualEngine:
         self.xc = XcData(c)
         self.alpha = self.xc.alpha
         self.alg = podles.PodlesAlgebra(c)
-        self._evals = {}
+        self._evaluator = oqsl2.Evaluator()
+        self._nilpotent = {}
 
     # -- the three operators
 
@@ -156,18 +160,14 @@ class DualEngine:
     # -- evaluation against the sphere
 
     def psi_eval(self, sym, x):
-        """Value of psi^{m,l}_lam on a sphere element, exactly in Q(t)."""
+        """Value of psi^{m,l}_lam on a sphere element, exactly in Q(t).
+
+        Raises ArithmeticError if the embedded element has an odd-length
+        monomial, where the value would be a Q(t) multiple of mu.
+        """
         m, l, lam = sym
-        key = lam
-        ev = self._evals.get(key)
-        if ev is None:
-            ev = oqsl2.Evaluator(QuadRing(lam))
-            self._evals[key] = ev
-        letters = (("fs",),) + (("g",),) * m + (("E",),) * l
-        val = ev.eval(letters, self.alg.embed(x))
-        if not val.im.is_zero():
-            raise ArithmeticError("psi evaluation depends on the square root choice")
-        return val.re
+        letters = (("fs", lam),) + (("g",),) * m + (("E",),) * l
+        return self._evaluator.eval(letters, self.alg.embed(x))
 
     def eval_vector(self, v, x):
         out = ZERO
@@ -181,7 +181,13 @@ class DualEngine:
     # -- highest weight scan (Prop. on local finiteness, both routes)
 
     def is_nilpotent_weight(self, sign, l):
-        """phi^(l+1) kills psi^0_{±q^(-l)}; cross-checked against the matrix kernel."""
+        """phi^(l+1) kills psi^0_{±q^(-l)}; cross-checked against the matrix kernel.
+
+        The verdict is computed once per (sign, l) and kept.
+        """
+        verdict = self._nilpotent.get((sign, l))
+        if verdict is not None:
+            return verdict
         lam0 = qpow(-2 * l) if sign == +1 else -qpow(-2 * l)
         v = PsiVector.symbol(0, lam0)
         for _ in range(l + 1):
@@ -191,6 +197,7 @@ class DualEngine:
         if op_route != mat_route:
             raise AssertionError(
                 "operator and matrix routes disagree at sign=%+d l=%d" % (sign, l))
+        self._nilpotent[(sign, l)] = op_route
         return op_route
 
     def scan_weights(self, Lmax):
@@ -298,14 +305,3 @@ class DualEngine:
         return {"rank": r, "rows": len(rows), "monomials": len(monos),
                 "full_row_rank": r == len(rows), "degree": degree,
                 "labels": labels}
-
-    def nilpotency_dichotomy(self, Lmax, lam_samples):
-        """phi^(Lmax+1) does not kill psi^0_lam for lam off the weight list."""
-        witnesses = []
-        for lam in lam_samples:
-            v = PsiVector.symbol(0, lam)
-            for _ in range(Lmax + 1):
-                v = self.phi(v)
-            if v.is_zero():
-                witnesses.append(lam)
-        return {"pass": not witnesses, "witnesses": witnesses}

@@ -195,10 +195,6 @@ def xp_mul(a, b):
     return xp_trim(out)
 
 
-def xp_eq(a, b):
-    return xp_trim(list(a)) == xp_trim(list(b))
-
-
 def xp_trailing_zeros(p):
     """Multiplicity of the root x = 0."""
     k = 0

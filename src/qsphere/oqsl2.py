@@ -15,8 +15,7 @@ Every element is kept in PBW normal form with basis
 import itertools
 
 from .algebra import LinComb, RewriteSystem, accumulate, tensor_terms
-from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, qpow,
-                      RAT_RING, QuadRing, ExprParser)
+from .scalars import ZERO, ONE, Q, QINV, QHAT, RatFunc, qpow
 
 GENS = ("a", "b", "c", "d")
 
@@ -72,14 +71,6 @@ B_ = SL2Element.gen("b")
 C_ = SL2Element.gen("c")
 D_ = SL2Element.gen("d")
 UNIT = SL2Element.unit()
-
-
-def parse_sl2(text):
-    symbols = {"a": A_, "b": B_, "c": C_, "d": D_}
-    v = ExprParser(text, symbols, UNIT).parse()
-    if isinstance(v, RatFunc):
-        v = SL2Element.unit(v)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +181,18 @@ def _monomial_rows(matrix, what):
 # ---------------------------------------------------------------------------
 # dual functionals and their evaluation
 #
-# Letters: ('f', lam) is the character f_lam; ('fs',) is f_mu evaluated in a
-# quadratic extension with mu^2 given by the ring; ('g',), ('E',), ('F',)
-# and ('K', n) = f_{q^-n} are as in the defining tables.  A word of letters
-# is evaluated on a monomial by repeatedly splitting off the first generator;
-# the value of a word on a single generator is an entry of the product of
-# the letters' 2x2 value matrices.
+# Letters: ('f', lam) is the character f_lam; ('fs', lam) is f_mu with
+# mu^2 = lam, whose value matrix diag(mu, mu^-1) = mu diag(1, lam^-1) is
+# kept in units of mu; ('g',), ('E',), ('F',) and ('K', n) = f_{q^-n} are as
+# in the defining tables.  A word of letters is evaluated on a monomial by
+# repeatedly splitting off the first generator; the value of a word on a
+# single generator is an entry of the product of the letters' 2x2 value
+# matrices.
+#
+# Every letter but 'fs' has values in Q(t), and 'fs' contributes one factor
+# mu per generator, so on a monomial of length n a word with 'fs' letters
+# takes its values in Q(t) * M^(n mod 2), M the product of their mu.  The
+# value is kept as its Q(t) coefficient; M^2 is the product of their lam.
 
 _LETTER_LEGS = {
     "g": [(("g",), None), (None, ("g",))],
@@ -205,11 +202,18 @@ _LETTER_LEGS = {
 
 
 def _letter_legs(letter):
-    if letter[0] in ("f", "fs"):
-        return [(letter, letter)]
-    if letter[0] == "K":
+    if letter[0] in ("f", "fs", "K"):
         return [(letter, letter)]
     return _LETTER_LEGS[letter[0]]
+
+
+def _mu_square(word):
+    """M^2 for the 'fs' letters of a word, or None when it has none."""
+    sq = None
+    for letter in word:
+        if letter[0] == "fs":
+            sq = letter[1] if sq is None else sq * letter[1]
+    return sq
 
 
 class FunctionalWord:
@@ -232,31 +236,26 @@ class FunctionalWord:
 
 
 class Evaluator:
-    """Evaluates letter words on SL2 elements over a scalar ring."""
+    """Evaluates letter words on SL2 elements exactly in Q(t)."""
 
-    def __init__(self, ring=RAT_RING):
-        self.ring = ring
+    def __init__(self):
         self._memo = {}
         self._rowmemo = {}
 
     def letter_matrix(self, letter):
-        ring = self.ring
-        z, o = ring.zero, ring.one
         kind = letter[0]
         if kind == "f":
-            return ((ring.embed(letter[1]), z), (z, ring.embed(letter[1].inv())))
+            return ((letter[1], ZERO), (ZERO, letter[1].inv()))
         if kind == "fs":
-            mu = ring.mu
-            return ((mu, z), (z, mu.inv()))
+            return ((ONE, ZERO), (ZERO, letter[1].inv()))
         if kind == "g":
-            return ((o, z), (z, ring.embed(-ONE)))
+            return ((ONE, ZERO), (ZERO, -ONE))
         if kind == "E":
-            return ((z, z), (o, z))
+            return ((ZERO, ZERO), (ONE, ZERO))
         if kind == "F":
-            return ((z, o), (z, z))
+            return ((ZERO, ONE), (ZERO, ZERO))
         if kind == "K":
-            return ((ring.embed(qpow(-2 * letter[1])), z),
-                    (z, ring.embed(qpow(2 * letter[1]))))
+            return ((qpow(-2 * letter[1]), ZERO), (ZERO, qpow(2 * letter[1])))
         raise ValueError("unknown letter %r" % (letter,))
 
     def letter_rows(self, letter):
@@ -277,20 +276,21 @@ class Evaluator:
         for letter in word:
             entry = self.letter_rows(letter)[i]
             if entry is None:
-                return self.ring.zero
+                return ZERO
             i, v = entry
             val = v if val is None else val * v
         if i != j:
-            return self.ring.zero
-        return self.ring.one if val is None else val
+            return ZERO
+        return ONE if val is None else val
 
     def word_unit_value(self, word):
         for letter in word:
             if letter[0] in ("g", "E", "F"):
-                return self.ring.zero
-        return self.ring.one
+                return ZERO
+        return ONE
 
     def eval_word(self, word, mono):
+        """Value of a word on a monomial, in units of M^(len(mono) mod 2)."""
         key = (word, mono)
         v = self._memo.get(key)
         if v is not None:
@@ -299,7 +299,7 @@ class Evaluator:
             v = self.word_unit_value(word)
         else:
             g0, rest = mono[0], mono[1:]
-            total = self.ring.zero
+            total = ZERO
             legs = [_letter_legs(letter) for letter in word]
             for choice in itertools.product(*legs):
                 aword = tuple(l1 for l1, _ in choice if l1 is not None)
@@ -308,14 +308,25 @@ class Evaluator:
                     continue
                 bword = tuple(l2 for _, l2 in choice if l2 is not None)
                 total = total + first * self.eval_word(bword, rest)
+            # the 'fs' letters go to both legs: M from g0 times M on an odd
+            # rest is M^2
+            if len(rest) % 2 and total:
+                sq = _mu_square(word)
+                if sq is not None:
+                    total = total * sq
             v = total
         self._memo[key] = v
         return v
 
     def eval(self, word, x):
-        total = self.ring.zero
+        has_mu = _mu_square(word) is not None
+        total = ZERO
         for mono, coeff in x.terms.items():
-            total = total + self.ring.embed(coeff) * self.eval_word(word, mono)
+            if has_mu and len(mono) % 2:
+                raise ArithmeticError(
+                    "f_mu word on an odd-length monomial: the value is not "
+                    "in Q(t)")
+            total = total + coeff * self.eval_word(word, mono)
         return total
 
 

@@ -452,22 +452,6 @@ def mu_rep_report(n):
             "A_invertible": a_invertible, "rep": rep}
 
 
-def mu_coeff_rank(n, degree):
-    """Rank of the matrix-coefficient functionals of mu_n on monomials up to degree."""
-    rep = build_mu_n(n)
-    letters = {"A": rep.matA, "m": rep.matEm1, "p": rep.matE1}
-    monos = normal_words(degree)
-    rows = [[] for _ in range(n * n)]
-    for mono in monos:
-        mat = linalg.identity(n)
-        for g in mono:
-            mat = linalg.matmul(mat, letters[g])
-        for i in range(n):
-            for j in range(n):
-                rows[n * i + j].append(mat[i][j])
-    return {"rank": linalg.rank(rows), "functionals": n * n, "monomials": len(monos)}
-
-
 # ---------------------------------------------------------------------------
 # localization check: the sphere maps into the opposite Borel algebra
 

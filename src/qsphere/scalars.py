@@ -392,19 +392,6 @@ class RatFunc:
     def sort_key(self):
         return (len(self.den), self.den, len(self.num), self.num)
 
-    # -- specialization (optional fast path; exactness is the default)
-
-    def specialize_t(self, tval):
-        """Evaluate at an exact rational t-value with q = t**2 not in {0, 1}."""
-        tval = Fraction(tval)
-        if tval * tval in (Fraction(0), Fraction(1)):
-            raise ValueError("specialized q must avoid 0 and 1 in absolute value")
-        num = sum(c * tval ** i for i, c in enumerate(self.num))
-        den = sum(c * tval ** i for i, c in enumerate(self.den))
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at t=%s" % tval)
-        return Fraction(num, den)
-
     # -- printing (q-syntax; t**2 prints as q, odd t-powers as q^(k/2))
 
     def __str__(self):
@@ -482,13 +469,6 @@ QHAT = Q - QINV          # q - q^-1
 def qint(l):
     """Quantum integer [l] = (q^l - q^-l)/(q - q^-1); [-l] = -[l]."""
     return (qpow(2 * l) - qpow(-2 * l)) / QHAT
-
-
-def qfact(l):
-    out = ONE
-    for i in range(2, l + 1):
-        out = out * qint(i)
-    return out
 
 
 def qbinom(l, r):
@@ -614,84 +594,6 @@ def check_admissible(c: CParam):
     report["lc_sign"] = c.c_value().lc_sign()
     report["admissible"] = report["lc_sign"] > 0
     return report
-
-
-# ---------------------------------------------------------------------------
-# quadratic extension Q(t)[mu]/(mu^2 - lam), used to evaluate f_mu with
-# mu^2 = lam without choosing a square root
-
-class Quad:
-    """Element re + im*mu of the quadratic extension with mu^2 = lam."""
-
-    __slots__ = ("re", "im", "lam")
-
-    def __init__(self, re, im, lam):
-        self.re = re
-        self.im = im
-        self.lam = lam
-
-    def _check(self, other):
-        if self.lam != other.lam:
-            raise ValueError("mixing quadratic extensions with different lam")
-
-    def __add__(self, other):
-        self._check(other)
-        return Quad(self.re + other.re, self.im + other.im, self.lam)
-
-    def __sub__(self, other):
-        self._check(other)
-        return Quad(self.re - other.re, self.im - other.im, self.lam)
-
-    def __neg__(self):
-        return Quad(-self.re, -self.im, self.lam)
-
-    def __mul__(self, other):
-        self._check(other)
-        return Quad(self.re * other.re + self.im * other.im * self.lam,
-                    self.re * other.im + self.im * other.re, self.lam)
-
-    def inv(self):
-        d = self.re * self.re - self.im * self.im * self.lam
-        if d.is_zero():
-            raise ZeroDivisionError("non-invertible quadratic extension element")
-        return Quad(self.re / d, -self.im / d, self.lam)
-
-    def is_zero(self):
-        return self.re.is_zero() and self.im.is_zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, Quad) and self.lam == other.lam
-                and self.re == other.re and self.im == other.im)
-
-    def __repr__(self):
-        return "Quad(%s, %s; mu^2=%s)" % (self.re, self.im, self.lam)
-
-
-class QuadRing:
-    """Scalar-ring adapter for Quad elements over a fixed lam."""
-
-    def __init__(self, lam):
-        self.lam = lam
-        self.zero = Quad(ZERO, ZERO, lam)
-        self.one = Quad(ONE, ZERO, lam)
-        self.mu = Quad(ZERO, ONE, lam)
-
-    def embed(self, rf):
-        return Quad(rf, ZERO, self.lam)
-
-
-class RatRing:
-    """Scalar-ring adapter for plain RatFunc arithmetic."""
-
-    zero = ZERO
-    one = ONE
-
-    @staticmethod
-    def embed(rf):
-        return rf
-
-
-RAT_RING = RatRing()
 
 
 # ---------------------------------------------------------------------------

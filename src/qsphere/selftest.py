@@ -5,10 +5,9 @@ command and the pytest acceptance module both run these.  Every check is
 exact over Q(t); the only bounds are the documented search/degree bounds.
 """
 
-from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam,
-                      parse_ratfunc, qpow)
+from .scalars import ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam, qpow
 from . import linalg, oqsl2, podles, uqsl2rep, fodc
-from .dualfunc import DualEngine, PsiVector, EPSILON
+from .dualfunc import DualEngine, PsiVector
 
 _ENGINES = {}
 
@@ -181,7 +180,8 @@ def ac7_corollary_counts(lmax=6):
 
 
 def ac8_rform_calculi(ns=(1, 2)):
-    """r-form calculi: tangent span identification, chibar, Leibniz, freeness."""
+    """r-form calculi: the submodule V(n), tangent span identification,
+    chibar, Leibniz, freeness."""
     ok = True
     details = {}
     c1 = c_generic(1)
@@ -193,8 +193,10 @@ def ac8_rform_calculi(ns=(1, 2)):
         lb = pres.leibniz_report(4)
         fr = fodc.verify_freeness(pres, 2)
         d_ok = pres.is_zero_coords(pres.d(eng.alg.unit()))
+        sub = fodc.submodule_report(n, c1, eng.alg)
         entry = {"spans_equal": chi["spans_equal"], "chibar": cb["pass"],
-                 "leibniz": lb["pass"], "freeness": fr["pass"], "d1_zero": d_ok}
+                 "leibniz": lb["pass"], "freeness": fr["pass"], "d1_zero": d_ok,
+                 "submodule": sub["pass"]}
         details["n=%d" % n] = entry
         ok = ok and all(entry.values())
     cinf = CParam.infinity()
@@ -222,7 +224,8 @@ def ac9_mu_reps(nmax=4):
 
 def ac10_structural():
     """Rewriting confluence, Hopf axioms, r-form well-definedness,
-    truncated psi-independence, localization residuals."""
+    truncated psi-independence, independence of the embedded normal
+    monomials, localization residuals."""
     details = {}
     conf_sl2 = oqsl2.confluence_report(3)
     details["sl2_confluent"] = conf_sl2["confluent"]
@@ -239,10 +242,14 @@ def ac10_structural():
     indep = _engine(c_generic(1)).truncated_independence(degree=4)
     details["psi_independence"] = indep["full_row_rank"]
     details["psi_independence_degree"] = indep["degree"]
+    basis = all(podles.basis_independence(c, 4)["independent"]
+                for c in (c_generic(1), CParam.infinity()))
+    details["normal_basis_independent"] = basis
+    details["normal_basis_degree"] = 4
     pb = all(podles.verify_localization(c)["pass"] for c in (c_generic(1), c_generic(2)))
     details["localization_residuals_zero"] = pb
     ok = (conf_sl2["confluent"] and conf_pod and hopf["pass"] and rwd["pass"]
-          and indep["full_row_rank"] and pb)
+          and indep["full_row_rank"] and basis and pb)
     return {"criterion": "AC-10", "pass": ok, "details": details}
 
 
@@ -261,6 +268,9 @@ CRITERIA = [
 
 
 def run_all(names=None):
+    unknown = sorted(set(names or ()) - {name for name, _ in CRITERIA})
+    if unknown:
+        raise ValueError("unknown criterion: %s" % ", ".join(unknown))
     out = []
     for name, fn in CRITERIA:
         if names and name not in names:

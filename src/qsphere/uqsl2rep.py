@@ -14,8 +14,7 @@ transpose of the X_c-action on the irrep; for the minus sign the twisted
 module realizes the negative of it, so the cross-check uses -q^(l+1).
 """
 
-from .scalars import (ZERO, ONE, Q, QINV, QHAT, CParam, XcData,
-                      qint, qpow, RatFunc)
+from .scalars import ZERO, ONE, Q, QINV, QHAT, CParam, XcData, qint, qpow
 from . import linalg
 
 
@@ -54,11 +53,6 @@ class IrrepVl:
         for k in range(n):
             out[k][k] = self.matK[k][k].inv()
         return out
-
-    def relations_report(self):
-        """EF - FE = (K - K^-1)/(q - q^-1) and the K-conjugations, as matrices."""
-        failures = relation_failures(self.matE, self.matF, self.matK)
-        return {"pass": not failures, "failures": failures}
 
 
 def relation_failures(E, F, K):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qsphere import fodc
+from qsphere import fodc, uqsl2rep
 from qsphere.cli import main, parse_param_spec, CnSpec
 from qsphere.scalars import CParam, qpow
 
@@ -105,6 +105,49 @@ def test_selftest_single_criterion(capsys):
     code, out = run_cli(capsys, "selftest", "--only", "AC-2")
     assert code == 0
     assert "AC-2 PASS" in out
+
+
+def test_selftest_unknown_criterion_is_a_usage_error(capsys):
+    code = main(["selftest", "--only", "AC-99"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unknown criterion: AC-99" in captured.err
+
+
+def test_classify_reports_the_trivial_closure(capsys):
+    code, out = run_cli(capsys, "--format", "json", "classify", "--c", "s=1",
+                        "--lmax", "1")
+    assert code == 0
+    assert json.loads(out)["certificates"] == [
+        {"name": "closure +q^-0", "pass": True}]
+
+
+def test_report_without_certificates_does_not_pass(capsys):
+    code, out = run_cli(capsys, "--format", "json", "classify", "--c", "s=1",
+                        "--lmax", "-1")
+    assert json.loads(out)["certificates"] == []
+    assert code == 1
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (("classify", "--c", "s=1", "--lmax", "4"), 10),
+    (("tangent-space", "--c", "inf", "--components=-0,+2"), 2),
+    (("de-generated", "--c", "inf"), 14),
+])
+def test_nilpotency_verdict_once_per_weight(capsys, monkeypatch, argv, calls):
+    # one matrix-route kernel per (sign, l) scanned or built, never two
+    real = uqsl2rep.kernel_dim
+    seen = []
+
+    def counted(l, c, sign):
+        seen.append((sign, l))
+        return real(l, c, sign)
+
+    monkeypatch.setattr(uqsl2rep, "kernel_dim", counted)
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(seen) == calls and len(set(seen)) == calls
 
 
 def test_internal_check_failure_exits_3(capsys, monkeypatch):

@@ -104,6 +104,30 @@ def test_psi_eval_root_independence(eng):
         assert oqsl2.eval_functional(word, alg.embed(x)) == got
 
 
+def test_embedded_monomials_have_even_length():
+    # the premise that keeps psi values in Q(t): f_mu contributes mu^(n mod 2)
+    # on a monomial of length n, and the sphere embeds into even lengths
+    for c in (GENERIC, CParam.infinity(), EXC_HALF):
+        eng = DualEngine(c)
+        for mono in eng.alg.normal_monomials(4):
+            img = eng.alg.embed(eng.alg.element({mono: ONE}))
+            assert all(len(w) % 2 == 0 for w in img.terms), (c, mono)
+
+
+def test_psi_eval_rejects_an_odd_length_monomial(monkeypatch):
+    eng = DualEngine(GENERIC)
+    alg = eng.alg
+    real = alg.embed
+    # plant u_12 = b, of length 1, beside the embedded image
+    monkeypatch.setattr(alg, "embed", lambda x: real(x) + oqsl2.B_)
+    with pytest.raises(ArithmeticError, match="odd-length"):
+        eng.psi_eval((0, 1, Q), alg.e1())
+    word = (("f", Q), ("E",))
+    assert oqsl2.Evaluator().eval(word, oqsl2.B_) == ZERO
+    with pytest.raises(ArithmeticError, match="odd-length"):
+        oqsl2.Evaluator().eval((("fs", Q),) + word[1:], oqsl2.B_)
+
+
 def test_psi_product_pairing(eng):
     alg = eng.alg
     smalls = alg.normal_monomials(2)[:6]
@@ -175,12 +199,6 @@ def test_module_vectors_are_graded(eng):
 def test_truncated_independence(eng):
     rep = eng.truncated_independence(degree=4)
     assert rep["full_row_rank"] and rep["rows"] == 18 and rep["monomials"] == 25
-
-
-def test_nilpotency_dichotomy(eng):
-    bad_grid = [RatFunc.from_int(3), Q * Q * Q, -qpow(-2) * 5]
-    rep = eng.nilpotency_dichotomy(4, bad_grid)
-    assert rep["pass"], rep
 
 
 def test_phi_matrix_rescaled_matches_display(eng):

@@ -2,7 +2,7 @@ import random
 
 from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc, qpow
 from qsphere.linalg import (charpoly_tridiag, in_span, mat, matmul, nullity,
-                            rank, solve, solve_with_rank, transpose, xp_eq,
+                            rank, solve, solve_with_rank, transpose,
                             xp_mul, xp_sub, xp_trailing_zeros)
 
 
@@ -49,7 +49,7 @@ def test_charpoly_tridiag_2x2():
     a, b, c, d = Q, ONE, QINV, Q * Q
     p = charpoly_tridiag([a, d], [b], [c])
     want = [a * d - b * c, -(a + d), ONE]
-    assert xp_eq(p, want)
+    assert p == want
 
 
 def test_charpoly_tridiag_3x3_against_dense():
@@ -63,15 +63,15 @@ def test_charpoly_tridiag_3x3_against_dense():
     a1 = (diag[0] * diag[1] + diag[0] * diag[2] + diag[1] * diag[2]
           - sup[0] * sub[0] - sup[1] * sub[1])
     a2 = -(diag[0] + diag[1] + diag[2])
-    assert xp_eq(p, [-a0 if False else a0, a1, a2, ONE])
+    assert p == [a0, a1, a2, ONE]
 
 
 def test_xp_helpers():
     p = xp_mul([ONE, ONE], [ONE, ONE])
-    assert xp_eq(p, [ONE, 2 * ONE, ONE])
+    assert p == [ONE, 2 * ONE, ONE]
     assert xp_trailing_zeros([ZERO, ZERO, ONE]) == 2
     assert xp_trailing_zeros([ZERO, ZERO]) == 0
-    assert xp_eq(xp_sub(p, p), [])
+    assert xp_sub(p, p) == []
 
 
 def _random_laurent_matrix(rng, nr, nc):

@@ -6,7 +6,7 @@ from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc, CParam, qpow, cn_value
 from qsphere import linalg, oqsl2
 from qsphere.podles import (PodlesAlgebra, basis_independence, build_mu_n,
                             confluence_report, embedded_relations_report,
-                            mu_coeff_rank, mu_rep_report,
+                            mu_rep_report,
                             original_relations_report, verify_localization)
 
 GENERIC = CParam.generic(1)
@@ -115,13 +115,6 @@ def test_mu_reps():
     r1 = build_mu_n(1)
     assert r1.matA[0][0] == qpow(-2) / (Q + QINV)
     assert r1.matE1[0][0].is_zero() and r1.matEm1[0][0].is_zero()
-
-
-def test_mu_rep_matrix_coefficients_independent():
-    rep = mu_coeff_rank(2, 3)
-    assert rep["rank"] == 4
-    rep = mu_coeff_rank(3, 4)
-    assert rep["rank"] == 9
 
 
 def test_verify_localization():

@@ -7,10 +7,10 @@ import pytest
 from qsphere import fodc, linalg, scalars
 from qsphere.dualfunc import DualEngine
 from qsphere.scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam,
-                             XcData, qint, qfact, qbinom, cn_value,
-                             check_admissible, parse_ratfunc, qpow, Quad,
-                             QuadRing, _padd, _pmul, _pneg, _pgcd, _prs_gcd,
-                             _pdiv_exact, _heu_gcd)
+                             XcData, qint, qbinom, cn_value,
+                             check_admissible, parse_ratfunc, qpow, _padd,
+                             _pmul, _pneg, _pgcd, _prs_gcd, _pdiv_exact,
+                             _heu_gcd)
 
 
 def test_qint_small_values():
@@ -33,6 +33,14 @@ def test_qbinom_boundaries_and_values():
         qbinom(3, 4)
     with pytest.raises(ValueError):
         qbinom(3, -1)
+
+
+def qfact(l):
+    """[l]! = [2][3]...[l], the oracle for qbinom."""
+    out = ONE
+    for i in range(2, l + 1):
+        out = out * qint(i)
+    return out
 
 
 def test_qbinom_against_factorial_oracle():
@@ -122,17 +130,6 @@ def test_parse_half_powers_and_fractions():
     assert parse_ratfunc("1/(q^(1/2)-q^(-1/2))^2") == (qpow(1) - qpow(-1)) ** -2
 
 
-def test_specialization_guard():
-    x = qint(3)
-    assert x.specialize_t(2) == (2 ** 6 - 2 ** -6) / (2 ** 2 - 2 ** -2)
-    with pytest.raises(ValueError):
-        x.specialize_t(1)
-    with pytest.raises(ValueError):
-        x.specialize_t(-1)
-    with pytest.raises(ValueError):
-        x.specialize_t(0)
-
-
 def test_cparam_and_xc_data():
     c = CParam.generic(1)
     xd = XcData(c)
@@ -170,17 +167,6 @@ def test_admissibility_leading_coefficient_sign():
         assert rep["admissible"] and rep["lc_sign"] == 1
     assert ZERO.lc_sign() == 0
     assert (-Q / (Q + 1)).lc_sign() == -1
-
-
-def test_quad_extension_arithmetic():
-    lam = RatFunc.from_int(3)
-    ring = QuadRing(lam)
-    mu = ring.mu
-    assert mu * mu == ring.embed(lam)
-    assert mu * mu.inv() == ring.one
-    x = ring.embed(Q) + mu
-    y = x * x.inv()
-    assert y == ring.one
 
 
 def test_constants_hash_like_numbers():

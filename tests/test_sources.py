@@ -1,0 +1,29 @@
+"""Static checks on the package sources, with the stdlib ast module only."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qsphere"
+
+
+def unused_imports(source):
+    """Names a module imports but never reads, sorted."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add((alias.asname or alias.name).split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_finds_a_planted_name():
+    source = "import os, sys\nfrom .x import a, b as c\nprint(sys.argv, a)\n"
+    assert unused_imports(source) == ["c", "os"]
+
+
+def test_no_unused_imports():
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

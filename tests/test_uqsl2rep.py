@@ -4,8 +4,8 @@ from qsphere.scalars import (ZERO, ONE, Q, QINV, QHAT, CParam, cn_value,
                              qint, qpow)
 from qsphere import linalg
 from qsphere.uqsl2rep import (IrrepVl, SpectralData, charpoly_check, irrep,
-                              kernel_dim, xc_matrix, xc_matrix_from_irrep,
-                              _pair_closed_forms)
+                              kernel_dim, relation_failures, xc_matrix,
+                              xc_matrix_from_irrep, _pair_closed_forms)
 
 GENERIC = CParam.generic(1)
 INF = CParam.infinity()
@@ -32,7 +32,8 @@ def test_irrep_sign_minus_weights():
 def test_irrep_relations():
     for l in range(0, 5):
         for sign in (+1, -1):
-            assert irrep(l, sign).relations_report()["pass"]
+            v = irrep(l, sign)
+            assert relation_failures(v.matE, v.matF, v.matK) == []
 
 
 def test_irrep_highest_weight_structure():
