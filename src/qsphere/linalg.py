@@ -141,15 +141,9 @@ def solve_with_rank(a_rows, b_cols):
 def solve(a_rows, b):
     """One exact solution x of A x = b, or None if inconsistent.
 
-    Free variables are set to zero.  `b` may be a vector or a list of
-    columns (then a list of solutions is returned).
+    Free variables are set to zero.
     """
-    multi = b and isinstance(b[0], list)
-    bc = b if multi else [b]
-    _, sols = solve_with_rank(a_rows, bc)
-    if multi:
-        return None if any(s is None for s in sols) else sols
-    return sols[0]
+    return solve_with_rank(a_rows, [b])[1][0]
 
 
 def in_span(vectors, target):

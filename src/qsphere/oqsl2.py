@@ -15,7 +15,7 @@ Every element is kept in PBW normal form with basis
 import itertools
 
 from .algebra import LinComb, RewriteSystem, accumulate, tensor_terms
-from .scalars import ZERO, ONE, Q, QINV, QHAT, RatFunc, qpow
+from .scalars import ZERO, ONE, Q, QINV, QHAT, qpow
 
 GENS = ("a", "b", "c", "d")
 
@@ -184,10 +184,12 @@ def _monomial_rows(matrix, what):
 # Letters: ('f', lam) is the character f_lam; ('fs', lam) is f_mu with
 # mu^2 = lam, whose value matrix diag(mu, mu^-1) = mu diag(1, lam^-1) is
 # kept in units of mu; ('g',), ('E',), ('F',) and ('K', n) = f_{q^-n} are as
-# in the defining tables.  A word of letters is evaluated on a monomial by
-# repeatedly splitting off the first generator; the value of a word on a
-# single generator is an entry of the product of the letters' 2x2 value
-# matrices.
+# in the defining tables; ('r', x) is the L-functional r(-, x) of the
+# universal r-form for a generator x (below), with value matrix
+# M(x)_rs = r(u_rs, x), legs r(-, x(1)) (x) r(-, x(2)) and value eps(x) on 1.
+# A word of letters is evaluated on a monomial by repeatedly splitting off
+# the first generator; the value of a word on a single generator is an
+# entry of the product of the letters' 2x2 value matrices.
 #
 # Every letter but 'fs' has values in Q(t), and 'fs' contributes one factor
 # mu per generator, so on a monomial of length n a word with 'fs' letters
@@ -202,9 +204,12 @@ _LETTER_LEGS = {
 
 
 def _letter_legs(letter):
-    if letter[0] in ("f", "fs", "K"):
+    kind = letter[0]
+    if kind in ("f", "fs", "K"):
         return [(letter, letter)]
-    return _LETTER_LEGS[letter[0]]
+    if kind == "r":
+        return _R_LEGS[letter[1]]
+    return _LETTER_LEGS[kind]
 
 
 def _mu_square(word):
@@ -214,25 +219,6 @@ def _mu_square(word):
         if letter[0] == "fs":
             sq = letter[1] if sq is None else sq * letter[1]
     return sq
-
-
-class FunctionalWord:
-    """The functional f_lambda g^m E^l, optionally extended by extra letters."""
-
-    __slots__ = ("lam", "m", "l", "extra")
-
-    def __init__(self, lam, m=0, l=0, extra=()):
-        lam = RatFunc.coerce(lam)
-        if lam is None or lam.is_zero():
-            raise ValueError("f_lambda needs a nonzero lambda")
-        self.lam = lam
-        self.m = m
-        self.l = l
-        self.extra = tuple(extra)
-
-    def letters(self):
-        return ((("f", self.lam),) + (("g",),) * self.m
-                + (("E",),) * self.l + self.extra)
 
 
 class Evaluator:
@@ -256,6 +242,9 @@ class Evaluator:
             return ((ZERO, ONE), (ZERO, ZERO))
         if kind == "K":
             return ((qpow(-2 * letter[1]), ZERO), (ZERO, qpow(2 * letter[1])))
+        if kind == "r":
+            return tuple(tuple(_R_GEN.get((u, letter[1]), ZERO) for u in row)
+                         for row in (("a", "b"), ("c", "d")))
         raise ValueError("unknown letter %r" % (letter,))
 
     def letter_rows(self, letter):
@@ -265,27 +254,10 @@ class Evaluator:
             self._rowmemo[letter] = rows
         return rows
 
-    def word_on_gen(self, word, gen):
-        """Entry (i, j) of the product of the letter matrices, gen = u_ij.
-
-        Every letter matrix has at most one nonzero entry per row, so row
-        i of a partial product is zero or a single (column, value) pair.
-        """
-        i, j = _GEN_POS[gen]
-        val = None
-        for letter in word:
-            entry = self.letter_rows(letter)[i]
-            if entry is None:
-                return ZERO
-            i, v = entry
-            val = v if val is None else val * v
-        if i != j:
-            return ZERO
-        return ONE if val is None else val
-
     def word_unit_value(self, word):
         for letter in word:
-            if letter[0] in ("g", "E", "F"):
+            kind = letter[0]
+            if kind in ("g", "E", "F") or (kind == "r" and not word_counit(letter[1:])):
                 return ZERO
         return ONE
 
@@ -298,16 +270,34 @@ class Evaluator:
         if not mono:
             v = self.word_unit_value(word)
         else:
-            g0, rest = mono[0], mono[1:]
+            # w(g0 rest) = sum over a leg (l1, l2) of every letter of
+            # (l1 ...)(g0) (l2 ...)(rest), and with g0 = u_ij the first
+            # factor is entry (i, j) of the product of the l1 matrices.  Walk
+            # row i through them, collecting the l2 as the rest word; a
+            # branch ends at its first zero row.  A missing leg is eps.
+            i, j = _GEN_POS[mono[0]]
+            branches = [(i, ONE, ())]
+            for letter in word:
+                legs = _letter_legs(letter)
+                grown = []
+                for row, val, bword in branches:
+                    for l1, l2 in legs:
+                        if l1 is None:
+                            nrow, nval = row, val
+                        else:
+                            entry = self.letter_rows(l1)[row]
+                            if entry is None:
+                                continue
+                            nrow, nval = entry[0], val * entry[1]
+                        grown.append((nrow, nval, bword if l2 is None else bword + (l2,)))
+                branches = grown
+            rest = mono[1:]
             total = ZERO
-            legs = [_letter_legs(letter) for letter in word]
-            for choice in itertools.product(*legs):
-                aword = tuple(l1 for l1, _ in choice if l1 is not None)
-                first = self.word_on_gen(aword, g0)
-                if first.is_zero():
-                    continue
-                bword = tuple(l2 for _, l2 in choice if l2 is not None)
-                total = total + first * self.eval_word(bword, rest)
+            for row, val, bword in branches:
+                if row == j:
+                    right = self.eval_word(bword, rest)
+                    if right:
+                        total = total + val * right
             # the 'fs' letters go to both legs: M from g0 times M on an odd
             # rest is M^2
             if len(rest) % 2 and total:
@@ -330,11 +320,6 @@ class Evaluator:
         return total
 
 
-def eval_functional(fword, x):
-    """Value of a FunctionalWord on an SL2 element, exactly in Q(t)."""
-    return Evaluator().eval(fword.letters(), x)
-
-
 # ---------------------------------------------------------------------------
 # the standard universal r-form
 #
@@ -350,49 +335,25 @@ _R_GEN = {
     ("c", "b"): qpow(-1) * QHAT,
 }
 
-# M(x)_rs = r(u_rs, x) for a generator x, as rows: M(a) and M(d) are
-# diagonal, M(b) has only the entry r(c, b), and M(c) = 0
-_R_ROWS = {x: _monomial_rows([[_R_GEN.get((u, x), ZERO) for u in row]
-                              for row in (("a", "b"), ("c", "d"))], x)
+# the letters ('r', x), their legs and the letter word of each second
+# argument are built once and shared by the memo keys
+_R_LETTER = {x: ("r", x) for x in GENS}
+_R_LEGS = {x: [(_R_LETTER[x1], _R_LETTER[x2]) for x1, x2 in _GEN_COPROD[x]]
            for x in GENS}
+_R_WORDS = {}
 
-_RFORM_CACHE = {}
+_R_EVALUATOR = Evaluator()
 
 
 def rform_words(w1, w2):
-    """The r-form on a pair of free words (well defined on the quotient)."""
-    key = (w1, w2)
-    v = _RFORM_CACHE.get(key)
-    if v is not None:
-        return v
-    if not w1:
-        v = word_counit(w2)
-    elif not w2:
-        v = word_counit(w1)
-    else:
-        # r(g w, z) = sum r(g, z(1)) r(w, z(2)), and with g = u_ij,
-        # r(g, x_1...x_m) is entry (i, j) of M(x_m)...M(x_1).  Choose the
-        # z(1) letters from the right, walking row i; a branch ends at its
-        # first zero row.
-        i, j = _GEN_POS[w1[0]]
-        branches = [(i, ONE, ())]
-        for h in reversed(w2):
-            grown = []
-            for row, val, z2 in branches:
-                for x, y in _GEN_COPROD[h]:
-                    entry = _R_ROWS[x][row]
-                    if entry is not None:
-                        grown.append((entry[0], val * entry[1], (y,) + z2))
-            branches = grown
-        w = w1[1:]
-        v = ZERO
-        for row, val, z2 in branches:
-            if row == j:
-                right = rform_words(w, z2)
-                if right:
-                    v = v + val * right
-    _RFORM_CACHE[key] = v
-    return v
+    """The r-form on a pair of free words (well defined on the quotient).
+
+    r(w1, x_1...x_m) is the word r(-, x_m)...r(-, x_1) of letters on w1.
+    """
+    word = _R_WORDS.get(w2)
+    if word is None:
+        word = _R_WORDS[w2] = tuple(_R_LETTER[x] for x in reversed(w2))
+    return _R_EVALUATOR.eval_word(word, w1)
 
 
 def rform(x, y):

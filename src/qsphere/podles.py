@@ -16,7 +16,7 @@ check onto the opposite Borel algebra.
 """
 
 from .algebra import LinComb, RewriteSystem, accumulate, tensor_terms
-from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, qpow, CParam)
+from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, qpow, CParam, cn_value)
 from . import oqsl2
 from .oqsl2 import SL2Element, pi_coeff
 from .scalars import ExprParser
@@ -365,16 +365,18 @@ def basis_independence(c: CParam, degree):
     images = [alg.embed(alg.element({m: ONE})) for m in monos]
     cols = sorted({w for img in images for w in img.terms}, key=lambda w: (len(w), w))
     colidx = {w: i for i, w in enumerate(cols)}
-    rows = []
+    rows = [linalg.coordinate_row(img.terms, colidx) for img in images]
+    r = linalg.rank(rows)
     witness = None
-    r = 0
-    for mono, img in zip(monos, images):
-        rows.append(linalg.coordinate_row(img.terms, colidx))
-        r2 = linalg.rank(rows)
-        if r2 == r:
-            witness = mono
-            break
-        r = r2
+    if r < len(rows):
+        # the first monomial dependent on those before it
+        r = 0
+        for k, mono in enumerate(monos):
+            r2 = linalg.rank(rows[:k + 1])
+            if r2 == r:
+                witness = mono
+                break
+            r = r2
     return {"independent": witness is None, "rank": r, "count": len(monos),
             "witness": witness, "degree": degree}
 
@@ -403,7 +405,7 @@ def build_mu_n(n):
     if n < 1:
         raise ValueError("n must be positive")
     denom = qpow(2 * n) + qpow(-2 * n)
-    cn = -denom.inv() * denom.inv()
+    cn = cn_value(2 * n)
     eig = [qpow(2 * (n - 2 * (k + 1))) / denom for k in range(n)]
     matA = linalg.zeros(n, n)
     for k in range(n):
@@ -419,7 +421,7 @@ def build_mu_n(n):
 
 def mu_rep_report(n):
     rep = build_mu_n(n)
-    cn = -((qpow(2 * n) + qpow(-2 * n)) ** 2).inv()
+    cn = cn_value(2 * n)
     A, em1, e1 = rep.matA, rep.matEm1, rep.matE1
     eye = linalg.identity(n)
     q2, q4 = Q * Q, qpow(8)

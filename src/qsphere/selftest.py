@@ -44,6 +44,8 @@ def ac1_embedded_relations():
 def ac2_functional_tables():
     """f_lambda, g, E, F on the pi-matrix reproduce the four displayed matrices."""
     lam = RatFunc.from_int(5)
+    ev = oqsl2.Evaluator()
+    words = {"f": (("f", lam),), "g": (("g",),), "E": (("E",),), "F": (("F",),)}
     ok = True
     mismatches = []
     for i in (-1, 0, 1):
@@ -61,13 +63,7 @@ def ac2_functional_tables():
                 want_fcap = -QINV
             elif (i, j) == (1, 0):
                 want_fcap = Q + QINV
-            got = {
-                "f": oqsl2.eval_functional(oqsl2.FunctionalWord(lam), pij),
-                "g": oqsl2.eval_functional(oqsl2.FunctionalWord(ONE, 1, 0), pij),
-                "E": oqsl2.eval_functional(oqsl2.FunctionalWord(ONE, 0, 1), pij),
-                "F": oqsl2.eval_functional(
-                    oqsl2.FunctionalWord(ONE, extra=((("F",),))), pij),
-            }
+            got = {k: ev.eval(word, pij) for k, word in words.items()}
             want = {"f": want_f, "g": want_g, "E": want_e, "F": want_fcap}
             for k in got:
                 if got[k] != want[k]:

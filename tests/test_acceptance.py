@@ -4,8 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` for one pass/fail line per
 criterion, or `qsphere selftest` for the CLI flavor of the same suite.
 """
 
-import pytest
-
 from qsphere import selftest
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from qsphere import fodc, uqsl2rep
 from qsphere.cli import main, parse_param_spec, CnSpec
-from qsphere.scalars import CParam, qpow
+from qsphere.scalars import qpow
 
 
 def run_cli(capsys, *argv):

@@ -1,7 +1,6 @@
 import pytest
 
-from qsphere.scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam,
-                             qpow, qbinom)
+from qsphere.scalars import ZERO, ONE, Q, QHAT, RatFunc, CParam, qpow
 from qsphere import linalg, oqsl2
 from qsphere.dualfunc import DualEngine, PsiVector, EPSILON
 
@@ -100,8 +99,8 @@ def test_psi_eval_root_independence(eng):
     x = alg.parse("A*e1*e1")
     got = eng.psi_eval((0, 2, lam), x)
     for mu in (qpow(4), -qpow(4)):
-        word = oqsl2.FunctionalWord(mu, 0, 2)
-        assert oqsl2.eval_functional(word, alg.embed(x)) == got
+        word = (("f", mu), ("E",), ("E",))
+        assert oqsl2.Evaluator().eval(word, alg.embed(x)) == got
 
 
 def test_embedded_monomials_have_even_length():

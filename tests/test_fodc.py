@@ -3,15 +3,14 @@ import random
 
 import pytest
 
-from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc, CParam, qpow
+from qsphere.scalars import ONE, Q, RatFunc, CParam, qpow
 from qsphere import linalg
-from qsphere.dualfunc import DualEngine, EPSILON
-from qsphere.fodc import (CalculusPresentation, chi_functionals, chibar_report,
-                          classify_de_generated, build_rform_calculus,
-                          irreducibility_report, nu_apply, nu_is_admissible,
-                          pairing_matrix, submodule_Vn,
-                          submodule_report, tangent_space, tangent_space_json,
-                          verify_freeness)
+from qsphere.dualfunc import DualEngine
+from qsphere.fodc import (chi_functionals, chibar_report, classify_de_generated,
+                          build_rform_calculus, irreducibility_report,
+                          nu_apply, nu_is_admissible, pairing_matrix,
+                          submodule_Vn, submodule_report, tangent_space,
+                          tangent_space_json, verify_freeness)
 
 GENERIC = CParam.generic(1)
 INF = CParam.infinity()

@@ -1,7 +1,7 @@
 import random
 
-from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc, qpow
-from qsphere.linalg import (charpoly_tridiag, in_span, mat, matmul, nullity,
+from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc
+from qsphere.linalg import (charpoly_tridiag, in_span, mat, nullity,
                             rank, solve, solve_with_rank, transpose,
                             xp_mul, xp_sub, xp_trailing_zeros)
 

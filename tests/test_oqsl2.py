@@ -5,9 +5,9 @@ import pytest
 from qsphere import oqsl2
 from qsphere.scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, qpow,
                              ExprParser)
-from qsphere.oqsl2 import (A_, B_, C_, D_, UNIT, SL2Element, FunctionalWord,
+from qsphere.oqsl2 import (A_, B_, C_, D_, UNIT, SL2Element,
                            antipode, coproduct, confluence_report,
-                           eval_functional, hopf_axioms_report,
+                           hopf_axioms_report,
                            pi_coeff, rform, rform_well_defined_report,
                            reduce_word, all_words, Evaluator, word_counit, GENS)
 
@@ -92,22 +92,23 @@ def test_pi_counit_is_identity_matrix():
 
 def test_functional_values_on_pi():
     lam = RatFunc.from_int(3)
-    assert eval_functional(FunctionalWord(lam), pi_coeff(1, 1)) == lam * lam
-    assert eval_functional(FunctionalWord(ONE, 0, 1), pi_coeff(-1, 0)) == -(Q * Q + 1)
-    assert eval_functional(FunctionalWord(ONE, 1, 0), UNIT) == ZERO
+    ev = Evaluator()
+    assert ev.eval((("f", lam),), pi_coeff(1, 1)) == lam * lam
+    assert ev.eval((("E",),), pi_coeff(-1, 0)) == -(Q * Q + 1)
+    assert ev.eval((("g",),), UNIT) == ZERO
 
 
 def test_functional_product_respects_coproduct():
     # (f_lam g)(x) = sum f_lam(x(1)) g(x(2)) on monomials of degree <= 4
     lam = Q * Q
-    word_fg = FunctionalWord(lam, 1, 0)
-    ev = Evaluator()
+    word_fg = (("f", lam), ("g",))
+    ev, ev_fg = Evaluator(), Evaluator()
     monos = set()
     for w in all_words(4):
         monos.update(reduce_word(w))
     for mono in sorted(monos, key=lambda w: (len(w), w))[:60]:
         x = SL2Element({mono: ONE})
-        lhs = eval_functional(word_fg, x)
+        lhs = ev_fg.eval(word_fg, x)
         rhs = ZERO
         for (m1, m2), c in coproduct(x).items():
             rhs = rhs + c * ev.eval_word((("f", lam),), m1) * ev.eval_word((("g",),), m2)
@@ -167,44 +168,97 @@ def test_parser_roundtrip():
 # -- the monomial walks against the dense product and the full expansion
 
 
+_EYE = ((ONE, ZERO), (ZERO, ONE))
+
+
+def _dense_mul(p, m):
+    return tuple(tuple(row[0] * m[0][k] + row[1] * m[1][k] for k in (0, 1))
+                 for row in p)
+
+
 def _dense_products(ev, letters, max_len):
     """Every word up to max_len with the dense product of its 2x2 letter matrices."""
-    level = {(): ((ONE, ZERO), (ZERO, ONE))}
+    level = {(): _EYE}
     for n in range(max_len + 1):
         yield from level.items()
         if n < max_len:
             nxt = {}
             for word, p in level.items():
                 for letter in letters:
-                    m = ev.letter_matrix(letter)
-                    nxt[word + (letter,)] = tuple(
-                        tuple(row[0] * m[0][k] + row[1] * m[1][k] for k in (0, 1))
-                        for row in p)
+                    nxt[word + (letter,)] = _dense_mul(p, ev.letter_matrix(letter))
             level = nxt
+
+
+_R_LETTERS = [("r", x) for x in GENS]
 
 
 @pytest.mark.parametrize("first", [("f", RatFunc.from_int(3)),
                                    ("fs", RatFunc.from_int(3))], ids=["f", "fs"])
-def test_word_on_gen_matches_dense_product(first):
+def test_eval_word_matches_dense_product(first):
     ev = Evaluator()
     letters = [first, ("g",), ("E",), ("F",), ("K", 1), ("K", -1)]
-    for word, p in _dense_products(ev, letters, 5):
+    # every word of length <= 5 over the functional letters, and every word
+    # of length <= 4 that also uses the r-form letters
+    words = itertools.chain(
+        _dense_products(ev, letters, 5),
+        ((w, p) for w, p in _dense_products(ev, letters + _R_LETTERS, 4)
+         if any(l[0] == "r" for l in w)))
+    for word, p in words:
         for gen in GENS:
             i, j = oqsl2._GEN_POS[gen]
-            assert ev.word_on_gen(word, gen) == p[i][j], (word, gen)
+            assert ev.eval_word(word, (gen,)) == p[i][j], (word, gen)
 
 
 def test_non_monomial_letter_is_an_internal_error():
     class Dense(Evaluator):
         def letter_matrix(self, letter):
-            if letter == ("X",):
-                return ((ONE, ONE), (ZERO, ONE))
+            if letter == ("g",):
+                return ((ONE, ONE), (ZERO, -ONE))
             return super().letter_matrix(letter)
 
     ev = Dense()
-    assert ev.word_on_gen((("F",), ("E",)), "a") == ONE
+    assert ev.eval_word((("F",), ("E",)), ("a",)) == ONE
     with pytest.raises(AssertionError, match="two nonzero entries"):
-        ev.word_on_gen((("E",), ("X",)), "c")
+        ev.eval_word((("E",), ("g",)), ("c",))
+
+
+def _expanded_eval(ev, word, mono, memo):
+    """A word on a monomial by expanding every choice of legs, each choice's
+    first legs taken as the dense product of their matrices."""
+    key = (word, mono)
+    if key in memo:
+        return memo[key]
+    if not mono:
+        v = ev.word_unit_value(word)
+    else:
+        i, j = oqsl2._GEN_POS[mono[0]]
+        v = ZERO
+        for choice in itertools.product(*[oqsl2._letter_legs(l) for l in word]):
+            p = _EYE
+            for l1, _ in choice:
+                if l1 is not None:
+                    p = _dense_mul(p, ev.letter_matrix(l1))
+            if p[i][j]:
+                rest = tuple(l2 for _, l2 in choice if l2 is not None)
+                v = v + p[i][j] * _expanded_eval(ev, rest, mono[1:], memo)
+        sq = oqsl2._mu_square(word)
+        if len(mono) % 2 == 0 and sq is not None:
+            v = v * sq
+    memo[key] = v
+    return v
+
+
+def test_eval_word_matches_full_leg_expansion():
+    lam = RatFunc.from_int(3)
+    letters = [("f", lam), ("fs", lam), ("g",), ("E",), ("F",), ("K", 1), ("K", -1)]
+    words = [w for n in range(4) for w in itertools.product(letters, repeat=n)]
+    monos = set()
+    for w in all_words(3):
+        monos.update(reduce_word(w))
+    ev, memo = Evaluator(), {}
+    for word in words:
+        for mono in sorted(monos):
+            assert ev.eval_word(word, mono) == _expanded_eval(ev, word, mono, memo), (word, mono)
 
 
 def _expanded_rform(w1, w2, memo):
@@ -237,9 +291,9 @@ def _expanded_rform(w1, w2, memo):
 
 def test_rform_words_matches_full_expansion():
     pairs = [(w1, w2) for w1 in all_words(2) for w2 in all_words(4)]
-    oqsl2._RFORM_CACHE.clear()
+    oqsl2._R_EVALUATOR._memo.clear()
     memo = {}
     want = [_expanded_rform(w1, w2, memo) for w1, w2 in pairs]
-    oqsl2._RFORM_CACHE.clear()
+    oqsl2._R_EVALUATOR._memo.clear()
     got = [oqsl2.rform_words(w1, w2) for w1, w2 in pairs]
     assert got == want

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc, CParam, qpow, cn_value
+from qsphere.scalars import ONE, Q, QINV, RatFunc, CParam, qpow
 from qsphere import linalg, oqsl2
 from qsphere.podles import (PodlesAlgebra, basis_independence, build_mu_n,
                             confluence_report, embedded_relations_report,
@@ -80,6 +80,35 @@ def test_basis_independence():
     assert rep["independent"]
     rep = basis_independence(GENERIC, 0)
     assert rep["independent"] and rep["rank"] == 1
+
+
+def test_basis_independence_ranks_once_and_finds_a_witness(monkeypatch):
+    calls = []
+    real_rank = linalg.rank
+
+    def counted_rank(rows):
+        calls.append(len(rows))
+        return real_rank(rows)
+
+    monkeypatch.setattr(linalg, "rank", counted_rank)
+    for c in (GENERIC, INF):
+        calls.clear()
+        rep = basis_independence(c, 4)
+        assert rep["independent"] and rep["rank"] == rep["count"] == 25
+        assert calls == [25]
+    # plant a dependence: the third monomial embeds as the second
+    monos = PodlesAlgebra(GENERIC).normal_monomials(2)
+    real_embed = PodlesAlgebra.embed
+
+    def embed(self, x):
+        if set(x.terms) == {monos[2]}:
+            x = self.element({monos[1]: ONE})
+        return real_embed(self, x)
+
+    monkeypatch.setattr(PodlesAlgebra, "embed", embed)
+    rep = basis_independence(GENERIC, 2)
+    assert not rep["independent"]
+    assert rep["witness"] == monos[2] and rep["rank"] == 2
 
 
 def test_parser_e0_sugar(alg):

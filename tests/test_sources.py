@@ -1,9 +1,10 @@
-"""Static checks on the package sources, with the stdlib ast module only."""
+"""Static checks on the package and test sources, with the stdlib ast module only."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qsphere"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "qsphere").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -24,6 +25,6 @@ def test_unused_imports_finds_a_planted_name():
 
 
 def test_no_unused_imports():
-    found = {path.name: unused_imports(path.read_text())
-             for path in sorted(SRC.glob("*.py"))}
+    found = {str(path.relative_to(ROOT)): unused_imports(path.read_text())
+             for path in SOURCES}
     assert {name: names for name, names in found.items() if names} == {}

@@ -3,8 +3,8 @@ import pytest
 from qsphere.scalars import (ZERO, ONE, Q, QINV, QHAT, CParam, cn_value,
                              qint, qpow)
 from qsphere import linalg
-from qsphere.uqsl2rep import (IrrepVl, SpectralData, charpoly_check, irrep,
-                              kernel_dim, relation_failures, xc_matrix,
+from qsphere.uqsl2rep import (charpoly_check, irrep, kernel_dim,
+                              relation_failures, xc_matrix,
                               xc_matrix_from_irrep, _pair_closed_forms)
 
 GENERIC = CParam.generic(1)
