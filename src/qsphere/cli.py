@@ -200,7 +200,9 @@ def cmd_build_fodc(args):
     ]
     if args.verify_freeness:
         fr = fodc.verify_freeness(pres, 2)
-        certs.append({"name": "freeness (degree 2)", "pass": fr["pass"]})
+        certs.append({"name": "freeness (degree 2)", "pass": fr["pass"],
+                      "coeff_degree": fr["coeff_degree"], "unknowns": fr["unknowns"],
+                      "rank": fr["rank"]})
     report = pres.to_json_dict()
     report["command"] = "build-fodc"
     report["params"] = {"c": args.c, "n": args.n, "nu": nu,

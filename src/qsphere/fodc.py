@@ -11,7 +11,7 @@ commutator with the canonical invariant one-form.
 
 import itertools
 
-from .scalars import ZERO, ONE, CParam, qpow
+from .scalars import ZERO, ONE, CParam, content, qpow
 from . import linalg, oqsl2, podles
 from .dualfunc import DualEngine, PsiVector, EPSILON
 
@@ -358,7 +358,14 @@ class CalculusPresentation:
         return table
 
     def leibniz_report(self, max_total_degree=4):
-        """d(xy) = x d(y) + d(x) y on all monomial pairs up to a degree bound."""
+        """d(xy) = x d(y) + d(x) y on all monomial pairs up to a degree bound.
+
+        A bound below 2 admits no pair of nonconstant monomials, so it is
+        refused rather than passed on an empty check.
+        """
+        if max_total_degree < 2:
+            raise ValueError("the Leibniz check needs a total degree bound >= 2, got %d"
+                             % max_total_degree)
         monos = self.alg.normal_monomials(max_total_degree)
         failures = []
         for m1 in monos:
@@ -530,12 +537,24 @@ def verify_freeness(pres: CalculusPresentation, degree=2, coeff_degree=None):
     of degree <= coeff_degree vanishes.  Generation: every d(monomial) up to
     `degree` expands in such combinations.  Coefficients may need higher
     degree than the monomial itself, so coeff_degree defaults to degree + 1.
+
+    Each d(b_i) is divided by its content (`scalars.content` of its
+    coordinates) before the columns d(b_i)·m are built; a zero d(b_i) stays
+    zero.  The E-orbit basis carries q-integer products, so every column of
+    d(b_i) shares that factor, and the elimination would carry it along.
+    Scaling a column by a nonzero element of Q(t) changes neither the column
+    rank nor the span of the columns, so `rank`, `unique_expansion` and
+    `ungenerated` are those of the undivided system.
     """
     alg = pres.alg
     N = pres.N
     if coeff_degree is None:
         coeff_degree = degree + 1
-    d_basis = [pres.d(b) for b in pres.W_basis]
+    d_basis = []
+    for b in pres.W_basis:
+        coords = pres.d(b)
+        c = content([v for x in coords for v in x.terms.values()])
+        d_basis.append([x / c for x in coords])
     inner_deg = max(x.degree() for co in d_basis for x in co)
     big_deg = inner_deg + coeff_degree
     small = alg.normal_monomials(coeff_degree)

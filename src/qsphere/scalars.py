@@ -174,12 +174,41 @@ def _heu_gcd(a, b):
     return None
 
 
+def _stride(a0, b0):
+    """The gcd s of the exponents of a0 and b0, both with a nonzero constant term.
+
+    Both are polynomials in t^s.  s starts at the gcd of the degrees; while
+    some coefficient off the multiples of s is nonzero, s shrinks to its gcd
+    with that exponent, and the scan stops as soon as s reaches 1.
+    """
+    s = math.gcd(len(a0) - 1, len(b0) - 1)
+    for p in (a0, b0):
+        while s > 1:
+            off = list(p)
+            off[::s] = [0] * ((len(p) - 1) // s + 1)
+            if not any(off):
+                break
+            s = math.gcd(s, next(i for i, x in enumerate(off) if x))
+    return s
+
+
+def _pexpand(a, s, k):
+    """t^k * a(t^s)."""
+    if s == 1:
+        return (0,) * k + a
+    out = [0] * (k + (len(a) - 1) * s + 1)
+    out[k::s] = a
+    return tuple(out)
+
+
 def _pgcd(a, b):
     """Primitive gcd g of nonzero a and b, with cofactors: (g, a/g, b/g).
 
     g has positive leading coefficient and a = g*(a/g), b = g*(b/g) hold
-    exactly in Z[t].  The power of t is split off first; the rest comes
-    from GCDHEU, or from the primitive PRS when GCDHEU gives up.
+    exactly in Z[t].  The power of t is split off first.  When what is left
+    are polynomials A(t^s), B(t^s) with s > 1, gcd(A(t^s), B(t^s)) =
+    gcd(A, B)(t^s), so the gcd is taken of A and B.  It comes from GCDHEU,
+    or from the primitive PRS when GCDHEU gives up.
     """
     if len(a) == 1 or len(b) == 1:
         return (1,), a, b
@@ -188,12 +217,14 @@ def _pgcd(a, b):
     a0, b0 = a[ta:], b[tb:]
     if len(a0) == 1 or len(b0) == 1:
         return (0,) * k + (1,), a[k:], b[k:]
+    s = _stride(a0, b0)
+    a0, b0 = a0[::s], b0[::s]
     res = _heu_gcd(a0, b0)
     if res is None:
         g = _prs_gcd(a0, b0)
         res = g, _pdiv_exact(a0, g), _pdiv_exact(b0, g)
     g, qa, qb = res
-    return ((0,) * k + g, (0,) * (ta - k) + qa, (0,) * (tb - k) + qb)
+    return _pexpand(g, s, k), _pexpand(qa, s, ta - k), _pexpand(qb, s, tb - k)
 
 
 def _canonical(num, cof, g):
@@ -451,6 +482,29 @@ def _poly_qstr(p):
 
 ZERO = RatFunc((), (1,))
 ONE = RatFunc((1,), (1,))
+
+
+def content(values):
+    """The gcd of the numerators over the lcm of the denominators of the nonzero values.
+
+    Integer contents are included, so dividing every value by it leaves
+    numerators with gcd 1 and denominators with lcm 1.  ONE when every
+    value is zero.
+    """
+    nonzero = [x for x in values if x.num]
+    if not nonzero:
+        return ONE
+    g = _pprim(nonzero[0].num)
+    lcm = _pprim(nonzero[0].den)
+    for x in nonzero[1:]:
+        if len(g) > 1:
+            g = _pgcd(g, x.num)[0]
+        den = _pprim(x.den)
+        if den != lcm:
+            lcm = _pmul(lcm, _pgcd(lcm, den)[2])
+    num_int = math.gcd(*(c for x in nonzero for c in x.num))
+    den_int = math.lcm(*(math.gcd(*x.den) for x in nonzero))
+    return RatFunc(_pmul((num_int,), g), _pmul((den_int,), lcm))
 
 
 def qpow(k2):

@@ -78,6 +78,8 @@ def irrep(l, sign=+1):
 
 def xc_matrix(l, c: CParam, sign=+1):
     """The displayed (l+1)x(l+1) tridiagonal matrix for weight ±q^(-l)."""
+    if l < 0:
+        raise ValueError("l must be nonnegative")
     if c.is_zero():
         raise ValueError("c = 0 is outside the classification setting")
     xd = XcData(c)

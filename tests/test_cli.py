@@ -101,6 +101,20 @@ def test_build_fodc(capsys):
     assert all(c["pass"] for c in doc["certificates"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["build-fodc", "--n", "1", "--leibniz-degree", "1"], "total degree bound >= 2"),
+    (["build-fodc", "--n", "1", "--leibniz-degree", "0"], "total degree bound >= 2"),
+    (["build-fodc", "--n", "1", "--leibniz-degree", "-1"], "total degree bound >= 2"),
+    (["eigenvalues", "--c", "s=1", "--l", "-1"], "l must be nonnegative")])
+def test_empty_checks_are_usage_errors(capsys, argv, message):
+    # a bound that leaves nothing to check exits 2 instead of passing
+    code = main(["--format", "json"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_selftest_single_criterion(capsys):
     code, out = run_cli(capsys, "selftest", "--only", "AC-2")
     assert code == 0

@@ -142,6 +142,37 @@ def test_freeness_n1(eng):
     assert rep["pass"], rep
 
 
+@pytest.mark.parametrize("coeff_degree, rank, ungenerated", [
+    (1, 12, [("m", "m"), ("p", "p"), ("A", "m"), ("A", "p"), ("A", "A")]),
+    (2, 27, [("m", "m"), ("p", "p"), ("A", "m"), ("A", "p"), ("A", "A")]),
+    (3, 48, [])])
+def test_freeness_verdict_matches_the_raw_columns(eng, coeff_degree, rank, ungenerated):
+    # the oracle solves the system of the undivided columns d(b_i)·m
+    pres = build_rform_calculus(1, "id", GENERIC, engine=eng)
+    alg = eng.alg
+    rep = verify_freeness(pres, 2, coeff_degree)
+    d_basis = [pres.d(b) for b in pres.W_basis]
+    inner_deg = max(x.degree() for co in d_basis for x in co)
+    big_idx = {m: i for i, m in
+               enumerate(alg.normal_monomials(inner_deg + coeff_degree))}
+
+    def gamma_vec(coords):
+        return [v for x in coords for v in linalg.coordinate_row(x.terms, big_idx)]
+
+    columns = [gamma_vec(pres.rmult(db, alg.element({m: ONE})))
+               for db in d_basis for m in alg.normal_monomials(coeff_degree)]
+    targets = [m for m in alg.normal_monomials(2) if m]
+    raw_rank, sols = linalg.solve_with_rank(
+        linalg.transpose(columns),
+        [gamma_vec(pres.d(alg.element({m: ONE}))) for m in targets])
+    assert rep["rank"] == raw_rank == rank
+    assert rep["unknowns"] == len(columns)
+    assert rep["unique_expansion"] == (raw_rank == len(columns))
+    assert rep["ungenerated"] == [m for m, x in zip(targets, sols) if x is None]
+    assert rep["ungenerated"] == ungenerated
+    assert rep["pass"] == (not ungenerated)
+
+
 def test_rform_calculus_flip_infinity(eng_inf):
     pres = build_rform_calculus(1, "flip", INF, engine=eng_inf)
     assert pres.leibniz_report(2)["pass"]

@@ -255,15 +255,50 @@ def test_henrici_arithmetic_matches_cross_multiplication():
             assert (q.num, q.den) == _prs_fraction(_pmul(a, d), _pmul(b, c))
 
 
-def test_pgcd_matches_prs_on_planted_factors():
+def _in_t_power(p, s, k=0):
+    """t^k * p(t^s)."""
+    out = [0] * (k + (len(p) - 1) * s + 1)
+    for i, x in enumerate(p):
+        out[k + i * s] = x
+    return tuple(out)
+
+
+def test_pgcd_matches_prs_on_planted_factors(monkeypatch):
     rng = random.Random(1989)
+    pairs = []
     for _ in range(200):
         common = _planted(rng)
-        a = _pmul(common, _planted(rng))
-        b = _pmul(common, _planted(rng))
+        pairs.append((_pmul(common, _planted(rng)), _pmul(common, _planted(rng))))
+    # polynomials in t^s: (stride of the common factor, of the cofactor of a,
+    # of the cofactor of b, power of t in a, power of t in b)
+    for sc, sa, sb, ka, kb in [(2, 2, 2, 0, 0), (4, 4, 4, 0, 0), (2, 4, 6, 0, 0),
+                               (4, 4, 4, 3, 5), (4, 4, 1, 0, 0)]:
+        for _ in range(20):
+            common = _in_t_power(_planted(rng), sc)
+            pairs.append((_pmul(common, _in_t_power(_planted(rng), sa, ka)),
+                          _pmul(common, _in_t_power(_planted(rng), sb, kb))))
+    strides = []
+    real = scalars._stride
+
+    def spy(a0, b0):
+        strides.append(real(a0, b0))
+        return strides[-1]
+
+    monkeypatch.setattr(scalars, "_stride", spy)
+    for a, b in pairs:
         g, qa, qb = _pgcd(a, b)
         assert g == _prs_gcd(a, b)
         assert _pmul(g, qa) == a and _pmul(g, qb) == b
+    assert {1, 2, 4} <= set(strides)
+
+
+def test_content_is_gcd_of_numerators_over_lcm_of_denominators():
+    values = [parse_ratfunc("2*(q+1)^2/(3*q)"), ZERO,
+              parse_ratfunc("4*(q+1)*(q-1)/q^2"), parse_ratfunc("8*(q^2+q)^2/(2*q+2)")]
+    c = scalars.content(values)
+    assert c == parse_ratfunc("2*(q+1)/(3*q^2)")
+    assert scalars.content([v / c for v in values]) == ONE
+    assert scalars.content([ZERO, ZERO]) == ONE
 
 
 def test_heu_gcd_retries_then_gives_up(monkeypatch):

@@ -120,3 +120,9 @@ def test_spectral_pairs_match_closed_forms():
 def test_rejects_zero_parameter():
     with pytest.raises(ValueError):
         xc_matrix(2, CParam.zero(), +1)
+
+
+def test_rejects_negative_level():
+    for f in (xc_matrix, charpoly_check, kernel_dim):
+        with pytest.raises(ValueError):
+            f(-1, GENERIC, +1)
