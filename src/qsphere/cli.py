@@ -91,15 +91,19 @@ def cmd_selftest(args):
     report = {"schema": "qsphere-report/1", "command": "selftest",
               "certificates": [], "lines": []}
     for r in results:
-        report["certificates"].append(
-            {"name": r["criterion"], "pass": r["pass"],
-             "details": _jsonable(r["details"])})
+        report["certificates"].append(selftest_certificate(r))
         print("%s %s" % (r["criterion"], "PASS" if r["pass"] else "FAIL"))
         if not r["pass"]:
             print("    %s" % (r["details"],))
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if _report_pass(report) else 1
+
+
+def selftest_certificate(result):
+    """A criterion's result as its entry in the selftest report."""
+    return {"name": result["criterion"], "pass": result["pass"],
+            "details": _jsonable(result["details"])}
 
 
 def cmd_classify(args):

@@ -201,6 +201,9 @@ class DualEngine:
         return op_route
 
     def scan_weights(self, Lmax):
+        """The (sign, l) in J^c with l <= Lmax; a negative Lmax would scan nothing."""
+        if Lmax < 0:
+            raise ValueError("lmax must be nonnegative, got %d" % Lmax)
         out = []
         for l in range(Lmax + 1):
             for sign in (+1, -1):

@@ -11,6 +11,7 @@ commutator with the canonical invariant one-form.
 
 import itertools
 
+from .algebra import accumulate, tensor_terms
 from .scalars import ZERO, ONE, CParam, content, qpow
 from . import linalg, oqsl2, podles
 from .dualfunc import DualEngine, PsiVector, EPSILON
@@ -281,13 +282,30 @@ class CalculusPresentation:
     def rmult(self, coords, b):
         return [x * b for x in coords]
 
-    def _rform_against(self, amono, i, j):
-        key = (amono, i, j)
-        v = self._rform_cache.get(key)
-        if v is None:
-            v = oqsl2.rform(oqsl2.SL2Element({amono: ONE}), self.sinv_psi[i][j])
-            self._rform_cache[key] = v
-        return v
+    def _rform_against(self, amono):
+        """The matrix T(u)[i][j] = r(u, S^-1 psi_ij) for an SL2 monomial u.
+
+        By Delta(S^-1 psi_ij) = sum_k S^-1 psi_kj (x) S^-1 psi_ik, which is
+        Delta psi_ij = sum_k psi_ik (x) psi_kj under the anti-coalgebra map
+        S^-1, bimultiplicativity r(xy, z) = r(x, z(1)) r(y, z(2)) gives
+        T(xy) = T(y) T(x), and T(()) = I from eps(psi_ij) = delta_ij.  So
+        T is a representation of O_q(SL2) (the L-functional of the comodule
+        W), and T(u) is the product of T(u[-1]) with T of its cached prefix;
+        `oqsl2.rform` runs only on the generators.  `comodule_matrix` has
+        checked both identities on psi.
+        """
+        t = self._rform_cache.get(amono)
+        if t is None:
+            if not amono:
+                t = linalg.identity(self.N)
+            elif len(amono) == 1:
+                gen = oqsl2.SL2Element.gen(amono[0])
+                t = [[oqsl2.rform(gen, s) for s in row] for row in self.sinv_psi]
+            else:
+                t = linalg.matmul(self._rform_against(amono[-1:]),
+                                  self._rform_against(amono[:-1]))
+            self._rform_cache[amono] = t
+        return t
 
     def _twist(self, mono):
         """T[i][j] in B with mono . gamma^i = sum_j gamma^j T[i][j]."""
@@ -298,11 +316,11 @@ class CalculusPresentation:
         t = [[self.alg.element() for _ in range(self.N)] for _ in range(self.N)]
         for (pm, am), cc in co.items():
             left = nu_apply(self.nu, self.alg.element({pm: cc}))
+            r = self._rform_against(am)
             for i in range(self.N):
                 for j in range(self.N):
-                    r = self._rform_against(am, i, j)
-                    if r:
-                        t[i][j] = t[i][j] + r * left
+                    if r[i][j]:
+                        t[i][j] = t[i][j] + r[i][j] * left
         self._twist_cache[mono] = t
         return t
 
@@ -414,19 +432,17 @@ class CalculusPresentation:
         }
 
 
-def build_rform_calculus(n, nu, c: CParam, engine=None):
-    """Construct the free-module calculus on W = V(n) with twist nu."""
-    if not nu_is_admissible(nu, c):
-        raise ValueError("nu = %r is not a comodule algebra endomorphism at %s"
-                         % (nu, c))
-    alg = (engine.alg if engine is not None else podles.PodlesAlgebra(c))
-    W = submodule_Vn(n, c, alg)
+def comodule_matrix(alg, W):
+    """The matrix psi with Delta_B b_i = sum_j b_j (x) psi[j][i], and S^-1(psi).
+
+    Returns (psi, sinv_psi) with sinv_psi[i][j] = S^-1(psi[i][j]), after
+    `check_comodule_matrix` has certified the identities that the r-form
+    recursions of `chi_functionals` and `CalculusPresentation` rest on.
+    """
     N = len(W)
-    deg = 2 * n
+    deg = N - 1                         # 2n for W = V(n)
     rows = [_podles_row(alg, b, deg) for b in W]
     idx = {m: k for k, m in enumerate(alg.normal_monomials(deg))}
-
-    # coaction matrix: Delta_B b_i = sum_j b_j (x) psi[j][i]
     psi = [[oqsl2.SL2Element() for _ in range(N)] for _ in range(N)]
     for i in range(N):
         co = alg.coact(W[i])
@@ -440,14 +456,48 @@ def build_rform_calculus(n, nu, c: CParam, engine=None):
             for j in range(N):
                 if coeffs[j]:
                     psi[j][i] = psi[j][i] + coeffs[j] * oqsl2.SL2Element({am: ONE})
-    # counit of the comodule matrix must be the identity
-    for i in range(N):
-        for j in range(N):
-            want = ONE if i == j else ZERO
-            if psi[j][i].counit() != want:
-                raise AssertionError("comodule matrix has wrong counit")
+    check_comodule_matrix(alg, W, psi)
     sinv_psi = [[oqsl2.antipode(psi[i][j], inverse=True) for j in range(N)]
                 for i in range(N)]
+    return psi, sinv_psi
+
+
+def check_comodule_matrix(alg, W, psi):
+    """Raise AssertionError unless psi is the comodule matrix of W in O_q(SL2).
+
+    Checked exactly: Delta(embed b_i) = sum_j embed(b_j) (x) psi_ji (the
+    sphere coaction is the SL2 coproduct of the embedding), Delta psi_ij =
+    sum_k psi_ik (x) psi_kj (psi is a corepresentation) and eps(psi_ij) =
+    delta_ij.
+    """
+    N = len(W)
+    images = [alg.embed(b) for b in W]
+    for i in range(N):
+        rhs = {}
+        for j in range(N):
+            accumulate(rhs, tensor_terms(images[j].terms, psi[j][i].terms))
+        if oqsl2.coproduct(images[i]) != rhs:
+            raise AssertionError("Delta(b_%d) is not sum_j b_j (x) psi_j%d" % (i, i))
+    for i in range(N):
+        for j in range(N):
+            rhs = {}
+            for k in range(N):
+                accumulate(rhs, tensor_terms(psi[i][k].terms, psi[k][j].terms))
+            if oqsl2.coproduct(psi[i][j]) != rhs:
+                raise AssertionError("Delta psi_%d%d is not sum_k psi_%dk (x) psi_k%d"
+                                     % (i, j, i, j))
+            if psi[i][j].counit() != (ONE if i == j else ZERO):
+                raise AssertionError("comodule matrix has wrong counit")
+
+
+def build_rform_calculus(n, nu, c: CParam, engine=None):
+    """Construct the free-module calculus on W = V(n) with twist nu."""
+    if not nu_is_admissible(nu, c):
+        raise ValueError("nu = %r is not a comodule algebra endomorphism at %s"
+                         % (nu, c))
+    alg = (engine.alg if engine is not None else podles.PodlesAlgebra(c))
+    W = submodule_Vn(n, c, alg)
+    psi, sinv_psi = comodule_matrix(alg, W)
     return CalculusPresentation(n, nu, c, alg, W, psi, sinv_psi)
 
 
@@ -459,21 +509,41 @@ def chi_functionals(n, nu, c: CParam, degree=None, engine=None):
 
     Returns the tables together with the span-identification data against
     the module of weight ±q^(-2n).
+
+    The rows come from an N x N representation of the sphere.  S^-1 is an
+    anti-coalgebra map, so Delta(b_i) = sum_j b_j (x) psi_ji gives
+    Delta(S^-1 b_i) = sum_j S^-1 psi_ji (x) S^-1 b_j, and bimultiplicativity
+    r(xy, z) = r(x, z(1)) r(y, z(2)) turns R(m)_i = r(nu(m), S^-1 b_i) into
+    R(g m') = G(g) R(m') with G(g)[i][j] = r(nu(g), S^-1 psi_ji) for a
+    letter g (nu and the embedding are algebra maps), and R(()) = [eps(b_j)],
+    the O_q(SL2) counit of the embedded b_j.  Every suffix of a normal
+    monomial A^j x^i is normal, so the monomials are walked by length.
+    `comodule_matrix` checks the identity for Delta(b_i) exactly.
     """
     engine = engine or DualEngine(c)
     alg = engine.alg
     if degree is None:
         degree = 2 * n + 2
     W = submodule_Vn(n, c, alg)
+    N = len(W)
+    _, sinv_psi = comodule_matrix(alg, W)
+    gens = {}
+    for g in podles.LETTERS:
+        x = alg.embed(nu_apply(nu, alg.gen(g)))
+        gens[g] = [[oqsl2.rform(x, sinv_psi[j][i]) for j in range(N)]
+                   for i in range(N)]
     monos = alg.normal_monomials(degree)
-    elems = [alg.element({m: ONE}) for m in monos]
-    embedded = [alg.embed(nu_apply(nu, x)) for x in elems]
+    values = {(): [alg.embed(b).counit() for b in W]}
+    for m in monos:
+        if m:
+            rest = values[m[1:]]
+            values[m] = [sum((x * y for x, y in zip(row, rest) if x and y), ZERO)
+                         for row in gens[m[0]]]
+    eps_m = [alg.counit(alg.element({m: ONE})) for m in monos]
     chi_rows = []
-    for b in W:
-        sb = oqsl2.antipode(alg.embed(b), inverse=True)
+    for i, b in enumerate(W):
         eps_b = alg.counit(b)
-        chi_rows.append([oqsl2.rform(y, sb) - eps_b * alg.counit(x)
-                         for x, y in zip(elems, embedded)])
+        chi_rows.append([values[m][i] - eps_b * e for m, e in zip(monos, eps_m)])
 
     sign = -1 if nu == "flip" else +1
     mod = engine.build_module(sign, 2 * n)

@@ -161,17 +161,21 @@ class PodlesAlgebra:
         return self._embed_letter
 
     def embed(self, x):
-        img = self._letter_images()
         out = SL2Element()
         for mono, coeff in x.terms.items():
-            v = self._embed_cache.get(mono)
-            if v is None:
-                v = SL2Element.unit()
-                for g in mono:
-                    v = v * img[g]
-                self._embed_cache[mono] = v
-            out = out + coeff * v
+            out = out + coeff * self._embed_mono(mono)
         return out
+
+    def _embed_mono(self, mono):
+        """The image of a monomial, one SL2 product on the image of its prefix."""
+        v = self._embed_cache.get(mono)
+        if v is None:
+            if mono:
+                v = self._embed_mono(mono[:-1]) * self._letter_images()[mono[-1]]
+            else:
+                v = SL2Element.unit()
+            self._embed_cache[mono] = v
+        return v
 
     # -- left action of E, F, K^n (module-algebra extension of the tables)
 

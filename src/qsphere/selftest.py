@@ -193,8 +193,10 @@ def ac8_rform_calculi(ns=(1, 2)):
         entry = {"spans_equal": chi["spans_equal"], "chibar": cb["pass"],
                  "leibniz": lb["pass"], "freeness": fr["pass"], "d1_zero": d_ok,
                  "submodule": sub["pass"]}
-        details["n=%d" % n] = entry
         ok = ok and all(entry.values())
+        entry["freeness_system"] = {k: fr[k]
+                                    for k in ("coeff_degree", "unknowns", "rank")}
+        details["n=%d" % n] = entry
     cinf = CParam.infinity()
     enginf = _engine(cinf)
     chif = fodc.chi_functionals(1, "flip", cinf, engine=enginf)

@@ -2,9 +2,25 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` for one pass/fail line per
 criterion, or `qsphere selftest` for the CLI flavor of the same suite.
+
+Each criterion's report entry must also equal, byte for byte as JSON, its
+entry in tests/golden/selftest.json, the JSON document that
+`qsphere --format json selftest` prints.  Since that document is the list
+of these entries, the whole selftest report is checked on every run.
 """
 
+import json
+from pathlib import Path
+
 from qsphere import selftest
+from qsphere.cli import selftest_certificate
+
+GOLDEN_TEXT = (Path(__file__).resolve().parent / "golden" / "selftest.json").read_text()
+GOLDEN = json.loads(GOLDEN_TEXT)
+
+
+def _dump(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _run(fn):
@@ -12,7 +28,15 @@ def _run(fn):
     line = "%s %s" % (result["criterion"], "PASS" if result["pass"] else "FAIL")
     print(line)
     assert result["pass"], result["details"]
+    want = next(c for c in GOLDEN["certificates"] if c["name"] == result["criterion"])
+    assert _dump(selftest_certificate(result)) == _dump(want)
     return result
+
+
+def test_golden_selftest_is_the_emitted_document():
+    assert GOLDEN_TEXT == _dump(GOLDEN) + "\n"
+    assert [c["name"] for c in GOLDEN["certificates"]] == [
+        name for name, _ in selftest.CRITERIA]
 
 
 def test_ac1_embedded_relations():

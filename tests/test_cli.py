@@ -7,6 +7,7 @@ import pytest
 
 from qsphere import fodc, uqsl2rep
 from qsphere.cli import main, parse_param_spec, CnSpec
+from qsphere.dualfunc import DualEngine
 from qsphere.scalars import qpow
 
 
@@ -105,7 +106,9 @@ def test_build_fodc(capsys):
     (["build-fodc", "--n", "1", "--leibniz-degree", "1"], "total degree bound >= 2"),
     (["build-fodc", "--n", "1", "--leibniz-degree", "0"], "total degree bound >= 2"),
     (["build-fodc", "--n", "1", "--leibniz-degree", "-1"], "total degree bound >= 2"),
-    (["eigenvalues", "--c", "s=1", "--l", "-1"], "l must be nonnegative")])
+    (["eigenvalues", "--c", "s=1", "--l", "-1"], "l must be nonnegative"),
+    (["classify", "--c", "s=1", "--lmax", "-1"], "lmax must be nonnegative"),
+    (["de-generated", "--c", "inf", "--lmax", "-1"], "lmax must be nonnegative")])
 def test_empty_checks_are_usage_errors(capsys, argv, message):
     # a bound that leaves nothing to check exits 2 instead of passing
     code = main(["--format", "json"] + argv)
@@ -137,9 +140,12 @@ def test_classify_reports_the_trivial_closure(capsys):
         {"name": "closure +q^-0", "pass": True}]
 
 
-def test_report_without_certificates_does_not_pass(capsys):
+def test_report_without_certificates_does_not_pass(capsys, monkeypatch):
+    # a weight scan that finds no component leaves the report without
+    # certificates
+    monkeypatch.setattr(DualEngine, "scan_weights", lambda self, lmax: [])
     code, out = run_cli(capsys, "--format", "json", "classify", "--c", "s=1",
-                        "--lmax", "-1")
+                        "--lmax", "1")
     assert json.loads(out)["certificates"] == []
     assert code == 1
 

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from qsphere.scalars import ONE, Q, RatFunc, CParam, qpow
-from qsphere import linalg
+from qsphere import fodc, linalg, oqsl2
+from qsphere.cli import main
 from qsphere.dualfunc import DualEngine
 from qsphere.fodc import (chi_functionals, chibar_report, classify_de_generated,
-                          build_rform_calculus, irreducibility_report,
+                          build_rform_calculus, check_comodule_matrix,
+                          comodule_matrix, irreducibility_report,
                           nu_apply, nu_is_admissible, pairing_matrix,
                           submodule_Vn, submodule_report, tangent_space,
                           tangent_space_json, verify_freeness)
@@ -185,6 +187,56 @@ def test_chi_functionals_n1(eng):
     assert chi["spans_equal"]
     assert chi["chi_vanish_at_unit"]
     assert chi["rank_chi"] == 3
+
+
+def _element_level_chi_rows(n, nu, c, alg):
+    """chi_i(x) = r(nu(x), S^-1(b_i)) - eps(b_i) eps(x), one r-form per monomial."""
+    elems = [alg.element({m: ONE}) for m in alg.normal_monomials(2 * n + 2)]
+    embedded = [alg.embed(nu_apply(nu, x)) for x in elems]
+    rows = []
+    for b in submodule_Vn(n, c, alg):
+        sb = oqsl2.antipode(alg.embed(b), inverse=True)
+        rows.append([oqsl2.rform(y, sb) - alg.counit(b) * alg.counit(x)
+                     for x, y in zip(elems, embedded)])
+    return rows
+
+
+@pytest.mark.parametrize("nu, c, n", [
+    ("id", GENERIC, 1), ("id", GENERIC, 2), ("id", CParam.generic(2), 2),
+    ("flip", INF, 1), ("flip", INF, 2)])
+def test_chi_rows_equal_the_element_level_rform(nu, c, n):
+    eng = DualEngine(c)
+    chi = chi_functionals(n, nu, c, engine=eng)
+    assert chi["chi_rows"] == _element_level_chi_rows(n, nu, c, eng.alg)
+
+
+@pytest.mark.parametrize("nu, c", [("id", GENERIC), ("flip", INF)])
+def test_rform_matrices_equal_the_element_level_rform(nu, c):
+    # every SL2 monomial the Leibniz check reached, and each of its prefixes
+    pres = build_rform_calculus(1, nu, c, engine=DualEngine(c))
+    pres.leibniz_report(4)
+    assert len(pres._rform_cache) > 20
+    for amono, t in pres._rform_cache.items():
+        x = oqsl2.SL2Element({amono: ONE})
+        assert t == [[oqsl2.rform(x, s) for s in row] for row in pres.sinv_psi], amono
+
+
+def _swap_first_columns(psi):
+    return [[row[1], row[0]] + row[2:] for row in psi]
+
+
+def test_comodule_matrix_check_catches_swapped_columns(eng, monkeypatch):
+    alg = eng.alg
+    W = submodule_Vn(1, GENERIC, alg)
+    psi, _ = comodule_matrix(alg, W)
+    check_comodule_matrix(alg, W, psi)
+    with pytest.raises(AssertionError, match=r"Delta\(b_0\) is not"):
+        check_comodule_matrix(alg, W, _swap_first_columns(psi))
+    # the CLI reports the failed identity as an internal check failure
+    real = fodc.check_comodule_matrix
+    monkeypatch.setattr(fodc, "check_comodule_matrix",
+                        lambda alg, W, psi: real(alg, W, _swap_first_columns(psi)))
+    assert main(["--format", "json", "build-fodc", "--n", "1"]) == 3
 
 
 def test_chibar(eng):

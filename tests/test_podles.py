@@ -59,6 +59,20 @@ def test_embed_is_algebra_map(alg):
     assert alg.embed(z * w) == alg.embed(z) * alg.embed(w)
 
 
+@pytest.mark.parametrize("c", [GENERIC, CParam.generic(2), INF,
+                               CParam.generic((qpow(1) - qpow(-1)).inv())])
+def test_embed_on_the_prefix_is_the_letter_product(c):
+    # each monomial's image is built on its cached prefix; the reference
+    # multiplies the letter images one by one
+    alg = PodlesAlgebra(c)
+    letters = {g: alg.embed(alg.gen(g)) for g in ("m", "A", "p")}
+    for mono in alg.normal_monomials(6):
+        want = oqsl2.UNIT
+        for g in mono:
+            want = want * letters[g]
+        assert alg.embed(alg.element({mono: ONE})) == want, mono
+
+
 def test_embedded_relations_all_variants():
     for c in (GENERIC, CParam.generic(2), INF, CParam.zero()):
         assert embedded_relations_report(c)["pass"]
