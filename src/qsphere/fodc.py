@@ -165,8 +165,8 @@ def classify_de_generated(c: CParam, Lmax=6, engine=None):
     3-dimensional span of the generators, so the enumeration is pruned to
     components with l <= 2 and total dimension <= 3; the trivial component
     (+1, 0) carries the zero calculus and is excluded from the counts.
-    `candidates_closed` says whether every enumerated candidate passed its
-    tangent-space certificate.
+    `candidates_closed` says whether at least one candidate was enumerated
+    and every one passed its tangent-space certificate.
     """
     engine = engine or DualEngine(c)
     jset = engine.scan_weights(Lmax)
@@ -175,7 +175,7 @@ def classify_de_generated(c: CParam, Lmax=6, engine=None):
     W = engine.alg.generators_e()
     calculi = []
     rejected = []
-    closed = True
+    closed = bool(eligible)
     for size in range(1, len(eligible) + 1):
         for combo in itertools.combinations(eligible, size):
             dim = sum(l + 1 for _, l in combo)
@@ -269,7 +269,6 @@ class CalculusPresentation:
         self.sinv_psi = sinv_psi        # S^-1(psi[i][j]), indexed [i][j]
         self.N = len(W_basis)
         self.omega = list(W_basis)      # coords of omega = sum gamma^i b_i
-        self._rform_cache = {}
         self._twist_cache = {}
         self._d_cache = {}
 
@@ -282,45 +281,41 @@ class CalculusPresentation:
     def rmult(self, coords, b):
         return [x * b for x in coords]
 
-    def _rform_against(self, amono):
-        """The matrix T(u)[i][j] = r(u, S^-1 psi_ij) for an SL2 monomial u.
-
-        By Delta(S^-1 psi_ij) = sum_k S^-1 psi_kj (x) S^-1 psi_ik, which is
-        Delta psi_ij = sum_k psi_ik (x) psi_kj under the anti-coalgebra map
-        S^-1, bimultiplicativity r(xy, z) = r(x, z(1)) r(y, z(2)) gives
-        T(xy) = T(y) T(x), and T(()) = I from eps(psi_ij) = delta_ij.  So
-        T is a representation of O_q(SL2) (the L-functional of the comodule
-        W), and T(u) is the product of T(u[-1]) with T of its cached prefix;
-        `oqsl2.rform` runs only on the generators.  `comodule_matrix` has
-        checked both identities on psi.
-        """
-        t = self._rform_cache.get(amono)
-        if t is None:
-            if not amono:
-                t = linalg.identity(self.N)
-            elif len(amono) == 1:
-                gen = oqsl2.SL2Element.gen(amono[0])
-                t = [[oqsl2.rform(gen, s) for s in row] for row in self.sinv_psi]
-            else:
-                t = linalg.matmul(self._rform_against(amono[-1:]),
-                                  self._rform_against(amono[:-1]))
-            self._rform_cache[amono] = t
-        return t
-
     def _twist(self, mono):
-        """T[i][j] in B with mono . gamma^i = sum_j gamma^j T[i][j]."""
+        """T[i][j] in B with mono . gamma^i = sum_j gamma^j T[i][j].
+
+        A letter g acts by the twisted rule T_g[i][j] = sum nu(g(0))
+        r(g(1), S^-1 psi_ij) over its coaction, one `oqsl2.rform` per SL2 leg
+        (of degree <= 2) and entry; () acts as the identity, and g m' as g
+        after m': T[i][k] = sum_j T_g[j][k] T_m'[i][j], products in B.
+        """
         t = self._twist_cache.get(mono)
         if t is not None:
             return t
-        co = self.alg.coact(self.alg.element({mono: ONE}))
-        t = [[self.alg.element() for _ in range(self.N)] for _ in range(self.N)]
-        for (pm, am), cc in co.items():
-            left = nu_apply(self.nu, self.alg.element({pm: cc}))
-            r = self._rform_against(am)
-            for i in range(self.N):
-                for j in range(self.N):
-                    if r[i][j]:
-                        t[i][j] = t[i][j] + r[i][j] * left
+        N, alg = self.N, self.alg
+        t = [[alg.element() for _ in range(N)] for _ in range(N)]
+        if not mono:
+            for i in range(N):
+                t[i][i] = alg.unit()
+        elif len(mono) == 1:
+            legs = {}
+            for (pm, am), cc in alg.coact(alg.gen(mono[0])).items():
+                legs[am] = legs.get(am, alg.element()) + alg.element({pm: cc})
+            for am, left in legs.items():
+                leg, left = oqsl2.SL2Element({am: ONE}), nu_apply(self.nu, left)
+                for i in range(N):
+                    for j in range(N):
+                        r = oqsl2.rform(leg, self.sinv_psi[i][j])
+                        if r:
+                            t[i][j] = t[i][j] + r * left
+        else:
+            tg, rest = self._twist(mono[:1]), self._twist(mono[1:])
+            for i in range(N):
+                for j in range(N):
+                    if rest[i][j]:
+                        for k in range(N):
+                            if tg[j][k]:
+                                t[i][k] = t[i][k] + tg[j][k] * rest[i][j]
         self._twist_cache[mono] = t
         return t
 
@@ -401,18 +396,26 @@ class CalculusPresentation:
                 "bound": max_total_degree}
 
     def bimodule_report(self):
-        """(ab) xi = a (b xi) for generator products against each gamma^i."""
-        gens = [self.alg.em1(), self.alg.A(), self.alg.e1()]
-        failures = 0
-        for a, b in itertools.product(gens, repeat=2):
+        """lmult(x y) = lmult(x) lmult(y) on each gamma^i for the four rules x y -> rhs.
+
+        This proves Leibniz in every degree.  By `_twist` the left action on a
+        monomial is the composition of its letter operators, so it is an
+        algebra map B -> End(Gamma_B) exactly when those operators satisfy
+        the rules that present B.  Right multiplication commutes with it, so
+        Gamma is a bimodule, and d = [omega, .] is inner: d(xy) = omega x y -
+        x y omega = d(x) y + x d(y) for all x and y.
+        """
+        failures = []
+        for x, y in self.alg.rewriting.rules:
+            a, b = self.alg.gen(x), self.alg.gen(y)
             for i in range(self.N):
                 unit_i = self.zero()
                 unit_i[i] = self.alg.unit()
-                lhs = self.lmult(a * b, unit_i)
-                rhs = self.lmult(a, self.lmult(b, unit_i))
-                if not self.coords_eq(lhs, rhs):
-                    failures += 1
-        return {"pass": failures == 0, "failures": failures}
+                if not self.coords_eq(self.lmult(a * b, unit_i),
+                                      self.lmult(a, self.lmult(b, unit_i))):
+                    failures.append("%s*%s" % (a, b))
+                    break
+        return {"pass": not failures, "failures": failures}
 
     def to_json_dict(self):
         sign = -1 if self.nu == "flip" else +1
@@ -437,7 +440,7 @@ def comodule_matrix(alg, W):
 
     Returns (psi, sinv_psi) with sinv_psi[i][j] = S^-1(psi[i][j]), after
     `check_comodule_matrix` has certified the identities that the r-form
-    recursions of `chi_functionals` and `CalculusPresentation` rest on.
+    recursion of `chi_functionals` and the letter twists rest on.
     """
     N = len(W)
     deg = N - 1                         # 2n for W = V(n)
@@ -515,35 +518,33 @@ def chi_functionals(n, nu, c: CParam, degree=None, engine=None):
     Delta(S^-1 b_i) = sum_j S^-1 psi_ji (x) S^-1 b_j, and bimultiplicativity
     r(xy, z) = r(x, z(1)) r(y, z(2)) turns R(m)_i = r(nu(m), S^-1 b_i) into
     R(g m') = G(g) R(m') with G(g)[i][j] = r(nu(g), S^-1 psi_ji) for a
-    letter g (nu and the embedding are algebra maps), and R(()) = [eps(b_j)],
-    the O_q(SL2) counit of the embedded b_j.  Every suffix of a normal
-    monomial A^j x^i is normal, so the monomials are walked by length.
-    `comodule_matrix` checks the identity for Delta(b_i) exactly.
+    letter g (nu and the embedding are algebra maps), and R(()) = [eps(b_j)].
+    G(g)[i][j] = eps(T_g[j][i]), the counit of the calculus' letter twist,
+    since (eps (x) id) coact = embed and nu is a comodule map.  Every suffix
+    of a normal monomial A^j x^i is normal, so the monomials are walked by
+    length.
     """
     engine = engine or DualEngine(c)
     alg = engine.alg
     if degree is None:
         degree = 2 * n + 2
-    W = submodule_Vn(n, c, alg)
-    N = len(W)
-    _, sinv_psi = comodule_matrix(alg, W)
+    pres = build_rform_calculus(n, nu, c, engine)
+    N = pres.N
     gens = {}
     for g in podles.LETTERS:
-        x = alg.embed(nu_apply(nu, alg.gen(g)))
-        gens[g] = [[oqsl2.rform(x, sinv_psi[j][i]) for j in range(N)]
-                   for i in range(N)]
+        t = pres._twist((g,))
+        gens[g] = [[alg.counit(t[j][i]) for j in range(N)] for i in range(N)]
+    eps_W = [alg.counit(b) for b in pres.W_basis]
     monos = alg.normal_monomials(degree)
-    values = {(): [alg.embed(b).counit() for b in W]}
+    values = {(): eps_W}
     for m in monos:
         if m:
             rest = values[m[1:]]
             values[m] = [sum((x * y for x, y in zip(row, rest) if x and y), ZERO)
                          for row in gens[m[0]]]
     eps_m = [alg.counit(alg.element({m: ONE})) for m in monos]
-    chi_rows = []
-    for i, b in enumerate(W):
-        eps_b = alg.counit(b)
-        chi_rows.append([values[m][i] - eps_b * e for m, e in zip(monos, eps_m)])
+    chi_rows = [[values[m][i] - eps_b * e for m, e in zip(monos, eps_m)]
+                for i, eps_b in enumerate(eps_W)]
 
     sign = -1 if nu == "flip" else +1
     mod = engine.build_module(sign, 2 * n)

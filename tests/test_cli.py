@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from qsphere import fodc, uqsl2rep
-from qsphere.cli import main, parse_param_spec, CnSpec
+from qsphere.cli import build_parser, main, parse_param_spec, CnSpec
 from qsphere.dualfunc import DualEngine
 from qsphere.scalars import qpow
 
@@ -93,8 +94,7 @@ def test_mu_rep(capsys):
 
 
 def test_build_fodc(capsys):
-    code, out = run_cli(capsys, "--format", "json", "build-fodc", "--n", "1",
-                        "--leibniz-degree", "2")
+    code, out = run_cli(capsys, "--format", "json", "build-fodc", "--n", "1")
     assert code == 0
     doc = json.loads(out)
     assert doc["dim"] == 3
@@ -103,9 +103,9 @@ def test_build_fodc(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["build-fodc", "--n", "1", "--leibniz-degree", "1"], "total degree bound >= 2"),
-    (["build-fodc", "--n", "1", "--leibniz-degree", "0"], "total degree bound >= 2"),
-    (["build-fodc", "--n", "1", "--leibniz-degree", "-1"], "total degree bound >= 2"),
+    (["build-fodc", "--n", "0"], "n must be positive"),
+    (["mu-rep", "--n", "0"], "n must be positive"),
+    (["mu-rep", "--c", "cn:0"], "n must be positive"),
     (["eigenvalues", "--c", "s=1", "--l", "-1"], "l must be nonnegative"),
     (["classify", "--c", "s=1", "--lmax", "-1"], "lmax must be nonnegative"),
     (["de-generated", "--c", "inf", "--lmax", "-1"], "lmax must be nonnegative")])
@@ -116,6 +116,18 @@ def test_empty_checks_are_usage_errors(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("lmax", [0, 1])
+def test_de_generated_without_candidates_fails(capsys, lmax):
+    # no eligible component below the bound: nothing was checked, so no pass
+    code, out = run_cli(capsys, "--format", "json", "de-generated", "--c", "s=1",
+                        "--lmax", str(lmax))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["count"] == 0
+    assert doc["certificates"] == [
+        {"name": "candidate tangent spaces closed", "pass": False}]
 
 
 def test_selftest_single_criterion(capsys):
@@ -195,6 +207,22 @@ def _readme_commands():
     block = text.split("## Command line", 1)[1].split("```")[1]
     cmds = [shlex.split(line, comments=True) for line in block.splitlines()]
     return [argv[1:] for argv in cmds if argv and argv[0] == "qsphere"]
+
+
+def test_readme_options_exist():
+    # a flag named in the README (outside pip and pytest commands) must be
+    # accepted by the parser or one of its subcommands
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.sub(r"\b(pip|pytest)\b[^`\n]*", "", text)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    ap = build_parser()
+    accepted = set(ap._option_string_actions)
+    for action in ap._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                accepted |= set(sub._option_string_actions)
+    assert {"--format", "--lmax", "--verify-freeness"} <= named
+    assert named <= accepted, sorted(named - accepted)
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

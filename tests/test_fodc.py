@@ -210,15 +210,55 @@ def test_chi_rows_equal_the_element_level_rform(nu, c, n):
     assert chi["chi_rows"] == _element_level_chi_rows(n, nu, c, eng.alg)
 
 
-@pytest.mark.parametrize("nu, c", [("id", GENERIC), ("flip", INF)])
-def test_rform_matrices_equal_the_element_level_rform(nu, c):
-    # every SL2 monomial the Leibniz check reached, and each of its prefixes
-    pres = build_rform_calculus(1, nu, c, engine=DualEngine(c))
-    pres.leibniz_report(4)
-    assert len(pres._rform_cache) > 20
-    for amono, t in pres._rform_cache.items():
-        x = oqsl2.SL2Element({amono: ONE})
-        assert t == [[oqsl2.rform(x, s) for s in row] for row in pres.sinv_psi], amono
+def _whole_monomial_twist(pres, mono):
+    """T[i][j] = sum nu(m(0)) r(m(1), S^-1 psi_ij) over the coaction of the whole monomial."""
+    alg, N = pres.alg, pres.N
+    t = [[alg.element() for _ in range(N)] for _ in range(N)]
+    for (pm, am), cc in alg.coact(alg.element({mono: ONE})).items():
+        left = nu_apply(pres.nu, alg.element({pm: cc}))
+        leg = oqsl2.SL2Element({am: ONE})
+        for i in range(N):
+            for j in range(N):
+                t[i][j] = t[i][j] + oqsl2.rform(leg, pres.sinv_psi[i][j]) * left
+    return t
+
+
+@pytest.mark.parametrize("n, nu, c, degree", [
+    (1, "id", GENERIC, 4), (2, "id", GENERIC, 4), (1, "flip", INF, 4),
+    (1, "id", CParam.generic(2), 3), (2, "flip", INF, 3)])
+def test_twist_equals_the_whole_monomial_rule(n, nu, c, degree):
+    # the composition of letter twists is the twisted rule on each normal monomial
+    pres = build_rform_calculus(n, nu, c, engine=DualEngine(c))
+    for m in pres.alg.normal_monomials(degree):
+        assert pres._twist(m) == _whole_monomial_twist(pres, m), m
+    assert pres.bimodule_report() == {"pass": True, "failures": []}
+
+
+def test_swapped_letter_twists_fail_all_four_rules(monkeypatch, capsys):
+    real = fodc.CalculusPresentation._twist
+    swap = {("m",): ("p",), ("p",): ("m",)}
+    monkeypatch.setattr(fodc.CalculusPresentation, "_twist",
+                        lambda self, mono: real(self, swap.get(mono, mono)))
+    for n in (1, 2):
+        pres = build_rform_calculus(n, "id", GENERIC, engine=DualEngine(GENERIC))
+        assert pres.bimodule_report()["failures"] == [
+            "em1*A", "e1*A", "em1*e1", "e1*em1"]
+    assert main(["--format", "json", "build-fodc", "--n", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certificates"][0]["pass"] is False
+
+
+def test_leibniz_to_degree_four_at_n2(eng):
+    # the bounded oracle next to the four-rule certificate
+    rep = build_rform_calculus(2, "id", GENERIC, engine=eng).leibniz_report(4)
+    assert rep == {"pass": True, "failures": [], "bound": 4}
+
+
+@pytest.mark.parametrize("bound", [1, 0, -1])
+def test_leibniz_report_refuses_bounds_below_two(eng, bound):
+    pres = build_rform_calculus(1, "id", GENERIC, engine=eng)
+    with pytest.raises(ValueError, match="total degree bound >= 2"):
+        pres.leibniz_report(bound)
 
 
 def _swap_first_columns(psi):
