@@ -16,6 +16,7 @@ The parameter c is given as one of
 
 import argparse
 import json
+import re
 import sys
 
 from .scalars import CParam, parse_ratfunc, qpow, check_admissible
@@ -161,13 +162,13 @@ def cmd_eigenvalues(args):
 
 
 def _parse_components(text):
+    """A comma list of components, each one optional sign and digits: +2,4,-0."""
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        sign = -1 if part.startswith("-") else +1
-        out.append((sign, int(part.lstrip("+-"))))
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        m = re.fullmatch(r"([+-]?)([0-9]+)", part)
+        if m is None:
+            raise ValueError("cannot parse component %r, expected e.g. +2 or -1" % part)
+        out.append((-1 if m.group(1) == "-" else +1, int(m.group(2))))
     return out
 
 

@@ -175,9 +175,6 @@ class DualEngine:
             out = out + coeff * self.psi_eval(sym, x)
         return out
 
-    def evaluation_row(self, v, monomials):
-        return [self.eval_vector(v, self.alg.element({m: ONE})) for m in monomials]
-
     # -- highest weight scan (Prop. on local finiteness, both routes)
 
     def is_nilpotent_weight(self, sign, l):

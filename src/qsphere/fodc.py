@@ -35,10 +35,7 @@ class TangentSpace:
 
     def t_basis(self):
         """Basis of T = (T^eps)^+, the vectors killed at 1."""
-        out = []
-        for v in self.basis[1:]:
-            out.append(v - v.value_at_unit() * EPSILON)
-        return out
+        return [v - v.value_at_unit() * EPSILON for v in self.basis[1:]]
 
 
 def _coordinates(vectors):
@@ -46,12 +43,25 @@ def _coordinates(vectors):
     symbols = sorted({s for v in vectors for s in v.terms},
                      key=lambda s: (s[0], s[1], s[2].sort_key()))
     index = {s: i for i, s in enumerate(symbols)}
-    return symbols, [linalg.coordinate_row(v.terms, index) for v in vectors]
+    return [linalg.coordinate_row(v.terms, index) for v in vectors]
 
 
-def _in_span(basis_vectors, v):
-    symbols, rows = _coordinates(list(basis_vectors) + [v])
-    return linalg.in_span(rows[:-1], rows[-1]) is not None
+def _span_coefficients(basis_vectors, v):
+    """Coefficients of v over basis_vectors, or None when v leaves their span."""
+    rows = _coordinates(list(basis_vectors) + [v])
+    return linalg.in_span(rows[:-1], rows[-1])
+
+
+def _coproduct_legs(engine, basis):
+    """(i, s, v_(i,s), its coefficients over basis or None): Delta v_i = sum_s s (x) v_(i,s)."""
+    for i, v in enumerate(basis):
+        grouped = {}
+        for sym, coeff in v.terms.items():
+            for cc, left, right in engine.psi_coproduct(sym):
+                t = grouped.setdefault(left, PsiVector())
+                grouped[left] = t + PsiVector({right: coeff * cc})
+        for left, rv in grouped.items():
+            yield i, left, rv, _span_coefficients(basis, rv)
 
 
 def tangent_space(c: CParam, components, engine=None):
@@ -66,35 +76,19 @@ def tangent_space(c: CParam, components, engine=None):
             continue        # V_1 is the counit line itself
         basis.extend(mod.basis)
         expected_dim += l + 1
-    _, rows = _coordinates(basis)
-    dim = linalg.rank(rows)
+    dim = linalg.rank(_coordinates(basis))
     cert = {"dim_matches": dim == expected_dim}
 
-    # coproduct closure: group Delta v by its left symbol, the right legs
-    # must stay in the span
-    cop_ok, cop_witness = True, None
-    for v in basis:
-        grouped = {}
-        for sym, coeff in v.terms.items():
-            for cc, left, right in engine.psi_coproduct(sym):
-                t = grouped.setdefault(left, PsiVector())
-                grouped[left] = t + PsiVector({right: coeff * cc})
-        for left, rv in grouped.items():
-            if not _in_span(basis, rv):
-                cop_ok, cop_witness = False, (left, str(rv))
-                break
-        if not cop_ok:
-            break
-    cert["coproduct_closed"] = cop_ok
+    # coproduct closure: the right legs must stay in the span
+    cop_witness = next(((left, str(rv)) for _, left, rv, coeffs
+                        in _coproduct_legs(engine, basis) if coeffs is None), None)
+    cert["coproduct_closed"] = cop_ok = cop_witness is None
     if cop_witness:
         cert["coproduct_witness"] = cop_witness
 
-    xc_ok, xc_witness = True, None
-    for v in basis:
-        if not _in_span(basis, engine.xc_right_action(v)):
-            xc_ok, xc_witness = False, str(v)
-            break
-    cert["xc_closed"] = xc_ok
+    xc_witness = next((str(v) for v in basis if _span_coefficients(
+        basis, engine.xc_right_action(v)) is None), None)
+    cert["xc_closed"] = xc_ok = xc_witness is None
     if xc_witness:
         cert["xc_witness"] = xc_witness
 
@@ -139,23 +133,19 @@ def irreducibility_report(ts: TangentSpace):
             nxt = []
             for v in frontier:
                 for img in (project(engine.phi(v)), project(engine.varphi(v))):
-                    if img.is_zero() or _in_span(span, img):
+                    if img.is_zero() or _span_coefficients(span, img) is not None:
                         continue
                     span.append(img)
                     nxt.append(img)
             frontier = nxt
-        _, rows = _coordinates(span)
-        if linalg.rank(rows) != n:
+        if linalg.rank(_coordinates(span)) != n:
             failures.append(k)
     return {"pass": not failures, "failures": failures}
 
 
 def pairing_matrix(ts: TangentSpace, W):
     """[chi(w)] for chi in the tangent space basis (counit excluded), w in W."""
-    rows = []
-    for chi in ts.t_basis():
-        rows.append([ts.engine.eval_vector(chi, w) for w in W])
-    return rows
+    return [[ts.engine.eval_vector(chi, w) for w in W] for chi in ts.t_basis()]
 
 
 def classify_de_generated(c: CParam, Lmax=6, engine=None):
@@ -507,95 +497,100 @@ def build_rform_calculus(n, nu, c: CParam, engine=None):
 # ---------------------------------------------------------------------------
 # tangent functionals of the r-form calculus
 
-def chi_functionals(n, nu, c: CParam, degree=None, engine=None):
-    """Evaluation tables of chi_i(a) = r(nu(a), S^-1(b_i)) - eps(b_i) eps(a).
+def _chi_letters(pres):
+    """G(g)[i][j] = eps(T_g[j][i]) for the three letters, and R(()) = [eps(b_j)]."""
+    alg, N = pres.alg, pres.N
+    twists = {g: pres._twist((g,)) for g in podles.LETTERS}
+    return ({g: [[alg.counit(t[j][i]) for j in range(N)] for i in range(N)]
+             for g, t in twists.items()}, [alg.counit(b) for b in pres.W_basis])
 
-    Returns the tables together with the span-identification data against
-    the module of weight ±q^(-2n).
 
-    The rows come from an N x N representation of the sphere.  S^-1 is an
-    anti-coalgebra map, so Delta(b_i) = sum_j b_j (x) psi_ji gives
-    Delta(S^-1 b_i) = sum_j S^-1 psi_ji (x) S^-1 b_j, and bimultiplicativity
-    r(xy, z) = r(x, z(1)) r(y, z(2)) turns R(m)_i = r(nu(m), S^-1 b_i) into
-    R(g m') = G(g) R(m') with G(g)[i][j] = r(nu(g), S^-1 psi_ji) for a
-    letter g (nu and the embedding are algebra maps), and R(()) = [eps(b_j)].
-    G(g)[i][j] = eps(T_g[j][i]), the counit of the calculus' letter twist,
-    since (eps (x) id) coact = embed and nu is a comodule map.  Every suffix
-    of a normal monomial A^j x^i is normal, so the monomials are walked by
-    length.
+def _module_letters(engine, basis):
+    """M(g) with v_i(g x) = sum_s s(g) v_(i,s)(x) = sum_k M(g)[i][k] v_k(x)."""
+    letters = {g: linalg.zeros(len(basis), len(basis)) for g in podles.LETTERS}
+    for i, left, _, coeffs in _coproduct_legs(engine, basis):
+        if coeffs is None:
+            raise AssertionError("a coproduct leg of T^eps leaves T^eps")
+        for g in podles.LETTERS:
+            value = engine.psi_eval(left, engine.alg.gen(g))
+            letters[g][i] = [x + value * a for x, a in zip(letters[g][i], coeffs)]
+    return letters
+
+
+def _walk(letters, values, monos):
+    """values[g m'] = letters[g] values[m'], monos shortest first (m' is normal)."""
+    for m in monos:
+        if m not in values:
+            rest = values[m[1:]]
+            values[m] = [sum((x * y for x, y in zip(row, rest) if x and y), ZERO)
+                         for row in letters[m[0]]]
+
+
+def chi_functionals(n, nu, c: CParam, engine=None):
+    """chi_i(a) = r(nu(a), S^-1(b_i)) - eps(b_i) eps(a), and span{chi_i, eps} = T^eps.
+
+    T^eps = C eps + the module of weight ±q^(-2n).  Bimultiplicativity of r
+    and Delta(S^-1 b_i) = sum_j S^-1 psi_ji (x) S^-1 b_j give R(g m') =
+    G(g) R(m') for R(m)_i = r(nu(m), S^-1 b_i), with G(g)[i][j] =
+    r(nu(g), S^-1 psi_ji) = eps(T_g[j][i]); the legs v(g m') = sum v_(1)(g)
+    v_(2)(m') give M(g) on T^eps.  So both sides are closed under f -> f(g .).
+    The identification holds in every degree by Schützenberger's equivalence
+    test (Inf. Control 4, 1961; Tzeng, SIAM J. Comput. 21, 1992): let K_d be
+    the f in span{R_i, eps} + T^eps vanishing on B_{<=d}, the normal
+    monomials of degree <= d.  Rewriting rules have right sides of length
+    <= 2, so B_{<=d+1} = C1 + sum_g g B_{<=d} and K_{d+1} = {f in K_d :
+    f(g .) in K_d for each letter g}.  The walk stops at the first d where
+    the rank of [chi; eps; module] (that of [chi; module] plus one: only eps
+    is nonzero at 1) is the same on B_{<=d} and B_{<=d+1}.  Then K_d is closed
+    under the letters, so it vanishes on B and is zero, and the spans agree
+    in every degree iff the ranks on B_{<=d+1} agree.  The rank grows at most
+    2N+2 times, so no bound is needed.  Rows and ranks are at stable_degree+1.
+    """
+    engine = engine or DualEngine(c)
+    chi_letters, eps_W = _chi_letters(build_rform_calculus(n, nu, c, engine))
+    basis = [EPSILON] + engine.build_module(-1 if nu == "flip" else +1, 2 * n).basis
+    mod_letters = _module_letters(engine, basis)
+    at_unit = [v.value_at_unit() for v in basis]
+    chi_values, mod_values, ranks = {(): eps_W}, {(): at_unit}, []
+    for d in itertools.count():
+        monos = engine.alg.normal_monomials(d)
+        _walk(chi_letters, chi_values, monos)
+        _walk(mod_letters, mod_values, monos)
+        eps_m = [mod_values[m][0] for m in monos]           # basis[0] is eps
+        chi_rows = [[chi_values[m][i] - e_b * e for m, e in zip(monos, eps_m)]
+                    for i, e_b in enumerate(eps_W)]
+        mod_rows = [[mod_values[m][k] - v_1 * e for m, e in zip(monos, eps_m)]
+                    for k, v_1 in enumerate(at_unit) if k]
+        ranks.append(linalg.rank(chi_rows + mod_rows))
+        if d and ranks[-1] == ranks[-2]:
+            break
+    r_chi, r_mod = linalg.rank(chi_rows), linalg.rank(mod_rows)
+    return {"chi_rows": chi_rows, "module_rows": mod_rows, "monomials": monos,
+            "rank_chi": r_chi, "rank_module": r_mod, "rank_joint": ranks[-1],
+            "spans_equal": r_chi == r_mod == ranks[-1] == 2 * n + 1,
+            "chi_vanish_at_unit": all(row[0].is_zero() for row in chi_rows),
+            "stable_degree": d - 1}
+
+
+def chibar_report(n, c: CParam, engine=None):
+    """chibar(a) = eps(e1)^-n r(a, S^-1(e1^n)) is the character psi^0_{q^(-4n)}.
+
+    chibar = R_0 / eps(b_0) for the id calculus, b_0 = e1^n.  If row 0 of each
+    G(g) is supported on column 0, R_0(g x) = G(g)[0][0] R_0(x) for all x, so
+    chibar is the character with chibar(g) = G(g)[0][0].  psi^0_lam is a
+    character too, and characters that agree on the letters m, A, p are equal.
     """
     engine = engine or DualEngine(c)
     alg = engine.alg
-    if degree is None:
-        degree = 2 * n + 2
-    pres = build_rform_calculus(n, nu, c, engine)
-    N = pres.N
-    gens = {}
-    for g in podles.LETTERS:
-        t = pres._twist((g,))
-        gens[g] = [[alg.counit(t[j][i]) for j in range(N)] for i in range(N)]
-    eps_W = [alg.counit(b) for b in pres.W_basis]
-    monos = alg.normal_monomials(degree)
-    values = {(): eps_W}
-    for m in monos:
-        if m:
-            rest = values[m[1:]]
-            values[m] = [sum((x * y for x, y in zip(row, rest) if x and y), ZERO)
-                         for row in gens[m[0]]]
-    eps_m = [alg.counit(alg.element({m: ONE})) for m in monos]
-    chi_rows = [[values[m][i] - eps_b * e for m, e in zip(monos, eps_m)]
-                for i, eps_b in enumerate(eps_W)]
-
-    sign = -1 if nu == "flip" else +1
-    mod = engine.build_module(sign, 2 * n)
-    mod_rows = [engine.evaluation_row(v - v.value_at_unit() * EPSILON, monos)
-                for v in mod.basis]
-
-    r_chi = linalg.rank(chi_rows)
-    r_mod = linalg.rank(mod_rows)
-    r_all = linalg.rank(chi_rows + mod_rows)
-    spans_equal = (r_chi == r_mod == r_all == 2 * n + 1)
-
-    # chi vanishes at 1 (first column is the counit evaluation of 1)
-    unit_idx = monos.index(())
-    chi_at_unit_ok = all(row[unit_idx].is_zero() for row in chi_rows)
-
-    return {"chi_rows": chi_rows, "module_rows": mod_rows, "monomials": monos,
-            "rank_chi": r_chi, "rank_module": r_mod, "rank_joint": r_all,
-            "spans_equal": spans_equal, "chi_vanish_at_unit": chi_at_unit_ok,
-            "degree": degree}
-
-
-def chibar_report(n, c: CParam, degree=3, engine=None):
-    """The character a -> eps(e1)^-n r(a, S^-1(e1^n)): values and identification."""
-    engine = engine or DualEngine(c)
-    alg = engine.alg
-    _, _, wp = alg.eps_weights()
-    scale = (wp ** n).inv()
-    sb = oqsl2.antipode(alg.embed(alg.e1() ** n), inverse=True)
-
-    def chibar(x):
-        return scale * oqsl2.rform(alg.embed(x), sb)
-
-    gen_ok = True
-    for i, e in ((-1, alg.em1()), (0, alg.e0()), (1, alg.e1())):
-        want = qpow(-4 * n * i) * alg.counit(e)
-        if chibar(e) != want:
-            gen_ok = False
-    # chibar equals psi^0_{q^(-2n)} as a functional on monomials
-    monos = alg.normal_monomials(degree)
-    psi_ok = all(chibar(alg.element({m: ONE}))
-                 == engine.psi_eval((0, 0, qpow(-4 * n)), alg.element({m: ONE}))
-                 for m in monos)
-    # it is a character on a sample of products
-    char_ok = True
-    for m1 in alg.normal_monomials(2):
-        for m2 in alg.normal_monomials(1):
-            x, y = alg.element({m1: ONE}), alg.element({m2: ONE})
-            if chibar(x * y) != chibar(x) * chibar(y):
-                char_ok = False
+    letters, _ = _chi_letters(build_rform_calculus(n, "id", c, engine))
+    char_ok = not any(x for g in podles.LETTERS for x in letters[g][0][1:])
+    value = {g: letters[g][0][0] for g in podles.LETTERS}
+    psi_ok = all(value[g] == engine.psi_eval((0, 0, qpow(-4 * n)), alg.gen(g))
+                 for g in podles.LETTERS)
+    gen_ok = all(alg.character(value, e) == qpow(-4 * n * i) * alg.counit(e)
+                 for i, e in ((-1, alg.em1()), (0, alg.e0()), (1, alg.e1())))
     return {"pass": gen_ok and psi_ok and char_ok, "generators": gen_ok,
-            "equals_psi": psi_ok, "is_character": char_ok, "degree": degree}
+            "equals_psi": psi_ok, "is_character": char_ok}
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,10 @@ class PodlesAlgebra:
             epsA = -w0 / (Q * Q + 1)
         else:
             epsA = (ONE - w0) / (Q * Q + 1)
-        table = {"m": wm, "A": epsA, "p": wp}
+        return self.character({"m": wm, "A": epsA, "p": wp}, x)
+
+    def character(self, table, x):
+        """The value on x of the character with letter values table[g]."""
         total = ZERO
         for mono, coeff in x.terms.items():
             v = coeff

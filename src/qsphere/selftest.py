@@ -2,7 +2,9 @@
 
 Each function returns {"criterion", "pass", "details"}; the CLI selftest
 command and the pytest acceptance module both run these.  Every check is
-exact over Q(t); the only bounds are the documented search/degree bounds.
+exact over Q(t).  Two bounds remain: the weight-scan depth (`lmax`, the CLI's
+--lmax) and AC-8's freeness check at degree 2 with the guessed coefficient
+degree coeff_degree = degree + 1.
 """
 
 from .scalars import ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam, qpow
@@ -195,15 +197,15 @@ def ac8_rform_calculi(ns=(1, 2)):
         ok = ok and all(entry.values())
         entry["freeness_system"] = {k: fr[k]
                                     for k in ("coeff_degree", "unknowns", "rank")}
-        details["n=%d" % n] = entry
+        details["n=%d" % n] = dict(entry, stable_degree=chi["stable_degree"])
     cinf = CParam.infinity()
     enginf = _engine(cinf)
     chif = fodc.chi_functionals(1, "flip", cinf, engine=enginf)
     presf = fodc.build_rform_calculus(1, "flip", cinf, engine=enginf)
     entry = {"spans_equal": chif["spans_equal"],
              "leibniz": presf.bimodule_report()["pass"]}
-    details["n=1,flip,inf"] = entry
     ok = ok and all(entry.values())
+    details["n=1,flip,inf"] = dict(entry, stable_degree=chif["stable_degree"])
     return {"criterion": "AC-8", "pass": ok, "details": details}
 
 

@@ -118,6 +118,17 @@ def test_empty_checks_are_usage_errors(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("components", ["-+2", "+-2", "--0"])
+def test_malformed_components_are_usage_errors(capsys, components):
+    # one optional sign, then digits; a second sign is not skipped over
+    code = main(["--format", "json", "tangent-space", "--c", "inf",
+                 "--components=" + components])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cannot parse component %r" % components in captured.err
+
+
 @pytest.mark.parametrize("lmax", [0, 1])
 def test_de_generated_without_candidates_fails(capsys, lmax):
     # no eligible component below the bound: nothing was checked, so no pass

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from qsphere.scalars import ONE, Q, RatFunc, CParam, qpow
-from qsphere import fodc, linalg, oqsl2
+from qsphere import fodc, linalg, oqsl2, selftest
 from qsphere.cli import main
-from qsphere.dualfunc import DualEngine
+from qsphere.dualfunc import DualEngine, EPSILON, HWModule, PsiVector
 from qsphere.fodc import (chi_functionals, chibar_report, classify_de_generated,
                           build_rform_calculus, check_comodule_matrix,
                           comodule_matrix, irreducibility_report,
@@ -180,6 +180,7 @@ def test_rform_calculus_flip_infinity(eng_inf):
     assert pres.leibniz_report(2)["pass"]
     chi = chi_functionals(1, "flip", INF, engine=eng_inf)
     assert chi["spans_equal"]
+    assert chi["stable_degree"] == 1
 
 
 def test_chi_functionals_n1(eng):
@@ -187,11 +188,27 @@ def test_chi_functionals_n1(eng):
     assert chi["spans_equal"]
     assert chi["chi_vanish_at_unit"]
     assert chi["rank_chi"] == 3
+    assert chi["stable_degree"] == 1
+    assert chi["monomials"] == eng.alg.normal_monomials(2)
 
 
-def _element_level_chi_rows(n, nu, c, alg):
+def test_chi_functionals_n2_stabilizes_at_degree_two(eng):
+    chi = chi_functionals(2, "id", GENERIC, engine=eng)
+    assert chi["spans_equal"]
+    assert (chi["rank_chi"], chi["rank_module"], chi["rank_joint"]) == (5, 5, 5)
+    assert chi["stable_degree"] == 2
+    assert chi["monomials"] == eng.alg.normal_monomials(3)
+
+
+def test_rewriting_rules_keep_the_degree_filtration(eng):
+    # the stopping rule of chi_functionals needs g B_{<=d} inside B_{<=d+1}
+    for lhs, rhs in eng.alg.rewriting.rules.items():
+        assert len(lhs) == 2 and all(len(word) <= 2 for _, word in rhs), lhs
+
+
+def _element_level_chi_rows(n, nu, c, alg, monos):
     """chi_i(x) = r(nu(x), S^-1(b_i)) - eps(b_i) eps(x), one r-form per monomial."""
-    elems = [alg.element({m: ONE}) for m in alg.normal_monomials(2 * n + 2)]
+    elems = [alg.element({m: ONE}) for m in monos]
     embedded = [alg.embed(nu_apply(nu, x)) for x in elems]
     rows = []
     for b in submodule_Vn(n, c, alg):
@@ -201,13 +218,96 @@ def _element_level_chi_rows(n, nu, c, alg):
     return rows
 
 
-@pytest.mark.parametrize("nu, c, n", [
-    ("id", GENERIC, 1), ("id", GENERIC, 2), ("id", CParam.generic(2), 2),
-    ("flip", INF, 1), ("flip", INF, 2)])
+def _walked(letters, start, monos):
+    """[[values[m][i] for m in monos] for each i] from the letter walk of fodc."""
+    values = {(): start}
+    fodc._walk(letters, values, monos)
+    return [[values[m][i] for m in monos] for i in range(len(start))]
+
+
+ORACLE_CASES = [("id", GENERIC, 1), ("id", GENERIC, 2), ("id", CParam.generic(2), 2),
+                ("flip", INF, 1), ("flip", INF, 2)]
+
+
+@pytest.mark.parametrize("nu, c, n", ORACLE_CASES)
 def test_chi_rows_equal_the_element_level_rform(nu, c, n):
+    # the chi-side walk, on every monomial of degree <= 2n+2
     eng = DualEngine(c)
+    alg = eng.alg
+    monos = alg.normal_monomials(2 * n + 2)
+    letters, eps_W = fodc._chi_letters(build_rform_calculus(n, nu, c, engine=eng))
+    eps_m = [alg.counit(alg.element({m: ONE})) for m in monos]
+    walked = [[x - e_b * e for x, e in zip(row, eps_m)]
+              for row, e_b in zip(_walked(letters, eps_W, monos), eps_W)]
+    oracle = _element_level_chi_rows(n, nu, c, alg, monos)
+    assert walked == oracle
     chi = chi_functionals(n, nu, c, engine=eng)
-    assert chi["chi_rows"] == _element_level_chi_rows(n, nu, c, eng.alg)
+    k = len(chi["monomials"])
+    assert chi["monomials"] == monos[:k]
+    assert chi["chi_rows"] == [row[:k] for row in oracle]
+
+
+@pytest.mark.parametrize("nu, c, n", ORACLE_CASES)
+def test_module_rows_equal_the_evaluated_functionals(nu, c, n):
+    # the module-side walk against eval_vector, on every monomial of degree <= 2n+2
+    eng = DualEngine(c)
+    alg = eng.alg
+    monos = alg.normal_monomials(2 * n + 2)
+    basis = [EPSILON] + eng.build_module(-1 if nu == "flip" else +1, 2 * n).basis
+    walked = _walked(fodc._module_letters(eng, basis),
+                     [v.value_at_unit() for v in basis], monos)
+    elems = [alg.element({m: ONE}) for m in monos]
+    assert walked == [[eng.eval_vector(v, x) for x in elems] for v in basis]
+    chi = chi_functionals(n, nu, c, engine=eng)
+    k = len(chi["monomials"])
+    assert chi["module_rows"] == [
+        [eng.eval_vector(v - v.value_at_unit() * EPSILON, x) for x in elems[:k]]
+        for v in basis[1:]]
+
+
+def _swap_m_p(letters):
+    return dict(letters, m=letters["p"], p=letters["m"])
+
+
+@pytest.mark.parametrize("side", ["chi", "module"])
+def test_swapped_letter_matrices_break_the_span_identification(monkeypatch, side):
+    if side == "chi":
+        real = fodc._chi_letters
+
+        def swapped(pres):
+            letters, eps_W = real(pres)
+            return _swap_m_p(letters), eps_W
+
+        monkeypatch.setattr(fodc, "_chi_letters", swapped)
+    else:
+        real = fodc._module_letters
+        monkeypatch.setattr(fodc, "_module_letters",
+                            lambda engine, basis: _swap_m_p(real(engine, basis)))
+    for n, joint in ((1, 6), (2, 10)):
+        chi = chi_functionals(n, "id", GENERIC, engine=DualEngine(GENERIC))
+        assert chi["spans_equal"] is False
+        assert chi["rank_joint"] == joint
+
+
+def test_module_leg_outside_the_tangent_space_is_a_check_failure(monkeypatch, capsys):
+    # psi^1_(q^2) has the leg psi^0_(q^-2) (x) psi^1_(q^2), and psi^0_(q^-2) is
+    # not in T^eps
+    real = DualEngine.build_module
+
+    def widened(self, sign, l):
+        mod = real(self, sign, l)
+        return HWModule(mod.sign, mod.l, mod.lambda0,
+                        mod.basis + [PsiVector.symbol(1, qpow(2))],
+                        mod.matE, mod.matF, mod.matK)
+
+    monkeypatch.setattr(DualEngine, "build_module", widened)
+    with pytest.raises(AssertionError, match="leaves T\\^eps"):
+        chi_functionals(1, "id", GENERIC, engine=DualEngine(GENERIC))
+    monkeypatch.setattr(selftest, "_ENGINES", {})
+    assert main(["selftest", "--only", "AC-8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "leaves T^eps" in captured.err
 
 
 def _whole_monomial_twist(pres, mono):
@@ -280,10 +380,45 @@ def test_comodule_matrix_check_catches_swapped_columns(eng, monkeypatch):
 
 
 def test_chibar(eng):
-    rep = chibar_report(1, GENERIC, engine=eng)
-    assert rep["pass"], rep
-    rep = chibar_report(2, GENERIC, engine=eng)
-    assert rep["pass"], rep
+    for n in (1, 2):
+        assert chibar_report(n, GENERIC, engine=eng) == {
+            "pass": True, "generators": True, "equals_psi": True, "is_character": True}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_chibar_equals_psi_at_the_element_level(eng, n):
+    # the bounded oracle: eps(e1)^-n r(a, S^-1(e1^n)) by one r-form per element
+    alg = eng.alg
+    scale = (alg.eps_weights()[2] ** n).inv()
+    sb = oqsl2.antipode(alg.embed(alg.e1() ** n), inverse=True)
+
+    def chibar(x):
+        return scale * oqsl2.rform(alg.embed(x), sb)
+
+    for m in alg.normal_monomials(4):
+        x = alg.element({m: ONE})
+        assert chibar(x) == eng.psi_eval((0, 0, qpow(-4 * n)), x), m
+    for m1 in alg.normal_monomials(2):
+        for m2 in alg.normal_monomials(1):
+            x, y = alg.element({m1: ONE}), alg.element({m2: ONE})
+            assert chibar(x * y) == chibar(x) * chibar(y), (m1, m2)
+
+
+@pytest.mark.parametrize("letter, j, failed", [
+    ("p", 1, "is_character"), ("A", 0, "equals_psi")])
+def test_chibar_planted_entry_in_row_zero_fails(monkeypatch, letter, j, failed):
+    # an entry off the diagonal of row 0 breaks the character; one added on
+    # the diagonal of G(A) moves its value away from psi^0_(q^-4n)
+    real = fodc._chi_letters
+
+    def planted(pres):
+        letters, eps_W = real(pres)
+        letters[letter][0][j] = letters[letter][0][j] + ONE
+        return letters, eps_W
+
+    monkeypatch.setattr(fodc, "_chi_letters", planted)
+    rep = chibar_report(1, GENERIC, engine=DualEngine(GENERIC))
+    assert rep[failed] is False and rep["pass"] is False
 
 
 def test_tangent_space_json_roundtrip(eng):
