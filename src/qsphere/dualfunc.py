@@ -94,6 +94,7 @@ class DualEngine:
         self.alg = podles.PodlesAlgebra(c)
         self._evaluator = oqsl2.Evaluator()
         self._nilpotent = {}
+        self._calculi = {}              # (n, nu) -> fodc.CalculusPresentation
 
     # -- the three operators
 

@@ -484,14 +484,25 @@ def check_comodule_matrix(alg, W, psi):
 
 
 def build_rform_calculus(n, nu, c: CParam, engine=None):
-    """Construct the free-module calculus on W = V(n) with twist nu."""
+    """The free-module calculus on W = V(n) with twist nu.
+
+    With an engine, which must be the engine of c, it is built once per
+    (n, nu) and kept on the engine, so its callers share the letter twists
+    and the memoized d; without one it is built fresh.
+    """
     if not nu_is_admissible(nu, c):
         raise ValueError("nu = %r is not a comodule algebra endomorphism at %s"
                          % (nu, c))
-    alg = (engine.alg if engine is not None else podles.PodlesAlgebra(c))
-    W = submodule_Vn(n, c, alg)
-    psi, sinv_psi = comodule_matrix(alg, W)
-    return CalculusPresentation(n, nu, c, alg, W, psi, sinv_psi)
+    if engine is not None and engine.c != c:
+        raise ValueError("an engine for %s cannot build the calculus at %s"
+                         % (engine.c, c))
+    calculi = engine._calculi if engine is not None else {}
+    if (n, nu) not in calculi:
+        alg = engine.alg if engine is not None else podles.PodlesAlgebra(c)
+        W = submodule_Vn(n, c, alg)
+        psi, sinv_psi = comodule_matrix(alg, W)
+        calculi[(n, nu)] = CalculusPresentation(n, nu, c, alg, W, psi, sinv_psi)
+    return calculi[(n, nu)]
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +579,6 @@ def chi_functionals(n, nu, c: CParam, engine=None):
     return {"chi_rows": chi_rows, "module_rows": mod_rows, "monomials": monos,
             "rank_chi": r_chi, "rank_module": r_mod, "rank_joint": ranks[-1],
             "spans_equal": r_chi == r_mod == ranks[-1] == 2 * n + 1,
-            "chi_vanish_at_unit": all(row[0].is_zero() for row in chi_rows),
             "stable_degree": d - 1}
 
 

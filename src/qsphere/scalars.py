@@ -28,10 +28,9 @@ def _ptrim(c):
 def _padd(a, b):
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    return _ptrim(out)
+    if len(a) > len(b):
+        return tuple([x + y for x, y in zip(a, b)]) + a[len(b):]
+    return _ptrim([x + y for x, y in zip(a, b)])
 
 
 def _pneg(a):
@@ -249,8 +248,49 @@ def _canonical(num, cof, g):
     return num, den
 
 
+def _laurent(num, k, m):
+    """The canonical RatFunc num/(m*t^k), m > 0, without a polynomial gcd.
+
+    In the UFD Z[t] the prime factors of m*t^k are t and the rational
+    primes, so gcd(num, m*t^k) = t^j * g with j = min(v_t(num), k) and g the
+    gcd of m and the coefficients of num.  Dividing both by it leaves coprime
+    parts with coprime integer contents, and the denominator's leading
+    coefficient m/g is positive: the canonical form.  A sum or product of
+    two Laurent polynomials has such a denominator, so it never needs
+    `_pgcd`.
+    """
+    if not num:
+        return ZERO
+    j = 0
+    while j < k and not num[j]:
+        j += 1
+    if j:
+        num, k = num[j:], k - j
+    if m != 1:
+        g = math.gcd(m, *num)
+        if g != 1:
+            num, m = tuple(x // g for x in num), m // g
+    return RatFunc(num, (0,) * k + (m,), _reduced=True)
+
+
+def _align(a, shift, factor):
+    """t^shift * factor * a."""
+    if factor != 1:
+        a = tuple(x * factor for x in a)
+    return (0,) * shift + a if shift else a
+
+
 def _sum(a, b, c, d):
-    """a/b + c/d by Henrici's method: with g = gcd(b, d), only gcd(num, g) remains."""
+    """a/b + c/d; over monomial denominators by `_laurent`, else by Henrici's method.
+
+    Laurent operands are aligned on lcm(lc(b), lc(d)) * t^max(deg b, deg d).
+    Otherwise, with g = gcd(b, d), only gcd(num, g) remains.
+    """
+    if _is_monomial(b) and _is_monomial(d):
+        k, l, beta, delta = len(b) - 1, len(d) - 1, b[-1], d[-1]
+        m, top = math.lcm(beta, delta), max(k, l)
+        return _laurent(_padd(_align(a, top - k, m // beta),
+                              _align(c, top - l, m // delta)), top, m)
     if b == d:
         return RatFunc(*_canonical(_padd(a, c), (1,), b), _reduced=True)
     g, bq, dq = _pgcd(b, d)
@@ -267,11 +307,12 @@ class RatFunc:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den, _reduced=False):
-        num = _ptrim(num)
-        den = _ptrim(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator in Q(t)")
+        # _reduced: num and den are already the canonical coefficient tuples
         if not _reduced:
+            num = _ptrim(num)
+            den = _ptrim(den)
+            if not den:
+                raise ZeroDivisionError("zero denominator in Q(t)")
             num, den = _canonical(num, (1,), den)
         self.num = num
         self.den = den
@@ -305,9 +346,6 @@ class RatFunc:
 
     def __bool__(self):
         return bool(self.num)
-
-    def is_one(self):
-        return self.num == (1,) and self.den == (1,)
 
     # -- arithmetic
 
@@ -343,21 +381,15 @@ class RatFunc:
         o = RatFunc.coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num or not o.num:
-            return ZERO
-        if self.is_one():
-            return o
-        if o.is_one():
-            return self
         a, b, c, d = self.num, self.den, o.num, o.den
-        if _is_monomial(a) and _is_monomial(c) and _is_monomial(b) and _is_monomial(d):
-            # Laurent monomials: the t-exponents add, one integer gcd reduces
-            n, m = a[-1] * c[-1], b[-1] * d[-1]
-            g = math.gcd(n, m)
-            e = len(a) + len(c) - len(b) - len(d)
-            if e >= 0:
-                return RatFunc((0,) * e + (n // g,), (m // g,), _reduced=True)
-            return RatFunc((n // g,), (0,) * -e + (m // g,), _reduced=True)
+        if not a or not c:
+            return ZERO
+        if a == b == (1,):
+            return o
+        if c == d == (1,):
+            return self
+        if _is_monomial(b) and _is_monomial(d):
+            return _laurent(_pmul(a, c), len(b) + len(d) - 2, b[-1] * d[-1])
         # Henrici: cancel across the operands, so the product is reduced
         _, a, d = _pgcd(a, d)
         _, c, b = _pgcd(c, b)

@@ -186,7 +186,8 @@ def test_rform_calculus_flip_infinity(eng_inf):
 def test_chi_functionals_n1(eng):
     chi = chi_functionals(1, "id", GENERIC, engine=eng)
     assert chi["spans_equal"]
-    assert chi["chi_vanish_at_unit"]
+    unit = chi["monomials"].index(())
+    assert all(row[unit] == RatFunc((), (1,)) for row in chi["chi_rows"])
     assert chi["rank_chi"] == 3
     assert chi["stable_degree"] == 1
     assert chi["monomials"] == eng.alg.normal_monomials(2)
@@ -363,6 +364,57 @@ def test_leibniz_report_refuses_bounds_below_two(eng, bound):
 
 def _swap_first_columns(psi):
     return [[row[1], row[0]] + row[2:] for row in psi]
+
+
+def _count_comodule_builds(monkeypatch):
+    calls = []
+    real = fodc.comodule_matrix
+
+    def counted(alg, W):
+        calls.append(len(W))
+        return real(alg, W)
+
+    monkeypatch.setattr(fodc, "comodule_matrix", counted)
+    return calls
+
+
+def test_one_engine_builds_each_calculus_once(monkeypatch):
+    calls = _count_comodule_builds(monkeypatch)
+    engine = DualEngine(GENERIC)
+    chi_functionals(1, "id", GENERIC, engine=engine)
+    chibar_report(1, GENERIC, engine=engine)
+    pres = build_rform_calculus(1, "id", GENERIC, engine=engine)
+    assert calls == [3]
+    assert build_rform_calculus(1, "id", GENERIC, engine=engine) is pres
+    assert calls == [3]
+
+
+def test_calculi_are_not_shared_across_n_nu_or_engines(monkeypatch):
+    calls = _count_comodule_builds(monkeypatch)
+    engine, other = DualEngine(INF), DualEngine(INF)
+    built = [build_rform_calculus(n, nu, INF, engine=e)
+             for n, nu, e in ((1, "id", engine), (2, "id", engine),
+                              (1, "flip", engine), (1, "id", other))]
+    assert len({id(p) for p in built}) == 4
+    assert [(p.n, p.nu) for p in built] == [(1, "id"), (2, "id"), (1, "flip"), (1, "id")]
+    assert calls == [3, 5, 3, 3]
+
+
+def test_an_engine_builds_only_at_its_own_c():
+    engine = DualEngine(GENERIC)
+    for c in (INF, CParam.generic(2)):
+        with pytest.raises(ValueError, match="cannot build the calculus"):
+            build_rform_calculus(1, "id", c, engine=engine)
+        with pytest.raises(ValueError, match="cannot build the calculus"):
+            chi_functionals(1, "id", c, engine=engine)
+    assert build_rform_calculus(1, "id", CParam.generic(1), engine=engine).c == GENERIC
+
+
+def test_without_an_engine_each_call_builds_fresh(monkeypatch):
+    calls = _count_comodule_builds(monkeypatch)
+    first = build_rform_calculus(1, "id", GENERIC)
+    assert build_rform_calculus(1, "id", GENERIC) is not first
+    assert calls == [3, 3]
 
 
 def test_comodule_matrix_check_catches_swapped_columns(eng, monkeypatch):

@@ -255,6 +255,95 @@ def test_henrici_arithmetic_matches_cross_multiplication():
             assert (q.num, q.den) == _prs_fraction(_pmul(a, d), _pmul(b, c))
 
 
+# -- the Laurent path: monomial denominators need no polynomial gcd
+
+def _rand_laurent(rng):
+    """(num, den) of a nonzero Laurent polynomial, not reduced: t^j and an
+    integer may be common to both."""
+    num = ((0,) * rng.randint(0, 4)
+           + tuple(rng.randint(-6, 6) for _ in range(rng.randint(0, 4)))
+           + (rng.choice((-4, -2, -1, 1, 3, 6)),))
+    den = (0,) * rng.randint(0, 6) + (rng.choice((1, 2, 3, 4, 6, 12)),)
+    return num, den
+
+
+def _unreduced(num, den):
+    """RatFunc(num, den) through the full `_canonical` route."""
+    return RatFunc(num, den)
+
+
+def _same(got, want):
+    assert (got.num, got.den) == (want.num, want.den)
+    assert hash(got) == hash(want)
+
+
+def test_laurent_arithmetic_matches_the_canonical_route():
+    rng = random.Random(7103)
+    cancelled = {"t": 0, "int": 0}
+    exponents = set()
+    for _ in range(400):
+        (a, b), (c, d) = _rand_laurent(rng), _rand_laurent(rng)
+        if rng.random() < 0.3:
+            # y = -x + t^j * (c/d): the low terms of the sum cancel
+            shifted = (0,) * rng.randint(1, 3) + c
+            c, d = _padd(_pmul(_pneg(a), d), _pmul(shifted, b)), _pmul(b, d)
+        x, y = _unreduced(a, b), _unreduced(c, d)
+        assert len(x.den) == 1 or not any(x.den[:-1])
+        exponents.add((len(x.num) > len(x.den)) - (len(x.num) < len(x.den)))
+        bd = _pmul(b, d)
+        cross_sum = _padd(_pmul(a, d), _pmul(c, b))
+        cross_diff = _padd(_pmul(a, d), _pneg(_pmul(c, b)))
+        for got, want in [(x + y, _unreduced(cross_sum, bd)),
+                          (x - y, _unreduced(cross_diff, bd)),
+                          (x * y, _unreduced(_pmul(a, c), bd))]:
+            _same(got, want)
+        s = x + y
+        top = max(len(x.den), len(y.den))
+        if s and len(s.den) < top:
+            cancelled["t"] += 1
+        if s and s.den[-1] < math.lcm(x.den[-1], y.den[-1]):
+            cancelled["int"] += 1
+        assert x + (-x) == ZERO and (x - x).num == () and (x - x).den == (1,)
+        _same(x * ONE, x)
+        _same(ONE * x, x)
+    assert exponents == {-1, 0, 1}
+    assert cancelled["t"] > 20 and cancelled["int"] > 20
+
+
+def test_laurent_cancellation_by_hand():
+    # (1 + t)/t^2 - 1/t^2 = 1/t: the t-power cancels
+    _same(_unreduced((1, 1), (0, 0, 1)) - _unreduced((1,), (0, 0, 1)),
+          _unreduced((1,), (0, 1)))
+    # 1/(2t) + 1/(2t) = 1/t and (3t/2) * (2/(3t^3)) = 1/t^2: integers cancel
+    half = _unreduced((1,), (0, 2))
+    _same(half + half, _unreduced((1,), (0, 1)))
+    _same(_unreduced((0, 3), (2,)) * _unreduced((2,), (0, 0, 0, 3)),
+          _unreduced((1,), (0, 0, 1)))
+    # t^-3 * t^5 / 4 + 2 t^2 / 8 = t^2 / 2
+    _same(_unreduced((1,), (0, 0, 0, 1)) * _unreduced((0,) * 5 + (1,), (4,))
+          + _unreduced((0, 0, 2), (8,)), _unreduced((0, 0, 1), (2,)))
+
+
+def test_laurent_operands_take_no_polynomial_gcd(monkeypatch):
+    rng = random.Random(881)
+    pairs = [(_unreduced(*_rand_laurent(rng)), _unreduced(*_rand_laurent(rng)))
+             for _ in range(100)]
+    calls = []
+    real = scalars._pgcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(scalars, "_pgcd", spy)
+    for x, y in pairs:
+        x + y, x - y, x * y
+    assert calls == []
+    # the spy sees the general route
+    parse_ratfunc("1/(q+1)") + parse_ratfunc("1/(q-1)")
+    assert calls
+
+
 def _in_t_power(p, s, k=0):
     """t^k * p(t^s)."""
     out = [0] * (k + (len(p) - 1) * s + 1)
