@@ -23,11 +23,12 @@ from .dualfunc import DualEngine, PsiVector, EPSILON
 class TangentSpace:
     """Certified tangent space T^eps = C eps + sum of weight components."""
 
-    __slots__ = ("c", "components", "basis", "dim", "engine", "certificate")
+    __slots__ = ("c", "components", "modules", "basis", "dim", "engine", "certificate")
 
-    def __init__(self, c, components, basis, dim, engine, certificate):
+    def __init__(self, c, components, modules, basis, dim, engine, certificate):
         self.c = c
         self.components = components
+        self.modules = modules          # the HWModule of each component
         self.basis = basis
         self.dim = dim
         self.engine = engine
@@ -46,48 +47,54 @@ def _coordinates(vectors):
     return [linalg.coordinate_row(v.terms, index) for v in vectors]
 
 
-def _span_coefficients(basis_vectors, v):
-    """Coefficients of v over basis_vectors, or None when v leaves their span."""
-    rows = _coordinates(list(basis_vectors) + [v])
-    return linalg.in_span(rows[:-1], rows[-1])
+def _span_solve(basis, targets):
+    """(rank of basis, coefficients of each target over basis or None), one elimination."""
+    rows = _coordinates(basis + targets)
+    return linalg.solve_with_rank(linalg.transpose(rows[:len(basis)]),
+                                  rows[len(basis):])
 
 
 def _coproduct_legs(engine, basis):
-    """(i, s, v_(i,s), its coefficients over basis or None): Delta v_i = sum_s s (x) v_(i,s)."""
+    """[(i, s, v_(i,s))] with Delta v_i = sum_s s (x) v_(i,s)."""
+    legs = []
     for i, v in enumerate(basis):
         grouped = {}
         for sym, coeff in v.terms.items():
             for cc, left, right in engine.psi_coproduct(sym):
                 t = grouped.setdefault(left, PsiVector())
                 grouped[left] = t + PsiVector({right: coeff * cc})
-        for left, rv in grouped.items():
-            yield i, left, rv, _span_coefficients(basis, rv)
+        legs.extend((i, left, rv) for left, rv in grouped.items())
+    return legs
 
 
 def tangent_space(c: CParam, components, engine=None):
-    """Build and certify the tangent space for a list of (sign, l) components."""
+    """Build and certify the tangent space for a list of (sign, l) components.
+
+    The rank of the basis, the coefficients of every right coproduct leg
+    and those of every X_c image come from one elimination.
+    """
     engine = engine or DualEngine(c)
     components = sorted(set(components), key=lambda sl: (sl[1], -sl[0]))
+    modules = [engine.build_module(sign, l)     # ValueError outside J^c
+               for sign, l in components]
     basis = [EPSILON]
-    expected_dim = 1
-    for sign, l in components:
-        mod = engine.build_module(sign, l)      # ValueError outside J^c
-        if (sign, l) == (+1, 0):
-            continue        # V_1 is the counit line itself
-        basis.extend(mod.basis)
-        expected_dim += l + 1
-    dim = linalg.rank(_coordinates(basis))
-    cert = {"dim_matches": dim == expected_dim}
+    for mod in modules:
+        if (mod.sign, mod.l) != (+1, 0):        # V_1 is the counit line itself
+            basis.extend(mod.basis)
+    legs = _coproduct_legs(engine, basis)
+    dim, sols = _span_solve(basis, [rv for _, _, rv in legs]
+                            + [engine.xc_right_action(v) for v in basis])
+    cert = {"dim_matches": dim == len(basis)}
 
     # coproduct closure: the right legs must stay in the span
-    cop_witness = next(((left, str(rv)) for _, left, rv, coeffs
-                        in _coproduct_legs(engine, basis) if coeffs is None), None)
+    cop_witness = next(((left, str(rv)) for (_, left, rv), coeffs
+                        in zip(legs, sols) if coeffs is None), None)
     cert["coproduct_closed"] = cop_ok = cop_witness is None
     if cop_witness:
         cert["coproduct_witness"] = cop_witness
 
-    xc_witness = next((str(v) for v in basis if _span_coefficients(
-        basis, engine.xc_right_action(v)) is None), None)
+    xc_witness = next((str(v) for v, coeffs in zip(basis, sols[len(legs):])
+                       if coeffs is None), None)
     cert["xc_closed"] = xc_ok = xc_witness is None
     if xc_witness:
         cert["xc_witness"] = xc_witness
@@ -97,49 +104,31 @@ def tangent_space(c: CParam, components, engine=None):
         first = next(k for k in ("dim_matches", "coproduct_closed", "xc_closed")
                      if not cert[k])
         cert["first_failure"] = first
-    return TangentSpace(c, components, basis, dim, engine, cert)
+    return TangentSpace(c, components, modules, basis, dim, engine, cert)
 
 
 def irreducibility_report(ts: TangentSpace):
     """For a single-component space: no proper invariant subspace above C eps.
 
-    kappa acts with distinct eigenvalues on the quotient by the counit
-    line, so any invariant subspace is spanned by basis vectors; it
-    suffices that the operator orbit of each one is everything.
+    Read off the F matrix of the component's module, with no elimination:
+    (1) when `dim_matches` holds, the module basis v_k stays a basis of
+    T^eps / C eps; (2) phi, varphi and kappa pass to that quotient, since
+    they fix the counit line; (3) kappa has the distinct eigenvalues
+    q^(4k) lambda0 there (`build_module` asserts them), so an invariant
+    subspace is spanned by basis vectors; (4) phi v_k = v_(k+1) and
+    varphi v_k = F[k-1][k] v_(k-1); (5) so v_k generates the quotient iff
+    F[j-1][j] != 0 for every 1 <= j <= k.  Without `dim_matches` no v_k
+    generates it.
     """
     if len(ts.components) != 1:
         raise ValueError("irreducibility certificate is per component")
-    engine = ts.engine
-    module_vectors = ts.basis[1:]
-    n = len(module_vectors)
+    n = len(ts.basis) - 1
     if n == 0:
         return {"pass": True, "note": "trivial component"}
-    eps_sym = (0, 0, ONE)
-
-    def project(v):
-        t = dict(v.terms)
-        t.pop(eps_sym, None)
-        return PsiVector(t)
-
-    proj_basis = [project(v) for v in module_vectors]
-    grades = [next(iter(v.grades())) for v in module_vectors]
-    if len(set(grades)) != n:
-        return {"pass": False, "note": "kappa eigenvalues not distinct"}
-    failures = []
-    for k in range(n):
-        span = [proj_basis[k]]
-        frontier = [proj_basis[k]]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for img in (project(engine.phi(v)), project(engine.varphi(v))):
-                    if img.is_zero() or _span_coefficients(span, img) is not None:
-                        continue
-                    span.append(img)
-                    nxt.append(img)
-            frontier = nxt
-        if linalg.rank(_coordinates(span)) != n:
-            failures.append(k)
+    F = ts.modules[0].matF
+    first = (next((j for j in range(1, n) if not F[j - 1][j]), n)
+             if ts.certificate["dim_matches"] else 0)
+    failures = list(range(first, n))
     return {"pass": not failures, "failures": failures}
 
 
@@ -210,9 +199,9 @@ def submodule_report(n, c: CParam, alg=None):
                for i, b in enumerate(basis))
     # F keeps the span
     rows = [_podles_row(alg, b, 2 * n) for b in basis]
-    ok_f = all(linalg.in_span(rows, _podles_row(alg, alg.act("F", b), 2 * n)) is not None
-               for b in basis)
-    rk = linalg.rank(rows)
+    rk, sols = linalg.solve_with_rank(
+        linalg.transpose(rows), [_podles_row(alg, alg.act("F", b), 2 * n) for b in basis])
+    ok_f = all(x is not None for x in sols)
     return {"pass": ok_k and ok_f and rk == 2 * n + 1, "K_weights": ok_k,
             "F_closed": ok_f, "rank": rk, "dim": 2 * n + 1, "basis": basis}
 
@@ -436,19 +425,21 @@ def comodule_matrix(alg, W):
     deg = N - 1                         # 2n for W = V(n)
     rows = [_podles_row(alg, b, deg) for b in W]
     idx = {m: k for k, m in enumerate(alg.normal_monomials(deg))}
-    psi = [[oqsl2.SL2Element() for _ in range(N)] for _ in range(N)]
+    legs = []                           # (i, SL2 monomial, sphere coefficients)
     for i in range(N):
-        co = alg.coact(W[i])
         by_amono = {}
-        for (pm, am), cc in co.items():
+        for (pm, am), cc in alg.coact(W[i]).items():
             by_amono.setdefault(am, {})[pm] = cc
-        for am, pvec in by_amono.items():
-            coeffs = linalg.in_span(rows, linalg.coordinate_row(pvec, idx))
-            if coeffs is None:
-                raise AssertionError("coaction leg leaves the W-span")
-            for j in range(N):
-                if coeffs[j]:
-                    psi[j][i] = psi[j][i] + coeffs[j] * oqsl2.SL2Element({am: ONE})
+        legs.extend((i, am, pvec) for am, pvec in by_amono.items())
+    _, sols = linalg.solve_with_rank(
+        linalg.transpose(rows), [linalg.coordinate_row(pvec, idx) for _, _, pvec in legs])
+    psi = [[oqsl2.SL2Element() for _ in range(N)] for _ in range(N)]
+    for (i, am, _), coeffs in zip(legs, sols):
+        if coeffs is None:
+            raise AssertionError("coaction leg leaves the W-span")
+        for j in range(N):
+            if coeffs[j]:
+                psi[j][i] = psi[j][i] + coeffs[j] * oqsl2.SL2Element({am: ONE})
     check_comodule_matrix(alg, W, psi)
     sinv_psi = [[oqsl2.antipode(psi[i][j], inverse=True) for j in range(N)]
                 for i in range(N)]
@@ -519,7 +510,9 @@ def _chi_letters(pres):
 def _module_letters(engine, basis):
     """M(g) with v_i(g x) = sum_s s(g) v_(i,s)(x) = sum_k M(g)[i][k] v_k(x)."""
     letters = {g: linalg.zeros(len(basis), len(basis)) for g in podles.LETTERS}
-    for i, left, _, coeffs in _coproduct_legs(engine, basis):
+    legs = _coproduct_legs(engine, basis)
+    _, sols = _span_solve(basis, [rv for _, _, rv in legs])
+    for (i, left, _), coeffs in zip(legs, sols):
         if coeffs is None:
             raise AssertionError("a coproduct leg of T^eps leaves T^eps")
         for g in podles.LETTERS:
@@ -662,11 +655,15 @@ def verify_freeness(pres: CalculusPresentation, degree=2, coeff_degree=None):
 # serialization helpers
 
 def tangent_space_json(ts: TangentSpace):
+    cert = dict(ts.certificate)
+    if "coproduct_witness" in cert:     # the left symbol as text, like the leg
+        left, right = cert["coproduct_witness"]
+        cert["coproduct_witness"] = [str(PsiVector({left: ONE})), right]
     return {
         "schema": "qsphere-report/1",
         "kind": "tangent-space",
         "components": [list(sl) for sl in ts.components],
         "dim_Teps": ts.dim,
         "dim_calculus": ts.dim - 1,
-        "certificate": {k: v for k, v in ts.certificate.items()},
+        "certificate": cert,
     }

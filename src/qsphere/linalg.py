@@ -141,22 +141,6 @@ def solve_with_rank(a_rows, b_cols):
     return r, sols
 
 
-def solve(a_rows, b):
-    """One exact solution x of A x = b, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    return solve_with_rank(a_rows, [b])[1][0]
-
-
-def in_span(vectors, target):
-    """Coefficients expressing target in the span of `vectors`, or None."""
-    if not vectors:
-        return [] if all(not x for x in target) else None
-    cols = transpose(vectors)
-    return solve(cols, list(target))
-
-
 # ---------------------------------------------------------------------------
 # polynomials in an auxiliary variable x with RatFunc coefficients
 # (dense lists, low degree first) -- enough for characteristic polynomials

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from qsphere.scalars import ONE, Q, RatFunc, CParam, qpow
+from qsphere.scalars import ZERO, ONE, Q, RatFunc, CParam, qpow
 from qsphere import fodc, linalg, oqsl2, selftest
-from qsphere.cli import main
+from qsphere.cli import main, parse_param_spec
 from qsphere.dualfunc import DualEngine, EPSILON, HWModule, PsiVector
 from qsphere.fodc import (chi_functionals, chibar_report, classify_de_generated,
                           build_rform_calculus, check_comodule_matrix,
@@ -513,3 +513,130 @@ def test_memoized_differential_is_the_commutator(n, nu, c):
         u.terms.clear()
     assert pres.coords_eq(pres.d(m), want)
     assert not pres.is_zero_coords(want)
+
+
+STRAY = (0, 9, qpow(5))             # psi^9_(q^(5/2)), in no tangent space here
+
+
+def _leave_the_span(monkeypatch, eng, where):
+    """Patch eng so that X_c of the top vector, or a coproduct leg of the
+    highest weight vector, of the (+1, 2) module leaves T^eps."""
+    basis = eng.build_module(1, 2).basis
+    if where in ("xc", "both"):
+        real_xc = eng.xc_right_action
+        monkeypatch.setattr(eng, "xc_right_action", lambda v: real_xc(v) + (
+            PsiVector({STRAY: ONE}) if v == basis[-1] else PsiVector()))
+    if where in ("coproduct", "both"):
+        real_cop = eng.psi_coproduct
+        (hw,) = basis[0].terms
+        monkeypatch.setattr(eng, "psi_coproduct", lambda sym: real_cop(sym) + (
+            [(ONE, (0, 1, qpow(6)), STRAY)] if sym == hw else []))
+    return basis
+
+
+@pytest.mark.parametrize("where", ["xc", "coproduct", "both"])
+def test_closure_witnesses(monkeypatch, where):
+    eng = DualEngine(GENERIC)
+    basis = _leave_the_span(monkeypatch, eng, where)
+    cert = tangent_space(GENERIC, [(1, 2)], engine=eng).certificate
+    want = {"dim_matches": True, "coproduct_closed": where == "xc",
+            "xc_closed": where == "coproduct", "pass": False,
+            "first_failure": "xc_closed" if where == "xc" else "coproduct_closed"}
+    if where != "coproduct":
+        want["xc_witness"] = str(basis[-1])
+    if where != "xc":
+        want["coproduct_witness"] = ((0, 1, qpow(6)), str(PsiVector({STRAY: ONE})))
+    assert cert == want
+
+
+def _orbit_irreducibility(ts):
+    """The orbit search: the phi/varphi orbit of each module vector spans T^eps / C eps."""
+    engine = ts.engine
+
+    def project(v):
+        return PsiVector({s: x for s, x in v.terms.items() if s != (0, 0, ONE)})
+
+    proj = [project(v) for v in ts.basis[1:]]
+    failures = []
+    for k in range(len(proj)):
+        span = frontier = [proj[k]]
+        while frontier:             # the images of a frontier are tested together
+            images = [img for v in frontier
+                      for img in (project(engine.phi(v)), project(engine.varphi(v)))]
+            frontier = [img for img, x in zip(images, fodc._span_solve(span, images)[1])
+                        if x is None]
+            span = span + frontier
+        if fodc._span_solve(span, [])[0] != len(proj):
+            failures.append(k)
+    return {"pass": not failures, "failures": failures}
+
+
+@pytest.mark.parametrize("spec", ["s=1", "s=2", "inf", "exc:1", "exc:2"])
+def test_irreducibility_equals_the_orbit_search(spec):
+    # every single component of J^c with l <= 8
+    c = parse_param_spec(spec)
+    eng = DualEngine(c)
+    for sl in eng.scan_weights(8):
+        ts = tangent_space(c, [sl], engine=eng)
+        rep = irreducibility_report(ts)
+        if sl == (1, 0):
+            assert rep == {"pass": True, "note": "trivial component"}
+        else:
+            assert rep == _orbit_irreducibility(ts), sl
+
+
+def _planted_module(monkeypatch, plant):
+    real = DualEngine.build_module
+
+    def planted(self, sign, l):
+        mod = real(self, sign, l)
+        basis, matF = list(mod.basis), [list(row) for row in mod.matF]
+        plant(basis, matF)
+        return HWModule(mod.sign, mod.l, mod.lambda0, basis, mod.matE, matF, mod.matK)
+
+    monkeypatch.setattr(DualEngine, "build_module", planted)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_zero_superdiagonal_entry_of_F_fails_from_j_on(monkeypatch, j):
+    # varphi v_j = 0 cuts v_j, ..., v_l off from v_0, ..., v_(j-1)
+    _planted_module(monkeypatch, lambda basis, F: F[j - 1].__setitem__(j, ZERO))
+    ts = tangent_space(GENERIC, [(1, 4)], engine=DualEngine(GENERIC))
+    assert ts.certificate["pass"]
+    assert irreducibility_report(ts) == {"pass": False, "failures": list(range(j, 5))}
+
+
+def test_dependent_module_basis_fails_every_vector(monkeypatch):
+    # with v_2 replaced by v_1 the span is no module: phi v_1, the true v_2,
+    # lies outside it.  The orbit search followed phi out of the span and passed.
+    _planted_module(monkeypatch, lambda basis, F: basis.__setitem__(2, basis[1]))
+    ts = tangent_space(GENERIC, [(1, 4)], engine=DualEngine(GENERIC))
+    assert ts.certificate["dim_matches"] is False
+    assert irreducibility_report(ts) == {"pass": False, "failures": [0, 1, 2, 3, 4]}
+    assert _orbit_irreducibility(ts)["pass"]
+
+
+def test_one_elimination_per_tangent_space_and_none_per_irreducibility(monkeypatch):
+    eng = DualEngine(GENERIC)
+    eng.scan_weights(4)                 # the weight verdicts rank matrices of their own
+    calls = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows, nc: calls.append(nc) or real(rows, nc))
+    for components in ([(1, 2)], [(1, 2), (1, 4)], [(1, 0), (1, 4)], [(1, 4)]):
+        calls.clear()
+        ts = tangent_space(GENERIC, components, engine=eng)
+        assert ts.certificate["pass"] and len(calls) == 1, components
+    calls.clear()
+    assert irreducibility_report(ts)["pass"] and calls == []
+
+
+def test_tangent_space_report_names_a_coproduct_witness(monkeypatch, capsys):
+    # a failed closure is a failed certificate in the JSON report, not a traceback
+    real = DualEngine.psi_coproduct
+    monkeypatch.setattr(DualEngine, "psi_coproduct", lambda self, sym: real(self, sym) + (
+        [(ONE, (0, 1, qpow(6)), STRAY)] if sym == (0, 0, qpow(-4)) else []))
+    assert main(["--format", "json", "tangent-space", "--c", "s=1", "--components=+2"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certificate"]["coproduct_witness"] == [
+        str(PsiVector({(0, 1, qpow(6)): ONE})), str(PsiVector({STRAY: ONE}))]
+    assert doc["certificate"]["first_failure"] == "coproduct_closed"

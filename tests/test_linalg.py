@@ -1,8 +1,8 @@
 import random
 
 from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc
-from qsphere.linalg import (charpoly_tridiag, in_span, mat, nullity,
-                            rank, solve, solve_with_rank, transpose,
+from qsphere.linalg import (charpoly_tridiag, mat, nullity,
+                            rank, solve_with_rank, transpose,
                             xp_mul, xp_sub, xp_trailing_zeros)
 
 
@@ -23,9 +23,12 @@ def test_rank_with_rational_functions():
 
 def test_solve_consistent_and_inconsistent():
     a = mat([[1, 1], [0, 1], [1, 0]])
-    x = solve(a, [RatFunc.from_int(3), RatFunc.from_int(1), RatFunc.from_int(2)])
+    r, (x, none) = solve_with_rank(
+        a, [[RatFunc.from_int(3), RatFunc.from_int(1), RatFunc.from_int(2)],
+            [RatFunc.from_int(3), ONE, ONE]])
+    assert r == 2
     assert x == [RatFunc.from_int(2), ONE]
-    assert solve(a, [RatFunc.from_int(3), ONE, ONE]) is None
+    assert none is None
 
 
 def test_solve_with_rank_multi():
@@ -39,9 +42,12 @@ def test_solve_with_rank_multi():
 def test_in_span():
     v1 = [ONE, ZERO, Q]
     v2 = [ZERO, ONE, ONE]
-    coeffs = in_span([v1, v2], [Q, ONE, Q * Q + 1])
+    # the vectors are the columns of the matrix
+    r, (coeffs, none) = solve_with_rank(transpose([v1, v2]),
+                                        [[Q, ONE, Q * Q + 1], [ZERO, ZERO, ONE]])
+    assert r == 2
     assert coeffs == [Q, ONE]
-    assert in_span([v1, v2], [ZERO, ZERO, ONE]) is None
+    assert none is None
 
 
 def test_charpoly_tridiag_2x2():
