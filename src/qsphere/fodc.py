@@ -614,11 +614,20 @@ def verify_freeness(pres: CalculusPresentation, degree=2, coeff_degree=None):
     Scaling a column by a nonzero element of Q(t) changes neither the column
     rank nor the span of the columns, so `rank`, `unique_expansion` and
     `ungenerated` are those of the undivided system.
+
+    A degree below 1 has no nonconstant monomial to generate, and a
+    coefficient degree below 0 no coefficient, so both are refused rather
+    than passed on an empty check.
     """
-    alg = pres.alg
-    N = pres.N
+    if degree < 1:
+        raise ValueError("the freeness check needs a degree bound >= 1, got %d" % degree)
     if coeff_degree is None:
         coeff_degree = degree + 1
+    if coeff_degree < 0:
+        raise ValueError("the freeness check needs a coefficient degree >= 0, got %d"
+                         % coeff_degree)
+    alg = pres.alg
+    N = pres.N
     d_basis = []
     for b in pres.W_basis:
         coords = pres.d(b)

@@ -1,11 +1,14 @@
 """Exact linear algebra over Q(t).
 
-Matrices are plain lists of rows of RatFunc.  Elimination is Gauss-Jordan
-with reduced fractions at every step, pivoting on the entry with the
-fewest coefficients.  Most systems have dimensions in the tens, but the
-n=2 freeness system of AC-8 is 320x80 with 8 right-hand sides, and its
-entries reach degree 300 in t during the elimination.  That one solve is
-most of the cost of AC-8 (README, "Performance").
+Matrices are plain lists of rows of RatFunc.  Every rank and solve runs
+through one sparse forward elimination, `_eliminate`, on rows held as
+{column: nonzero entry}.  Its pivots are chosen by the Markowitz rule
+(Markowitz, "The elimination form of the inverse", 1957): the entry that
+minimises (r-1)(c-1), r and c being the nonzeros of its row and its column
+in the part not yet eliminated.  That bounds the fill-in, and every filled
+cell is a RatFunc operation with reduced fractions.  The n=2 freeness
+system of AC-8 is 320x80 with 8 right-hand sides and 1616 nonzeros; that
+one solve is most of the cost of AC-8 (README, "Performance").
 """
 
 from .scalars import ZERO, ONE, RatFunc
@@ -76,45 +79,84 @@ def _entry_weight(x):
 
 
 def _eliminate(rows, nc):
-    """Gauss-Jordan elimination on the first nc columns of a copy of `rows`.
+    """Sparse forward elimination on the first nc columns of `rows`.
 
-    Returns the reduced nonzero rows and the pivot columns, row i holding
-    the pivot of pivots[i].  Pivots are chosen by smallest entry
-    complexity, which keeps the rational-function growth in check.
+    The input is not modified.  Among the rows without a pivot, each step
+    takes the entry of a column < nc that minimises the Markowitz cost
+    (r-1)(c-1), r and c counting the nonzeros of its row and its column
+    over those rows and the first nc columns; ties go to the smaller
+    `_entry_weight`, then the smaller row index, then the smaller column, so
+    the choice does not depend on hash or set order.  The pivot row is
+    scaled to 1 at the pivot and the pivot column is cleared from the rows
+    without a pivot only.
+
+    Returns (pivots, rest).  pivots lists (column, row) in the order taken,
+    each row a dict {column: entry} that is 1 at its column and 0 on the
+    columns pivoted before it.  rest holds the other nonzero rows as dicts,
+    all zero on the first nc columns.
     """
-    aug = [list(row) for row in rows if any(row)]
-    nr = len(aug)
+    work = {}                           # row index -> {column: entry}, no pivot yet
+    count = {}                          # row index -> its nonzeros on the first nc columns
+    col_rows = [set() for _ in range(nc)]   # column -> the rows of `work` nonzero there
+    for i, row in enumerate(rows):
+        d = {j: x for j, x in enumerate(row) if x}
+        if d:
+            work[i] = d
+            count[i] = 0
+            for j in range(nc):
+                if row[j]:
+                    col_rows[j].add(i)
+                    count[i] += 1
     pivots = []
-    r = 0
-    for col in range(nc):
-        piv = None
+    while True:
         best = None
-        for i in range(r, nr):
-            if aug[i][col]:
-                w = _entry_weight(aug[i][col])
-                if best is None or w < best:
-                    piv, best = i, w
-                    if w <= 2:
-                        break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][col].inv()
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == nr:
+        for j in range(nc):
+            below = col_rows[j]
+            if not below:
+                continue
+            c1 = len(below) - 1
+            for i in below:
+                cost = (count[i] - 1) * c1
+                if best is None or cost <= best[0]:
+                    key = (cost, _entry_weight(work[i][j]), i, j)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
             break
-    return aug, pivots
+        _, _, p, j = best
+        prow = work.pop(p)
+        del count[p]
+        for k in prow:
+            if k < nc:
+                col_rows[k].discard(p)
+        inv = prow.pop(j).inv()
+        prow = {k: x * inv for k, x in prow.items()}
+        for i in list(col_rows[j]):
+            row = work[i]
+            f = -row.pop(j)
+            count[i] -= 1
+            for k, y in prow.items():
+                x = row.get(k)
+                v = f * y if x is None else x + f * y
+                if v:
+                    row[k] = v
+                    if x is None and k < nc:
+                        col_rows[k].add(i)
+                        count[i] += 1
+                elif x is not None:
+                    del row[k]
+                    if k < nc:
+                        col_rows[k].discard(i)
+                        count[i] -= 1
+        col_rows[j].clear()
+        prow[j] = ONE
+        pivots.append((j, prow))
+    return pivots, [d for d in work.values() if d]
 
 
 def rank(rows):
     """Exact rank; the input is not modified."""
-    return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
 def nullity(rows):
@@ -124,21 +166,29 @@ def nullity(rows):
 
 
 def solve_with_rank(a_rows, b_cols):
-    """One elimination pass: (rank of A, per-column solution or None)."""
+    """One elimination pass: (rank of A, per-column solution or None).
+
+    Each solution is a solution of A x = b; the unique one when the rank
+    equals the number of columns.  Columns without a pivot are set to 0.
+    """
     nc = len(a_rows[0]) if a_rows else 0
-    aug, pivots = _eliminate([list(a_rows[i]) + [col[i] for col in b_cols]
-                              for i in range(len(a_rows))], nc)
-    r = len(pivots)
+    pivots, rest = _eliminate([list(a_rows[i]) + [col[i] for col in b_cols]
+                               for i in range(len(a_rows))], nc)
+    inconsistent = {k for row in rest for k in row}
     sols = []
-    for k in range(len(b_cols)):
-        if any(row[nc + k] for row in aug[r:]):
+    for k in range(nc, nc + len(b_cols)):
+        if k in inconsistent:
             sols.append(None)
             continue
         x = [ZERO] * nc
-        for i, col in enumerate(pivots):
-            x[col] = aug[i][nc + k]
+        for col, row in reversed(pivots):
+            s = row.get(k, ZERO)
+            for c, v in row.items():
+                if c < nc and c != col and x[c]:
+                    s = s - v * x[c]
+            x[col] = s
         sols.append(x)
-    return r, sols
+    return len(pivots), sols
 
 
 # ---------------------------------------------------------------------------

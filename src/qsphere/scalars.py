@@ -11,6 +11,7 @@ contents, positive leading denominator coefficient) is unique, so equal
 field elements compare and hash equal and may be used as dict keys.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -552,11 +553,13 @@ QHALF = qpow(1)
 QHAT = Q - QINV          # q - q^-1
 
 
+@functools.cache
 def qint(l):
     """Quantum integer [l] = (q^l - q^-l)/(q - q^-1); [-l] = -[l]."""
     return (qpow(2 * l) - qpow(-2 * l)) / QHAT
 
 
+@functools.cache
 def qbinom(l, r):
     """Gaussian binomial [l; r] for 0 <= r <= l."""
     if r < 0 or r > l:

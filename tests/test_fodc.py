@@ -175,6 +175,17 @@ def test_freeness_verdict_matches_the_raw_columns(eng, coeff_degree, rank, ungen
     assert rep["pass"] == (not ungenerated)
 
 
+@pytest.mark.parametrize("degree, coeff_degree, match", [
+    (0, None, "degree bound >= 1"),
+    (-1, None, "degree bound >= 1"),
+    (2, -1, "coefficient degree >= 0")])
+def test_verify_freeness_refuses_empty_or_negative_bounds(eng, degree, coeff_degree, match):
+    # degree 0 had no target and passed; coefficient degree -1 raised KeyError
+    pres = build_rform_calculus(1, "id", GENERIC, engine=eng)
+    with pytest.raises(ValueError, match=match):
+        verify_freeness(pres, degree, coeff_degree)
+
+
 def test_rform_calculus_flip_infinity(eng_inf):
     pres = build_rform_calculus(1, "flip", INF, engine=eng_inf)
     assert pres.leibniz_report(2)["pass"]

@@ -1,7 +1,7 @@
 import random
 
 from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc
-from qsphere.linalg import (charpoly_tridiag, mat, nullity,
+from qsphere.linalg import (charpoly_tridiag, mat, matmul, nullity,
                             rank, solve_with_rank, transpose,
                             xp_mul, xp_sub, xp_trailing_zeros)
 
@@ -80,26 +80,118 @@ def test_xp_helpers():
     assert xp_sub(p, p) == []
 
 
+def _dense_gauss_jordan(rows, nc):
+    """The oracle: dense Gauss-Jordan in column order on a copy of `rows`.
+
+    Each column's pivot is the entry with the fewest coefficients below the
+    rows already pivoted, and it is cleared from every other row, above as
+    well as below.  Returns the reduced nonzero rows and the pivot columns,
+    row i holding the pivot of pivots[i].
+    """
+    aug = [list(row) for row in rows if any(row)]
+    nr = len(aug)
+    pivots = []
+    r = 0
+    for col in range(nc):
+        piv = None
+        best = None
+        for i in range(r, nr):
+            if aug[i][col]:
+                w = len(aug[i][col].num) + len(aug[i][col].den)
+                if best is None or w < best:
+                    piv, best = i, w
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = aug[r][col].inv()
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(nr):
+            if i != r and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+        if r == nr:
+            break
+    return aug, pivots
+
+
+def _dense_solve_with_rank(a_rows, b_cols):
+    """(rank, per-column solution or None) from the dense oracle, free columns 0."""
+    nc = len(a_rows[0]) if a_rows else 0
+    aug, pivots = _dense_gauss_jordan(
+        [list(a_rows[i]) + [col[i] for col in b_cols] for i in range(len(a_rows))], nc)
+    r = len(pivots)
+    sols = []
+    for k in range(len(b_cols)):
+        if any(row[nc + k] for row in aug[r:]):
+            sols.append(None)
+            continue
+        x = [ZERO] * nc
+        for i, col in enumerate(pivots):
+            x[col] = aug[i][nc + k]
+        sols.append(x)
+    return r, sols
+
+
+def _random_laurent_entry(rng, density=0.4):
+    if rng.random() >= density:
+        return ZERO
+    num = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+    num.append(rng.choice((-2, -1, 1, 2)))
+    return RatFunc(tuple(num), (0,) * rng.randint(0, 3) + (1,))
+
+
 def _random_laurent_matrix(rng, nr, nc):
-    """A sparse matrix of Laurent polynomials in t, some rows built as combinations."""
-    def entry():
-        if rng.random() < 0.6:
-            return ZERO
-        num = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
-        num.append(rng.choice((-2, -1, 1, 2)))
-        return RatFunc(tuple(num), (0,) * rng.randint(0, 3) + (1,))
-    rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+    """A sparse matrix of Laurent polynomials in t.
+
+    Some rows, and some columns, are built as combinations of others, so
+    that ranks below min(nr, nc) occur for every shape.
+    """
+    rows = [[_random_laurent_entry(rng) for _ in range(nc)] for _ in range(nr)]
     for _ in range(rng.randint(0, 2)):
         i, j, k = (rng.randrange(nr) for _ in range(3))
         rows[i] = [x * Q + y * QINV for x, y in zip(rows[j], rows[k])]
+    for _ in range(rng.randint(0, 1)):
+        i, j, k = (rng.randrange(nc) for _ in range(3))
+        for row in rows:
+            row[i] = row[j] * QINV - row[k]
     return rows
 
 
+def _times(a, x):
+    return [row[0] for row in matmul(a, [[v] for v in x])]
+
+
 def test_rank_agrees_with_transpose_and_solve_on_random_laurent_matrices():
+    # the sparse Markowitz elimination against the dense Gauss-Jordan oracle,
+    # on square, tall and wide matrices with consistent and random targets
     rng = random.Random(2024)
-    for _ in range(40):
-        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+    seen = {"full": 0, "deficient": 0, "solved": 0, "unsolvable": 0}
+    for trial in range(90):
+        nc = rng.randint(1, 7)
+        # square, tall and wide in turn
+        nr = (nc, nc + rng.randint(1, 3), max(1, nc - rng.randint(1, 3)))[trial % 3]
         a = _random_laurent_matrix(rng, nr, nc)
         r = rank(a)
         assert r == rank(transpose(a)) == solve_with_rank(a, [])[0]
         assert r == solve_with_rank(transpose(a), [])[0]
+        consistent = [_times(a, [_random_laurent_entry(rng, 0.7) for _ in range(nc)])
+                      for _ in range(2)]
+        random_b = [[_random_laurent_entry(rng) for _ in range(nr)] for _ in range(2)]
+        targets = consistent + random_b
+        got_rank, got = solve_with_rank(a, targets)
+        want_rank, want = _dense_solve_with_rank(a, targets)
+        assert got_rank == want_rank == r
+        assert [x is None for x in got] == [x is None for x in want]
+        assert all(x is not None for x in got[:2])
+        for b, x, y in zip(targets, got, want):
+            if x is None:
+                seen["unsolvable"] += 1
+                continue
+            seen["solved"] += 1
+            assert _times(a, x) == b
+            if r == nc:
+                assert x == y
+        seen["full" if r == nc else "deficient"] += 1
+    assert min(seen.values()) >= 10, seen
