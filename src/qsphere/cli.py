@@ -319,9 +319,14 @@ def build_parser():
     return ap
 
 
+_parser = None                          # built by the first `main` call
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError) as e:

@@ -61,6 +61,11 @@ class PsiVector(LinComb):
 EPSILON = PsiVector.symbol(0, ONE)      # psi^0_1 is the counit
 
 
+def _lambda0(sign, l):
+    """The highest weight subscript ±q^(-l) of the module at (sign, l)."""
+    return qpow(-2 * l) if sign == +1 else -qpow(-2 * l)
+
+
 def _require_m0(v):
     for (m, _, _) in v.terms:
         if m:
@@ -93,7 +98,7 @@ class DualEngine:
         self.alpha = self.xc.alpha
         self.alg = podles.PodlesAlgebra(c)
         self._evaluator = oqsl2.Evaluator()
-        self._nilpotent = {}
+        self._orbits = {}               # (sign, l) -> phi-orbit or None
         self._calculi = {}              # (n, nu) -> fodc.CalculusPresentation
 
     # -- the three operators
@@ -133,17 +138,9 @@ class DualEngine:
         return out
 
     def xc_right_action(self, v):
-        """The right action of X_c, termwise in the lambda-grading."""
-        _require_m0(v)
-        out = PsiVector()
-        a = self.alpha
-        for sym, coeff in v.terms.items():
-            (m, l, lam) = sym
-            term = PsiVector({sym: coeff})
-            out = out + QINV * self.phi(term) + lam * self.varphi(term)
-            if a:
-                out = out + (a * (ONE - lam.inv()) * lam) * term
-        return out
+        """The right action of X_c: q^-1 phi(v) + varphi(kappa(v)) + alpha (kappa(v) - v)."""
+        kv = self.kappa(v)
+        return QINV * self.phi(v) + self.varphi(kv) + self.alpha * (kv - v)
 
     # -- coalgebra structure on symbols
 
@@ -179,24 +176,27 @@ class DualEngine:
     # -- highest weight scan (Prop. on local finiteness, both routes)
 
     def is_nilpotent_weight(self, sign, l):
-        """phi^(l+1) kills psi^0_{±q^(-l)}; cross-checked against the matrix kernel.
+        """phi^(l+1) kills psi^0_{lambda0}; cross-checked against the matrix kernel.
 
-        The verdict is computed once per (sign, l) and kept.
+        The phi-orbit psi, phi psi, ... up to its first zero is computed
+        once per (sign, l) and kept as the basis that `build_module` reads
+        (None when phi^(l+1) psi != 0).
         """
-        verdict = self._nilpotent.get((sign, l))
-        if verdict is not None:
-            return verdict
-        lam0 = qpow(-2 * l) if sign == +1 else -qpow(-2 * l)
-        v = PsiVector.symbol(0, lam0)
-        for _ in range(l + 1):
-            v = self.phi(v)
-        op_route = v.is_zero()
-        mat_route = uqsl2rep.kernel_dim(l, self.c, sign) > 0
-        if op_route != mat_route:
-            raise AssertionError(
-                "operator and matrix routes disagree at sign=%+d l=%d" % (sign, l))
-        self._nilpotent[(sign, l)] = op_route
-        return op_route
+        key = (sign, l)
+        if key not in self._orbits:
+            orbit = [PsiVector.symbol(0, _lambda0(sign, l))]
+            for _ in range(l + 1):
+                v = self.phi(orbit[-1])
+                if v.is_zero():
+                    break
+                orbit.append(v)
+            else:
+                orbit = None
+            if (orbit is not None) != (uqsl2rep.kernel_dim(l, self.c, sign) > 0):
+                raise AssertionError(
+                    "operator and matrix routes disagree at sign=%+d l=%d" % (sign, l))
+            self._orbits[key] = orbit
+        return self._orbits[key] is not None
 
     def scan_weights(self, Lmax):
         """The (sign, l) in J^c with l <= Lmax; a negative Lmax would scan nothing."""
@@ -213,14 +213,10 @@ class DualEngine:
         """The (l+1)-dimensional module on the phi-orbit of psi^0_{±q^(-l)}."""
         if not self.is_nilpotent_weight(sign, l):
             raise ValueError("(%+d, %d) is not in J^c" % (sign, l))
-        lam0 = qpow(-2 * l) if sign == +1 else -qpow(-2 * l)
-        basis = [PsiVector.symbol(0, lam0)]
-        for _ in range(l):
-            basis.append(self.phi(basis[-1]))
-        if any(b.is_zero() for b in basis):
+        basis = list(self._orbits[(sign, l)])
+        if len(basis) <= l:
             raise AssertionError("phi-orbit collapsed early")
-        if not self.phi(basis[-1]).is_zero():
-            raise AssertionError("phi-orbit does not close")
+        lam0 = _lambda0(sign, l)
         n = l + 1
         matE = linalg.zeros(n, n)
         for k in range(l):
@@ -259,8 +255,7 @@ class DualEngine:
         The rescaling is psi-bar^k = (-(q-q^-1))^k q^(-(l-k)(l-k+1)/2) psi^k;
         the result should reproduce the displayed tridiagonal matrix.
         """
-        lam0 = qpow(-2 * l) if sign == +1 else -qpow(-2 * l)
-        mu = qpow(4 * l) * lam0
+        mu = qpow(4 * l) * _lambda0(sign, l)
         n = l + 1
         cols = []
         target_syms = [(0, k, qpow(4) * mu) for k in range(n)]
@@ -283,21 +278,19 @@ class DualEngine:
 
     # -- truncated independence (dual coalgebra basis at desk scale)
 
-    def truncated_independence(self, degree=4, lam_grid=None, max_ml=2):
+    def truncated_independence(self, degree=4):
         """Evaluation rows of {psi^{ml}_lam} against monomials up to `degree`.
 
-        The symbol set {m + l <= 2, lam in a 3-point grid} has 18 members,
+        The symbol set {m + l <= 2, lam in {1, q^2, q^4}} has 18 members,
         which exceeds the 16 monomials of degree <= 3, so the default
         evaluation degree is 4 (25 monomials).
         """
-        if lam_grid is None:
-            lam_grid = [ONE, qpow(4), qpow(8)]
         monos = self.alg.normal_monomials(degree)
         rows = []
         labels = []
-        for lam in lam_grid:
-            for m in range(max_ml + 1):
-                for l in range(max_ml + 1 - m):
+        for lam in (ONE, qpow(4), qpow(8)):
+            for m in range(3):
+                for l in range(3 - m):
                     labels.append((m, l, lam))
                     rows.append([self.psi_eval((m, l, lam),
                                                self.alg.element({mono: ONE}))

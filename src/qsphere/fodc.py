@@ -329,6 +329,7 @@ class CalculusPresentation:
         return all(x == y for x, y in zip(u, v))
 
     def is_zero_coords(self, u):
+        """Every coordinate is zero (the benchmark worker checks d(1) = 0 with it)."""
         return all(x.is_zero() for x in u)
 
     def differential_table(self):
@@ -353,7 +354,8 @@ class CalculusPresentation:
         """d(xy) = x d(y) + d(x) y on all monomial pairs up to a degree bound.
 
         A bound below 2 admits no pair of nonconstant monomials, so it is
-        refused rather than passed on an empty check.
+        refused rather than passed on an empty check.  No certificate calls
+        it; the benchmark worker and the tests do.
         """
         if max_total_degree < 2:
             raise ValueError("the Leibniz check needs a total degree bound >= 2, got %d"

@@ -11,11 +11,7 @@ system of AC-8 is 320x80 with 8 right-hand sides and 1616 nonzeros; that
 one solve is most of the cost of AC-8 (README, "Performance").
 """
 
-from .scalars import ZERO, ONE, RatFunc
-
-
-def mat(rows):
-    return [[RatFunc.coerce(x) for x in row] for row in rows]
+from .scalars import ZERO, ONE
 
 
 def zeros(n, m):

@@ -238,16 +238,6 @@ class PodlesAlgebra:
         self._act_cache[key] = v
         return v
 
-    def act_xc(self, x):
-        """Left action of the twisted primitive element X_c."""
-        from .scalars import XcData
-        xd = XcData(self.c)
-        out = xd.beta * self.act("K", self.act("E", x), -1)
-        out = out + xd.gamma * self.act("F", x)
-        if xd.alpha:
-            out = out + xd.alpha * (self.act("K", x, -1) - x)
-        return out
-
     # -- right coaction B -> B (x) O_q(SL2)
 
     def _coact_letters(self):

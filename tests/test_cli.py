@@ -259,6 +259,29 @@ def test_readme_command_examples_run(capsys):
         assert out == _golden_path(argv).read_text(), argv
 
 
+def test_usage_error_leaves_the_parser_usable(capsys):
+    # main builds its parser once per process; a usage error must not spoil it
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "json", "classify", "--c", "s=1", "--lmax", "four"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv = ["classify", "--c", "s=1", "--lmax", "4"]
+    assert argv in _readme_commands()
+    code, out = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert out == _golden_path(argv).read_text()
+
+
+def test_disagreeing_weight_routes_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(uqsl2rep, "kernel_dim", lambda l, c, sign: 0)
+    code = main(["classify", "--c", "s=1", "--lmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("internal check failed: operator and matrix routes "
+                            "disagree at sign=+1 l=0\n")
+
+
 def test_de_generated_certificate_reads_the_candidates(capsys, monkeypatch):
     code, out = run_cli(capsys, "--format", "json", "de-generated", "--c", "s=1")
     assert code == 0

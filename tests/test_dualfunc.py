@@ -1,6 +1,6 @@
 import pytest
 
-from qsphere.scalars import ZERO, ONE, Q, QHAT, RatFunc, CParam, qpow
+from qsphere.scalars import ZERO, ONE, Q, QHAT, RatFunc, CParam, XcData, qpow
 from qsphere import linalg, oqsl2
 from qsphere.dualfunc import DualEngine, PsiVector, EPSILON
 
@@ -143,6 +143,16 @@ def test_psi_product_pairing(eng):
                 assert lhs == rhs
 
 
+def _act_xc(alg, x):
+    """Left action of the twisted primitive element X_c on a sphere element."""
+    xd = XcData(alg.c)
+    out = xd.beta * alg.act("K", alg.act("E", x), -1)
+    out = out + xd.gamma * alg.act("F", x)
+    if xd.alpha:
+        out = out + xd.alpha * (alg.act("K", x, -1) - x)
+    return out
+
+
 def test_xc_action_compatible_with_evaluation(eng):
     alg = eng.alg
     for lam in (ONE, RatFunc.from_int(2)):
@@ -151,13 +161,44 @@ def test_xc_action_compatible_with_evaluation(eng):
             vx = eng.xc_right_action(v)
             for mono in alg.normal_monomials(2):
                 x = alg.element({mono: ONE})
-                assert eng.eval_vector(vx, x) == eng.eval_vector(v, alg.act_xc(x))
+                assert eng.eval_vector(vx, x) == eng.eval_vector(v, _act_xc(alg, x))
 
 
 def test_scan_jc(eng, eng_inf):
     assert eng.scan_weights(4) == [(1, 0), (1, 2), (1, 4)]
     assert eng_inf.scan_weights(2) == [(1, 0), (-1, 0), (1, 2), (-1, 2)]
     assert DualEngine(EXC_HALF).scan_weights(3) == [(1, 0), (-1, 1), (1, 2), (-1, 3)]
+
+
+def test_build_module_reads_the_scanned_orbits(monkeypatch):
+    eng = DualEngine(GENERIC)
+    members = eng.scan_weights(4)
+    calls = []
+    real = eng.phi
+    monkeypatch.setattr(eng, "phi", lambda v: calls.append(v) or real(v))
+    for sign, l in members:
+        mod = eng.build_module(sign, l)
+        assert len(mod.basis) == l + 1
+        assert all(real(u) == w for u, w in zip(mod.basis, mod.basis[1:]))
+    assert members == [(1, 0), (1, 2), (1, 4)]
+    assert calls == []
+
+
+def test_early_zero_in_the_orbit_is_refused(monkeypatch):
+    # phi kills the second orbit vector of (+1, 2): still nilpotent, as the
+    # kernel says, but the orbit is one vector short of a module basis
+    eng = DualEngine(GENERIC)
+    calls = []
+    real = eng.phi
+
+    def planted(v):
+        calls.append(v)
+        return PsiVector() if len(calls) == 2 else real(v)
+
+    monkeypatch.setattr(eng, "phi", planted)
+    assert eng.is_nilpotent_weight(+1, 2)
+    with pytest.raises(AssertionError, match="collapsed early"):
+        eng.build_module(+1, 2)
 
 
 def test_build_module_trivial(eng):

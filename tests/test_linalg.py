@@ -1,9 +1,13 @@
 import random
 
 from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc
-from qsphere.linalg import (charpoly_tridiag, mat, matmul, nullity,
+from qsphere.linalg import (charpoly_tridiag, matmul, nullity,
                             rank, solve_with_rank, transpose,
                             xp_mul, xp_sub, xp_trailing_zeros)
+
+
+def mat(rows):
+    return [[RatFunc.coerce(x) for x in row] for row in rows]
 
 
 def test_rank_and_nullity():
