@@ -20,12 +20,26 @@ symbols by
 
 and the right action of the twisted primitive element decomposes as
 psi X_c = q^-1 phi(psi) + lam varphi(psi) + alpha (1 - lam^-1) kappa(psi).
+Each engine keeps these coefficients in one table, filled per (l, lam).
+
+The weight scan proves a weight (±, l) outside J^c by a nonzero value of
+phi^(l+1) psi^0_{±q^(-l)} at t = t0 = 1234567891011 over GF(P), P = 2^61 - 1.
+Evaluation at t0 mod P is a ring map on the fractions of Q(t) whose
+denominators do not vanish there, and the orbit uses only + and x, so a
+nonzero value there is the image of a nonzero exact coordinate.  When the
+value is zero, or some coefficient met has a denominator vanishing at t0,
+the orbit is computed exactly in Q(t); members of J^c always take that
+path, and their exact orbit is the module basis.
 """
 
 from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam, XcData,
-                      qint, qbinom, qpow)
+                      eval_mod, qint, qbinom, qpow)
 from . import linalg, oqsl2, podles, uqsl2rep
-from .algebra import LinComb
+from .algebra import LinComb, accumulate
+
+# the specialization t -> _T0 over GF(_P) that proves a weight outside J^c
+_P = 2 ** 61 - 1
+_T0 = 1234567891011
 
 
 class PsiVector(LinComb):
@@ -63,6 +77,8 @@ EPSILON = PsiVector.symbol(0, ONE)      # psi^0_1 is the counit
 
 def _lambda0(sign, l):
     """The highest weight subscript ±q^(-l) of the module at (sign, l)."""
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1, got %r" % (sign,))
     return qpow(-2 * l) if sign == +1 else -qpow(-2 * l)
 
 
@@ -96,46 +112,61 @@ class DualEngine:
         self.c = c
         self.xc = XcData(c)
         self.alpha = self.xc.alpha
+        self._alpha_q = self.alpha * Q
         self.alg = podles.PodlesAlgebra(c)
         self._evaluator = oqsl2.Evaluator()
         self._orbits = {}               # (sign, l) -> phi-orbit or None
+        self._table = {}                # l -> factors of l; (l, lam) -> `_constants` row
         self._calculi = {}              # (n, nu) -> fodc.CalculusPresentation
 
-    # -- the three operators
+    # -- the three operators, read off one table of structure constants
+
+    def _constants(self, l, lam):
+        """phi and varphi of psi^l_lam: (phi terms, varphi terms, phi coefficients mod P).
+
+        The terms are {symbol: coefficient} dicts at the grades q^2 lam and
+        q^-2 lam.  The last entry lists (l', coefficient at _T0 mod _P) for
+        the phi terms, or is None when a denominator vanishes there.  The
+        factors that depend on l only, a_l = -q^l [l]/(q-q^-1) and
+        q^(1-l) [l]/(q-q^-1), are kept per l.
+        """
+        row = self._table.get((l, lam))
+        if row is None:
+            per_l = self._table.get(l)
+            if per_l is None:
+                hat = qint(l) / QHAT
+                per_l = self._table[l] = (-qpow(2 * l) * hat, qpow(2 * (1 - l)) * hat)
+            a_l, lower = per_l
+            grade = qpow(4) * lam
+            phi = {}
+            for k, coeff in ((l - 1, a_l),
+                             (l, self._alpha_q * (qpow(4 * l) - lam)),
+                             (l + 1, Q * Q * (qpow(4 * l) - lam * lam))):
+                if coeff:
+                    phi[(0, k, grade)] = coeff
+            varphi = {(0, l - 1, qpow(-4) * lam): lam.inv() * lower} if lower else {}
+            mod = [(sym[1], eval_mod(coeff, _T0, _P)) for sym, coeff in phi.items()]
+            row = self._table[(l, lam)] = (
+                phi, varphi, None if any(x is None for _, x in mod) else mod)
+        return row
 
     def phi(self, v):
         _require_m0(v)
-        out = PsiVector()
-        a = self.alpha
-        for (m, l, lam), coeff in v.terms.items():
-            q2lam = qpow(4) * lam
-            if l >= 1:
-                out = out + PsiVector.symbol(
-                    l - 1, q2lam, 0, -coeff * qpow(2 * l) * qint(l) / QHAT)
-            mid = a * Q * (qpow(4 * l) - lam)
-            if mid:
-                out = out + PsiVector.symbol(l, q2lam, 0, coeff * mid)
-            top = Q * Q * (qpow(4 * l) - lam * lam)
-            if top:
-                out = out + PsiVector.symbol(l + 1, q2lam, 0, coeff * top)
-        return out
+        out = {}
+        for (_, l, lam), coeff in v.terms.items():
+            accumulate(out, self._constants(l, lam)[0], coeff)
+        return PsiVector(out)
 
     def varphi(self, v):
         _require_m0(v)
-        out = PsiVector()
-        for (m, l, lam), coeff in v.terms.items():
-            if l >= 1:
-                out = out + PsiVector.symbol(
-                    l - 1, qpow(-4) * lam, 0,
-                    coeff * lam.inv() * qpow(2 * (1 - l)) * qint(l) / QHAT)
-        return out
+        out = {}
+        for (_, l, lam), coeff in v.terms.items():
+            accumulate(out, self._constants(l, lam)[1], coeff)
+        return PsiVector(out)
 
     def kappa(self, v, power=1):
         _require_m0(v)
-        out = PsiVector()
-        for (m, l, lam), coeff in v.terms.items():
-            out = out + PsiVector.symbol(l, lam, 0, coeff * lam ** power)
-        return out
+        return PsiVector({sym: coeff * sym[2] ** power for sym, coeff in v.terms.items()})
 
     def xc_right_action(self, v):
         """The right action of X_c: q^-1 phi(v) + varphi(kappa(v)) + alpha (kappa(v) - v)."""
@@ -178,25 +209,57 @@ class DualEngine:
     def is_nilpotent_weight(self, sign, l):
         """phi^(l+1) kills psi^0_{lambda0}; cross-checked against the matrix kernel.
 
-        The phi-orbit psi, phi psi, ... up to its first zero is computed
-        once per (sign, l) and kept as the basis that `build_module` reads
+        First phi^(l+1) psi is computed at t = _T0 over GF(_P), from the
+        `_constants` table evaluated there.  Evaluation at _T0 mod _P is a
+        ring map on the fractions whose denominators do not vanish there,
+        and the orbit uses only + and x, so a nonzero coordinate proves
+        phi^(l+1) psi != 0: the weight is outside J^c.  Otherwise (a zero
+        value, or a denominator vanishing at _T0) the phi-orbit psi, phi psi,
+        ... up to its first zero is computed exactly with `phi`.  The orbit
+        is kept once per (sign, l) as the basis that `build_module` reads
         (None when phi^(l+1) psi != 0).
         """
         key = (sign, l)
         if key not in self._orbits:
-            orbit = [PsiVector.symbol(0, _lambda0(sign, l))]
-            for _ in range(l + 1):
-                v = self.phi(orbit[-1])
-                if v.is_zero():
-                    break
-                orbit.append(v)
-            else:
-                orbit = None
+            lam0 = _lambda0(sign, l)
+            orbit = None
+            if not self._nonzero_mod_p(lam0, l):
+                orbit = [PsiVector.symbol(0, lam0)]
+                for _ in range(l + 1):
+                    v = self.phi(orbit[-1])
+                    if v.is_zero():
+                        break
+                    orbit.append(v)
+                else:
+                    orbit = None
             if (orbit is not None) != (uqsl2rep.kernel_dim(l, self.c, sign) > 0):
                 raise AssertionError(
                     "operator and matrix routes disagree at sign=%+d l=%d" % (sign, l))
             self._orbits[key] = orbit
         return self._orbits[key] is not None
+
+    def _nonzero_mod_p(self, lam0, l):
+        """phi^(l+1) psi^0_lam0 has a nonzero coordinate at _T0 mod _P.
+
+        False when it vanishes there, or when some coefficient met on the
+        way has a denominator vanishing at _T0.  A coordinate that is 0 mod
+        _P is kept: its exact value may be nonzero, and the exact orbit
+        multiplies it by the coefficients of its row, which must evaluate
+        too ((q^2 - 1) a_1 = -q^2 is -1 at t = 1, where a_1 = -q^2/(q^2 - 1)
+        has no value).
+        """
+        vec, lam = {0: 1}, lam0
+        for _ in range(l + 1):
+            out = {}
+            for k, x in vec.items():
+                mod = self._constants(k, lam)[2]
+                if mod is None:
+                    return False
+                for k2, y in mod:
+                    out[k2] = (out.get(k2, 0) + x * y) % _P
+            vec = out
+            lam = qpow(4) * lam
+        return any(vec.values())
 
     def scan_weights(self, Lmax):
         """The (sign, l) in J^c with l <= Lmax; a negative Lmax would scan nothing."""

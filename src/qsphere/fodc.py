@@ -61,9 +61,8 @@ def _coproduct_legs(engine, basis):
         grouped = {}
         for sym, coeff in v.terms.items():
             for cc, left, right in engine.psi_coproduct(sym):
-                t = grouped.setdefault(left, PsiVector())
-                grouped[left] = t + PsiVector({right: coeff * cc})
-        legs.extend((i, left, rv) for left, rv in grouped.items())
+                accumulate(grouped.setdefault(left, {}), {right: cc}, coeff)
+        legs.extend((i, left, PsiVector(terms)) for left, terms in grouped.items())
     return legs
 
 

@@ -540,6 +540,19 @@ def content(values):
     return RatFunc(_pmul((num_int,), g), _pmul((den_int,), lcm))
 
 
+def eval_mod(x, t0, p):
+    """x(t0) in GF(p) for a prime p, or None when the denominator of x vanishes there.
+
+    On the fractions whose denominator does not vanish at t0 mod p this is
+    a ring homomorphism to GF(p); a canonical fraction outside that ring
+    has a vanishing denominator, so None is returned exactly off its domain.
+    """
+    den = _peval(x.den, t0) % p
+    if not den:
+        return None
+    return _peval(x.num, t0) * pow(den, -1, p) % p
+
+
 def qpow(k2):
     """t**k2 as a field element, i.e. q^(k2/2); k2 may be negative."""
     if k2 >= 0:

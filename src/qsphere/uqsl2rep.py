@@ -80,6 +80,8 @@ def xc_matrix(l, c: CParam, sign=+1):
     """The displayed (l+1)x(l+1) tridiagonal matrix for weight ±q^(-l)."""
     if l < 0:
         raise ValueError("l must be nonnegative")
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
     if c.is_zero():
         raise ValueError("c = 0 is outside the classification setting")
     xd = XcData(c)

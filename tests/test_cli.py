@@ -282,6 +282,19 @@ def test_disagreeing_weight_routes_exit_3(capsys, monkeypatch):
                             "disagree at sign=+1 l=0\n")
 
 
+def test_disagreement_on_a_weight_decided_mod_p_exits_3(capsys, monkeypatch):
+    # (-1, 1) at s=1 is refuted mod P; its matrix-route kernel is still read
+    real = uqsl2rep.kernel_dim
+    monkeypatch.setattr(uqsl2rep, "kernel_dim",
+                        lambda l, c, sign: 1 if (sign, l) == (-1, 1) else real(l, c, sign))
+    code = main(["classify", "--c", "s=1", "--lmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("internal check failed: operator and matrix routes "
+                            "disagree at sign=-1 l=1\n")
+
+
 def test_de_generated_certificate_reads_the_candidates(capsys, monkeypatch):
     code, out = run_cli(capsys, "--format", "json", "de-generated", "--c", "s=1")
     assert code == 0

@@ -1,7 +1,7 @@
 import pytest
 
 from qsphere.scalars import ZERO, ONE, Q, QHAT, RatFunc, CParam, XcData, qpow
-from qsphere import linalg, oqsl2
+from qsphere import dualfunc, fodc, linalg, oqsl2, selftest, uqsl2rep
 from qsphere.dualfunc import DualEngine, PsiVector, EPSILON
 
 GENERIC = CParam.generic(1)
@@ -168,6 +168,83 @@ def test_scan_jc(eng, eng_inf):
     assert eng.scan_weights(4) == [(1, 0), (1, 2), (1, 4)]
     assert eng_inf.scan_weights(2) == [(1, 0), (-1, 0), (1, 2), (-1, 2)]
     assert DualEngine(EXC_HALF).scan_weights(3) == [(1, 0), (-1, 1), (1, 2), (-1, 3)]
+
+
+def _lam0(sign, l):
+    return sign * qpow(-2 * l)
+
+
+def _record_phi(monkeypatch):
+    calls = []
+    real = DualEngine.phi
+    monkeypatch.setattr(DualEngine, "phi",
+                        lambda self, v: calls.append(v) or real(self, v))
+    return calls
+
+
+def test_scan_applies_phi_to_members_only(monkeypatch):
+    # a non-member is proven by phi^(l+1) psi != 0 at t0 mod P; only the
+    # members' orbits are computed exactly, l+1 applications each
+    calls = _record_phi(monkeypatch)
+    members = DualEngine(CParam.generic(2)).scan_weights(6)
+    assert members == [(1, 0), (1, 2), (1, 4), (1, 6)]
+    assert len(calls) == sum(l + 1 for _, l in members)
+    starts = {PsiVector.symbol(0, _lam0(sign, l)) for l in range(7) for sign in (+1, -1)}
+    assert starts & set(calls) == {PsiVector.symbol(0, _lam0(sign, l)) for sign, l in members}
+
+
+def test_vanishing_denominator_at_t0_takes_the_exact_path(monkeypatch):
+    # at t0 = 1 the denominator t^4 - 1 of alpha and of [l]/(q-q^-1)
+    # vanishes, so no weight is decided mod P
+    want = DualEngine(CParam.generic(2)).scan_weights(6)
+    monkeypatch.setattr(dualfunc, "_T0", 1)
+    calls = _record_phi(monkeypatch)
+    assert DualEngine(CParam.generic(2)).scan_weights(6) == want
+    for l in range(7):
+        for sign in (+1, -1):
+            assert PsiVector.symbol(0, _lam0(sign, l)) in calls
+    assert len(calls) > sum(l + 1 for _, l in want)
+
+
+def test_coordinates_zero_at_t0_still_need_their_row(monkeypatch):
+    # at exc:1 the member (-1, 1) has phi psi = m psi^0 + (q^2 - 1) psi^1;
+    # its psi^1 coordinate vanishes at t0 = 1, but a_1 = -q^2/(q^2 - 1)
+    # has no value there, so the weight must not be decided mod P
+    want = DualEngine(EXC_HALF).scan_weights(5)
+    monkeypatch.setattr(dualfunc, "_T0", 1)
+    assert DualEngine(EXC_HALF).scan_weights(5) == want
+
+
+def test_scan_matches_ac6_and_non_member_orbits_do_not_vanish():
+    rep = selftest.ac6_jc_sets(lmax=10)
+    assert rep["pass"]
+    cs = {"s=1": GENERIC, "inf": CParam.infinity(),
+          "exc:1": selftest.c_exc(1), "exc:2": selftest.c_exc(2)}
+    for label, c in cs.items():
+        eng = DualEngine(c)
+        members = eng.scan_weights(10)
+        assert members == [tuple(w) for w in sorted(rep["details"]["scans"][label],
+                                                    key=lambda w: (w[1], -w[0]))]
+        for l in range(11):
+            for sign in (+1, -1):
+                if (sign, l) in members:
+                    continue
+                v = PsiVector.symbol(0, _lam0(sign, l))
+                for _ in range(l + 1):
+                    v = eng.phi(v)
+                assert not v.is_zero(), (label, sign, l)
+
+
+def test_sign_outside_plus_minus_one_is_refused():
+    eng = DualEngine(CParam.infinity())
+    with pytest.raises(ValueError, match="sign"):
+        eng.is_nilpotent_weight(0, 0)
+    assert eng._orbits == {}
+    with pytest.raises(ValueError, match="sign"):
+        fodc.tangent_space(CParam.infinity(), [(7, 2)])
+    for f in (uqsl2rep.xc_matrix, uqsl2rep.kernel_dim):
+        with pytest.raises(ValueError, match="sign"):
+            f(1, GENERIC, 7)
 
 
 def test_build_module_reads_the_scanned_orbits(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from qsphere import fodc, linalg, scalars
 from qsphere.dualfunc import DualEngine
 from qsphere.scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam,
-                             XcData, qint, qbinom, cn_value,
+                             XcData, qint, qbinom, cn_value, eval_mod,
                              check_admissible, parse_ratfunc, qpow, _padd,
                              _pmul, _pneg, _pgcd, _prs_gcd, _pdiv_exact,
                              _heu_gcd)
@@ -441,3 +441,18 @@ def test_n1_freeness_solutions_exact_and_canonical(monkeypatch):
     _, _, prs_sols = _freeness_solutions(monkeypatch)
     assert ([[(v.num, v.den) for v in x] for x in prs_sols]
             == [[(v.num, v.den) for v in x] for x in sols])
+
+
+def test_eval_mod_is_a_ring_map_off_the_vanishing_denominators():
+    p, t0 = 2 ** 61 - 1, 1234567891011
+    xs = [QHAT.inv(), qint(5) / qint(3), parse_ratfunc("(q^3 - 2)/(7*q + 1)"),
+          -RatFunc.from_fraction(Fraction(5, 3)), qpow(-9)]
+    for x in xs:
+        for y in xs:
+            ex, ey = eval_mod(x, t0, p), eval_mod(y, t0, p)
+            assert eval_mod(x + y, t0, p) == (ex + ey) % p
+            assert eval_mod(x * y, t0, p) == ex * ey % p
+    assert eval_mod(QHAT, 1, p) == 0
+    assert eval_mod(QHAT.inv(), 1, p) is None      # (q - q^-1)^-1 = t^2/(t^4 - 1)
+    assert eval_mod(RatFunc.from_fraction(Fraction(1, p)), t0, p) is None
+    assert eval_mod(ZERO, t0, p) == 0
