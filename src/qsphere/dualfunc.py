@@ -20,7 +20,9 @@ symbols by
 
 and the right action of the twisted primitive element decomposes as
 psi X_c = q^-1 phi(psi) + lam varphi(psi) + alpha (1 - lam^-1) kappa(psi).
-Each engine keeps these coefficients in one table, filled per (l, lam).
+Each engine keeps these coefficients in one table, filled per (l, lam)
+when phi or varphi is applied; the weight scan reads phi's coefficients
+at t0 mod P from a second table, built from the same formula.
 
 The weight scan proves a weight (±, l) outside J^c by a nonzero value of
 phi^(l+1) psi^0_{±q^(-l)} at t = t0 = 1234567891011 over GF(P), P = 2^61 - 1.
@@ -34,12 +36,9 @@ path, and their exact orbit is the module basis.
 
 from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam, XcData,
                       eval_mod, qint, qbinom, qpow)
+from .scalars import MOD_P as _P, MOD_T0 as _T0  # proves a weight outside J^c
 from . import linalg, oqsl2, podles, uqsl2rep
 from .algebra import LinComb, accumulate
-
-# the specialization t -> _T0 over GF(_P) that proves a weight outside J^c
-_P = 2 ** 61 - 1
-_T0 = 1234567891011
 
 
 class PsiVector(LinComb):
@@ -73,6 +72,16 @@ class PsiVector(LinComb):
 
 
 EPSILON = PsiVector.symbol(0, ONE)      # psi^0_1 is the counit
+
+
+def _phi_coefficients(a_l, alpha_q, q2, q2l, lam):
+    """The coefficients of psi^(l-1), psi^l, psi^(l+1) in phi(psi^l_lam).
+
+    Applied to RatFuncs (q2 = q^2, q2l = q^(2l)) for the exact row, and to
+    their values at _T0 mod _P, to be reduced by the caller, for the
+    modular one.
+    """
+    return a_l, alpha_q * (q2l - lam), q2 * (q2l - lam * lam)
 
 
 def _lambda0(sign, l):
@@ -113,42 +122,65 @@ class DualEngine:
         self.xc = XcData(c)
         self.alpha = self.xc.alpha
         self._alpha_q = self.alpha * Q
+        self._alpha_q_mod = eval_mod(self._alpha_q, _T0, _P)
         self.alg = podles.PodlesAlgebra(c)
         self._evaluator = oqsl2.Evaluator()
         self._orbits = {}               # (sign, l) -> phi-orbit or None
-        self._table = {}                # l -> factors of l; (l, lam) -> `_constants` row
+        self._table = {}                # l -> `_per_l`; (l, lam) -> `_constants` row
+        self._mod_table = {}            # (l, lam) -> `_mod_row`
         self._calculi = {}              # (n, nu) -> fodc.CalculusPresentation
 
     # -- the three operators, read off one table of structure constants
 
-    def _constants(self, l, lam):
-        """phi and varphi of psi^l_lam: (phi terms, varphi terms, phi coefficients mod P).
+    def _per_l(self, l):
+        """a_l = -q^l [l]/(q-q^-1), q^(1-l) [l]/(q-q^-1) and a_l at _T0 mod _P."""
+        per_l = self._table.get(l)
+        if per_l is None:
+            hat = qint(l) / QHAT
+            a_l = -qpow(2 * l) * hat
+            per_l = self._table[l] = (a_l, qpow(2 * (1 - l)) * hat,
+                                      eval_mod(a_l, _T0, _P))
+        return per_l
 
-        The terms are {symbol: coefficient} dicts at the grades q^2 lam and
-        q^-2 lam.  The last entry lists (l', coefficient at _T0 mod _P) for
-        the phi terms, or is None when a denominator vanishes there.  The
-        factors that depend on l only, a_l = -q^l [l]/(q-q^-1) and
-        q^(1-l) [l]/(q-q^-1), are kept per l.
+    def _constants(self, l, lam):
+        """phi and varphi of psi^l_lam as {symbol: coefficient} dicts.
+
+        The symbols are at the grades q^2 lam and q^-2 lam; only nonzero
+        coefficients are kept.
         """
         row = self._table.get((l, lam))
         if row is None:
-            per_l = self._table.get(l)
-            if per_l is None:
-                hat = qint(l) / QHAT
-                per_l = self._table[l] = (-qpow(2 * l) * hat, qpow(2 * (1 - l)) * hat)
-            a_l, lower = per_l
+            a_l, lower, _ = self._per_l(l)
             grade = qpow(4) * lam
-            phi = {}
-            for k, coeff in ((l - 1, a_l),
-                             (l, self._alpha_q * (qpow(4 * l) - lam)),
-                             (l + 1, Q * Q * (qpow(4 * l) - lam * lam))):
-                if coeff:
-                    phi[(0, k, grade)] = coeff
+            coeffs = _phi_coefficients(a_l, self._alpha_q, qpow(4), qpow(4 * l), lam)
+            phi = {(0, k, grade): x for k, x in enumerate(coeffs, l - 1) if x}
             varphi = {(0, l - 1, qpow(-4) * lam): lam.inv() * lower} if lower else {}
-            mod = [(sym[1], eval_mod(coeff, _T0, _P)) for sym, coeff in phi.items()]
-            row = self._table[(l, lam)] = (
-                phi, varphi, None if any(x is None for _, x in mod) else mod)
+            row = self._table[(l, lam)] = (phi, varphi)
         return row
+
+    def _mod_row(self, l, lam):
+        """The phi row of psi^l_lam at _T0 mod _P: [(l', coefficient)], or None.
+
+        It has a term exactly where the exact row has one: a_0 = 0, the
+        psi^l coefficient vanishes when alpha = 0 or lam = q^(2l), and the
+        psi^(l+1) coefficient when lam^2 = q^(2l).  Its values come from the
+        same `_phi_coefficients`, applied to a_l, alpha q, q^2, q^(2l) and
+        lam at _T0; None when one of them has no value there.
+        """
+        key = (l, lam)
+        if key not in self._mod_table:
+            a_l, _, a_mod = self._per_l(l)
+            lam_mod = eval_mod(lam, _T0, _P)
+            row = None
+            if None not in (a_mod, self._alpha_q_mod, lam_mod):
+                q2l = qpow(4 * l)
+                coeffs = _phi_coefficients(a_mod, self._alpha_q_mod, pow(_T0, 4, _P),
+                                           pow(_T0, 4 * l, _P), lam_mod)
+                nonzero = (bool(a_l), bool(self.alpha) and lam != q2l, lam * lam != q2l)
+                row = [(k, x % _P) for k, (x, nz) in enumerate(zip(coeffs, nonzero), l - 1)
+                       if nz]
+            self._mod_table[key] = row
+        return self._mod_table[key]
 
     def phi(self, v):
         _require_m0(v)
@@ -210,7 +242,7 @@ class DualEngine:
         """phi^(l+1) kills psi^0_{lambda0}; cross-checked against the matrix kernel.
 
         First phi^(l+1) psi is computed at t = _T0 over GF(_P), from the
-        `_constants` table evaluated there.  Evaluation at _T0 mod _P is a
+        rows of `_mod_row`.  Evaluation at _T0 mod _P is a
         ring map on the fractions whose denominators do not vanish there,
         and the orbit uses only + and x, so a nonzero coordinate proves
         phi^(l+1) psi != 0: the weight is outside J^c.  Otherwise (a zero
@@ -252,7 +284,7 @@ class DualEngine:
         for _ in range(l + 1):
             out = {}
             for k, x in vec.items():
-                mod = self._constants(k, lam)[2]
+                mod = self._mod_row(k, lam)
                 if mod is None:
                     return False
                 for k2, y in mod:

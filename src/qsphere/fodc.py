@@ -143,11 +143,15 @@ def classify_de_generated(c: CParam, Lmax=6, engine=None):
     3-dimensional span of the generators, so the enumeration is pruned to
     components with l <= 2 and total dimension <= 3; the trivial component
     (+1, 0) carries the zero calculus and is excluded from the counts.
+    J^c is scanned to l = max(Lmax, 2), so the enumeration is complete at
+    every Lmax; Lmax only widens `pruned_components`.
     `candidates_closed` says whether at least one candidate was enumerated
     and every one passed its tangent-space certificate.
     """
+    if Lmax < 0:
+        raise ValueError("lmax must be nonnegative, got %d" % Lmax)
     engine = engine or DualEngine(c)
-    jset = engine.scan_weights(Lmax)
+    jset = engine.scan_weights(max(Lmax, 2))
     eligible = [sl for sl in jset if sl != (+1, 0) and sl[1] + 1 <= 3]
     pruned = [sl for sl in jset if sl != (+1, 0) and sl[1] + 1 > 3]
     W = engine.alg.generators_e()
@@ -616,6 +620,17 @@ def verify_freeness(pres: CalculusPresentation, degree=2, coeff_degree=None):
     rank nor the span of the columns, so `rank`, `unique_expansion` and
     `ungenerated` are those of the undivided system.
 
+    The system is solved by `linalg.solve_full_rank`.  It finds as many
+    rows as there are columns that are independent at t0 mod P; the
+    determinant of that square minor is nonzero at t0, so it is nonzero in
+    Q(t) and the columns are independent.  Under full column rank each
+    target has at most one expansion: the solution x of the minor.  With
+    delta the lcm of the denominators of x, every other row is checked
+    exactly as A[i] (delta x) = delta b[i], and a failed row leaves the
+    target ungenerated.  When the rank at t0 falls short, the whole system
+    is eliminated exactly, so `rank` and `unique_expansion` are exact on
+    both paths.
+
     A degree below 1 has no nonconstant monomial to generate, and a
     coefficient degree below 0 no coefficient, so both are refused rather
     than passed on an empty check.
@@ -653,7 +668,7 @@ def verify_freeness(pres: CalculusPresentation, degree=2, coeff_degree=None):
         targets.append(gamma_vec(pres.d(alg.element({m: ONE}))))
 
     matrix_rows = linalg.transpose(columns)
-    col_rank, sols = linalg.solve_with_rank(matrix_rows, targets)
+    col_rank, sols = linalg.solve_full_rank(matrix_rows, targets)
     unique = col_rank == len(columns)
     failures = [m for m, s in zip(target_monos, sols) if s is None]
     return {"pass": unique and not failures, "unique_expansion": unique,

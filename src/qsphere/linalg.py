@@ -6,12 +6,16 @@ through one sparse forward elimination, `_eliminate`, on rows held as
 (Markowitz, "The elimination form of the inverse", 1957): the entry that
 minimises (r-1)(c-1), r and c being the nonzeros of its row and its column
 in the part not yet eliminated.  That bounds the fill-in, and every filled
-cell is a RatFunc operation with reduced fractions.  The n=2 freeness
-system of AC-8 is 320x80 with 8 right-hand sides and 1616 nonzeros; that
-one solve is most of the cost of AC-8 (README, "Performance").
+cell is a RatFunc operation with reduced fractions.
+
+A tall system expected to have full column rank, such as the n=2
+freeness system of AC-8 (320x80 with 8 right-hand sides), goes through
+`solve_full_rank`: pivot rows found at t0 mod P, one exact solve of the
+square minor on them, and an exact check of the other rows over one
+common denominator.  The rows beyond the rank are never eliminated.
 """
 
-from .scalars import ZERO, ONE
+from .scalars import ZERO, ONE, MOD_P, MOD_T0, clear_denominators, eval_mod
 
 
 def zeros(n, m):
@@ -185,6 +189,93 @@ def solve_with_rank(a_rows, b_cols):
             x[col] = s
         sols.append(x)
     return len(pivots), sols
+
+
+def _pivot_rows_mod_p(sparse_rows, nc):
+    """Indices, in order, of nc rows independent at t = MOD_T0 over GF(MOD_P).
+
+    The rows are lists of (column, nonzero entry).  They are taken by
+    their number of nonzeros (then their index), since sparse rows make
+    the exact solve of the minor cheap.  Each row is evaluated when it is
+    reached and reduced against the rows kept before it; a row with an
+    entry whose denominator vanishes at MOD_T0 is passed over.  None when
+    the rows run out before nc are kept.
+    """
+    kept, basis = [], []                # basis: (pivot column, row scaled to 1 there)
+    for i in sorted(range(len(sparse_rows)), key=lambda i: len(sparse_rows[i])):
+        v = {}
+        for j, x in sparse_rows[i]:
+            r = eval_mod(x, MOD_T0, MOD_P)
+            if r is None:
+                break
+            if r:
+                v[j] = r
+        else:
+            for p, b in basis:
+                f = v.get(p)
+                if f:
+                    for k, y in b.items():
+                        w = (v.get(k, 0) - f * y) % MOD_P
+                        if w:
+                            v[k] = w
+                        else:
+                            v.pop(k, None)
+            if v:
+                p = min(v)
+                inv = pow(v[p], -1, MOD_P)
+                basis.append((p, {k: y * inv % MOD_P for k, y in v.items()}))
+                kept.append(i)
+                if len(kept) == nc:
+                    return sorted(kept)
+    return None
+
+
+def solve_full_rank(a_rows, b_cols):
+    """`solve_with_rank` for a system expected to have full column rank nc.
+
+    Returns what `solve_with_rank(a_rows, b_cols)` returns, in four steps:
+
+    1. nc rows R of A independent at t = MOD_T0 over GF(MOD_P) are found
+       (`_pivot_rows_mod_p`).  Evaluation there is a ring map on the
+       fractions whose denominators do not vanish at MOD_T0, and every
+       entry of A[R] is such a fraction, so the determinant of the
+       nc x nc minor A[R] is nonzero in Q(t): A has column rank nc.
+    2. A[R] x = b[R] is solved exactly for every target by one
+       `solve_with_rank`.  A rank below nc there contradicts step 1 and
+       raises AssertionError.
+    3. Under full column rank, x is the only possible solution of A x = b.
+       With delta the lcm of the denominators of x (a polynomial, so
+       central), every row outside R is checked as A[i] (delta x) =
+       delta b[i].  delta x is a polynomial vector, so on Laurent entries
+       no product or sum needs a gcd.  A failed row proves the target
+       outside the column span of A: its solution is None.
+    4. When fewer than nc rows with every entry defined at MOD_T0 are
+       independent there, the whole system goes to `solve_with_rank`.
+       Only this path can report a rank below nc.
+    """
+    nc = len(a_rows[0]) if a_rows else 0
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in a_rows]
+    kept = _pivot_rows_mod_p(sparse, nc)
+    if kept is None:
+        return solve_with_rank(a_rows, b_cols)
+    r, sols = solve_with_rank([a_rows[i] for i in kept],
+                              [[col[i] for i in kept] for col in b_cols])
+    if r < nc:
+        raise AssertionError("column rank %d at t0 mod P, but the minor has rank %d"
+                             % (nc, r))
+    in_r = set(kept)
+    others = [i for i in range(len(a_rows)) if i not in in_r]
+    for k, (x, col) in enumerate(zip(sols, b_cols)):
+        delta, y = clear_denominators(x)
+        for i in others:
+            s = ZERO
+            for j, a in sparse[i]:
+                if y[j]:
+                    s = s + a * y[j]
+            if s != delta * col[i]:
+                sols[k] = None
+                break
+    return nc, sols
 
 
 # ---------------------------------------------------------------------------

@@ -528,16 +528,40 @@ def content(values):
     if not nonzero:
         return ONE
     g = _pprim(nonzero[0].num)
-    lcm = _pprim(nonzero[0].den)
     for x in nonzero[1:]:
         if len(g) > 1:
             g = _pgcd(g, x.num)[0]
-        den = _pprim(x.den)
-        if den != lcm:
-            lcm = _pmul(lcm, _pgcd(lcm, den)[2])
     num_int = math.gcd(*(c for x in nonzero for c in x.num))
-    den_int = math.lcm(*(math.gcd(*x.den) for x in nonzero))
-    return RatFunc(_pmul((num_int,), g), _pmul((den_int,), lcm))
+    return RatFunc(_pmul((num_int,), g), _den_lcm(nonzero))
+
+
+def _den_lcm(nonzero):
+    """The lcm in Z[t] of the denominators of nonzero values, integer contents included."""
+    dens = {_pprim(x.den) for x in nonzero}
+    lcm = dens.pop()
+    for den in dens:
+        lcm = _pmul(lcm, _pgcd(lcm, den)[2])
+    return _pmul((math.lcm(*(math.gcd(*x.den) for x in nonzero)),), lcm)
+
+
+def clear_denominators(values):
+    """(delta, [delta * x for x in values]), delta the lcm of the denominators.
+
+    delta and every delta * x are polynomials in Z[t], each product found
+    by one exact division of delta by a denominator, without a gcd.
+    """
+    nonzero = [x for x in values if x.num]
+    if not nonzero:
+        return ONE, list(values)
+    delta = _den_lcm(nonzero)
+    return (RatFunc(delta, (1,), _reduced=True),
+            [RatFunc(_pmul(x.num, _pdiv_exact(delta, x.den)), (1,), _reduced=True)
+             if x.num else ZERO for x in values])
+
+
+# the specialization t -> MOD_T0 over GF(MOD_P) used by the modular passes
+MOD_P = 2 ** 61 - 1
+MOD_T0 = 1234567891011
 
 
 def eval_mod(x, t0, p):

@@ -130,10 +130,25 @@ def test_malformed_components_are_usage_errors(capsys, components):
 
 
 @pytest.mark.parametrize("lmax", [0, 1])
-def test_de_generated_without_candidates_fails(capsys, lmax):
-    # no eligible component below the bound: nothing was checked, so no pass
+def test_de_generated_is_complete_at_low_lmax(capsys, lmax):
+    # the enumeration needs l <= 2 whatever the bound; a scan to lmax only
+    # found no candidate below l = 2 and reported 0 calculi
+    code, want = run_cli(capsys, "--format", "json", "de-generated", "--c", "s=1")
     code, out = run_cli(capsys, "--format", "json", "de-generated", "--c", "s=1",
                         "--lmax", str(lmax))
+    assert code == 0
+    doc, want = json.loads(out), json.loads(want)
+    assert doc["count"] == want["count"] == 1
+    assert doc["calculi"] == want["calculi"]
+    assert doc["certificates"] == [
+        {"name": "candidate tangent spaces closed", "pass": True}]
+    assert "pruned components (dimension beyond the separating bound): none" in doc["lines"]
+
+
+def test_de_generated_without_candidates_fails(capsys, monkeypatch):
+    # a scan with only the trivial component: nothing was checked, so no pass
+    monkeypatch.setattr(DualEngine, "scan_weights", lambda self, lmax: [(1, 0)])
+    code, out = run_cli(capsys, "--format", "json", "de-generated", "--c", "s=1")
     assert code == 1
     doc = json.loads(out)
     assert doc["count"] == 0

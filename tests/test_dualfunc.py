@@ -1,7 +1,7 @@
 import pytest
 
 from qsphere.scalars import ZERO, ONE, Q, QHAT, RatFunc, CParam, XcData, qpow
-from qsphere import dualfunc, fodc, linalg, oqsl2, selftest, uqsl2rep
+from qsphere import dualfunc, fodc, linalg, oqsl2, scalars, selftest, uqsl2rep
 from qsphere.dualfunc import DualEngine, PsiVector, EPSILON
 
 GENERIC = CParam.generic(1)
@@ -213,6 +213,36 @@ def test_coordinates_zero_at_t0_still_need_their_row(monkeypatch):
     want = DualEngine(EXC_HALF).scan_weights(5)
     monkeypatch.setattr(dualfunc, "_T0", 1)
     assert DualEngine(EXC_HALF).scan_weights(5) == want
+
+
+@pytest.mark.parametrize("c", [GENERIC, CParam.generic(2), CParam.infinity(),
+                               EXC_HALF, selftest.c_exc(2)], ids=str)
+def test_mod_p_rows_carry_the_exact_rows_terms(c):
+    # the terms of phi at t0 mod P are those of the exact row, with their
+    # values; alpha = 0 at c = inf, and lam = q^(2l) or lam^2 = q^(2l) on the grid
+    eng = DualEngine(c)
+    for l in range(6):
+        for k in range(-8, 9):
+            for lam in (qpow(2 * k), -qpow(2 * k)):
+                exact = eng._constants(l, lam)[0]
+                mod = eng._mod_row(l, lam)
+                want = [(sym[1], scalars.eval_mod(x, dualfunc._T0, dualfunc._P))
+                        for sym, x in exact.items()]
+                if mod is None:
+                    assert c != CParam.infinity()
+                else:
+                    assert mod == want, (l, lam)
+
+
+def test_scan_builds_exact_rows_for_members_only():
+    # a non-member is decided from the modular rows; only the members'
+    # exact orbits read exact rows
+    eng = DualEngine(CParam.generic(2))
+    members = eng.scan_weights(6)
+    rows = {key for key in eng._table if isinstance(key, tuple)}
+    assert rows == {(l, lam) for sl in members for v in eng._orbits[sl]
+                    for (_, l, lam) in v.terms}
+    assert len(rows) < len(eng._mod_table)
 
 
 def test_scan_matches_ac6_and_non_member_orbits_do_not_vanish():

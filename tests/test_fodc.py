@@ -175,6 +175,82 @@ def test_freeness_verdict_matches_the_raw_columns(eng, coeff_degree, rank, ungen
     assert rep["pass"] == (not ungenerated)
 
 
+def _freeness_by_the_whole_system(monkeypatch, pres):
+    """verify_freeness with one exact elimination of the whole system (the oracle)."""
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "solve_full_rank", linalg.solve_with_rank)
+        return verify_freeness(pres, 2)
+
+
+@pytest.mark.parametrize("n, c, nu", [(1, CParam.generic(2), "id"), (1, INF, "flip"),
+                                      (2, GENERIC, "id")])
+def test_freeness_by_pivots_mod_p_matches_the_whole_system(monkeypatch, n, c, nu):
+    pres = build_rform_calculus(n, nu, c)
+    rep = verify_freeness(pres, 2)
+    assert rep == _freeness_by_the_whole_system(monkeypatch, pres)
+    assert rep["pass"] and rep["rank"] == rep["unknowns"] == (48, 80)[n - 1]
+
+
+def test_freeness_n3_keeps_the_whole_system_verdict():
+    # one elimination of the whole 448x112 system gave this report (about 9 s);
+    # the full column rank is proven mod P and the 8 targets fail their rows
+    rep = verify_freeness(build_rform_calculus(3, "id", GENERIC), 2)
+    assert rep == {"pass": False, "unique_expansion": True,
+                   "ungenerated": [("m",), ("p",), ("A",), ("m", "m"), ("p", "p"),
+                                   ("A", "m"), ("A", "p"), ("A", "A")],
+                   "degree": 2, "coeff_degree": 3, "unknowns": 112, "rank": 112}
+
+
+def test_freeness_with_a_duplicated_column_is_not_unique(monkeypatch, eng):
+    # the rank mod P is below the column count, so the whole system is solved
+    pres = build_rform_calculus(1, "id", GENERIC, engine=eng)
+    real = linalg.transpose
+    monkeypatch.setattr(linalg, "transpose", lambda cols: real(cols[:-1] + cols[:1]))
+    rep = verify_freeness(pres, 2)
+    assert rep == _freeness_by_the_whole_system(monkeypatch, pres)
+    assert rep["unique_expansion"] is False and rep["pass"] is False
+    assert rep["rank"] == rep["unknowns"] - 1 == 47
+
+
+def test_freeness_target_moved_off_the_pivot_rows_is_ungenerated(monkeypatch, eng):
+    # a change in a row that the square solve does not see is found by the
+    # check of the other rows over the common denominator
+    pres = build_rform_calculus(1, "id", GENERIC, engine=eng)
+
+    def moving(solve):
+        def moved(a_rows, b_cols):
+            sparse = [[(j, x) for j, x in enumerate(row) if x] for row in a_rows]
+            kept = linalg._pivot_rows_mod_p(sparse, len(a_rows[0]))
+            i = min(set(range(len(a_rows))) - set(kept))
+            b_cols = [list(col) for col in b_cols]
+            b_cols[0][i] = b_cols[0][i] + ONE
+            return solve(a_rows, b_cols)
+        return moved
+
+    reps = []
+    for solve in (linalg.solve_full_rank, linalg.solve_with_rank):
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "solve_full_rank", moving(solve))
+            reps.append(verify_freeness(pres, 2))
+    first = [m for m in eng.alg.normal_monomials(2) if m][0]
+    assert reps[0] == reps[1]
+    assert reps[0]["ungenerated"] == [first] and reps[0]["pass"] is False
+    assert reps[0]["unique_expansion"] is True
+
+
+def test_freeness_minor_contradicting_its_rank_mod_p_exits_3(capsys, monkeypatch):
+    real = linalg.solve_with_rank
+    monkeypatch.setattr(linalg, "solve_with_rank",
+                        lambda a, b: (lambda r, sols: (r - 1, sols))(*real(a, b)))
+    code = main(["--format", "json", "build-fodc", "--c", "s=1", "--n", "1",
+                 "--verify-freeness"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("internal check failed: column rank 48 at t0 mod P, "
+                            "but the minor has rank 47\n")
+
+
 @pytest.mark.parametrize("degree, coeff_degree, match", [
     (0, None, "degree bound >= 1"),
     (-1, None, "degree bound >= 1"),

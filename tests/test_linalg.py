@@ -1,8 +1,11 @@
 import random
 
-from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc
+import pytest
+
+from qsphere import linalg
+from qsphere.scalars import ZERO, ONE, Q, QINV, MOD_T0, RatFunc
 from qsphere.linalg import (charpoly_tridiag, matmul, nullity,
-                            rank, solve_with_rank, transpose,
+                            rank, solve_full_rank, solve_with_rank, transpose,
                             xp_mul, xp_sub, xp_trailing_zeros)
 
 
@@ -199,3 +202,90 @@ def test_rank_agrees_with_transpose_and_solve_on_random_laurent_matrices():
                 assert x == y
         seen["full" if r == nc else "deficient"] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def _record_solves(monkeypatch):
+    """The row counts of the systems handed to `solve_with_rank`."""
+    real = linalg.solve_with_rank
+    sizes = []
+
+    def recorded(a_rows, b_cols):
+        sizes.append(len(a_rows))
+        return real(a_rows, b_cols)
+
+    monkeypatch.setattr(linalg, "solve_with_rank", recorded)
+    return sizes
+
+
+def test_solve_full_rank_equals_solve_with_rank_on_random_laurent_systems(monkeypatch):
+    # the same rank and solutions, whether the pivot rows are found mod P
+    # (full column rank: one square solve and a check of the other rows)
+    # or the system is rank-deficient and solved whole
+    rng = random.Random(2025)
+    seen = {"square solve": 0, "whole system": 0, "unsolvable by the check": 0,
+            "solved by the check": 0}
+    for trial in range(90):
+        nc = rng.randint(1, 6)
+        nr = (nc, nc + rng.randint(1, 4), max(1, nc - rng.randint(1, 3)))[trial % 3]
+        a = _random_laurent_matrix(rng, nr, nc)
+        targets = ([_times(a, [_random_laurent_entry(rng, 0.7) for _ in range(nc)])
+                    for _ in range(2)]
+                   + [[_random_laurent_entry(rng) for _ in range(nr)] for _ in range(2)])
+        want = solve_with_rank(a, targets)
+        sizes = _record_solves(monkeypatch)
+        got = solve_full_rank(a, targets)
+        monkeypatch.undo()
+        assert got == want
+        if sizes == [nc] and nr > nc:
+            seen["square solve"] += 1
+            seen["unsolvable by the check"] += sum(x is None for x in got[1])
+            seen["solved by the check"] += sum(x is not None for x in got[1])
+        elif sizes == [nr]:
+            seen["whole system"] += 1
+            assert got[0] < nc or nr == nc
+    assert min(seen.values()) >= 10, seen
+
+
+def test_solve_full_rank_targets_out_of_the_span_on_and_off_the_pivot_rows():
+    a = mat([[1, 0], [0, 1], [1, 1], [1, -1]])
+    b = [ONE, Q, ONE + Q, ONE - Q]
+    assert solve_full_rank(a, [b]) == (2, [[ONE, Q]])
+    for i in range(4):
+        moved = list(b)
+        moved[i] = moved[i] + ONE
+        assert solve_full_rank(a, [b, moved]) == solve_with_rank(a, [b, moved]) \
+            == (2, [[ONE, Q], None])
+
+
+def test_solve_full_rank_passes_over_rows_undefined_at_t0(monkeypatch):
+    # 1/(t - t0) has no value at t0: its row cannot be a pivot row mod P
+    pole = RatFunc((1,), (-MOD_T0, 1))
+    square = [[pole, ONE], [ONE, Q]]
+    b = [[ONE, ZERO]]
+    sizes = _record_solves(monkeypatch)
+    got = solve_full_rank(square, b)
+    assert sizes == [2]                         # the whole system, exactly
+    assert got == solve_with_rank(square, b)
+    assert got[0] == 2
+    tall = square + [[Q, ONE]]
+    targets = [_times(tall, [ONE, Q]), [ONE, ZERO, ZERO]]
+    sizes.clear()
+    got = solve_full_rank(tall, targets)
+    assert sizes == [2]                         # the two rows defined at t0
+    assert got == solve_with_rank(tall, targets) == (2, [[ONE, Q], None])
+    # row 1 is (t - t0) times row 0; with the pole read as 0 mod P the two
+    # rows would look independent and the exact minor would be singular
+    dependent = [[pole, ONE], [ONE, RatFunc((-MOD_T0, 1), (1,))]]
+    sizes.clear()
+    got = solve_full_rank(dependent, b)
+    assert sizes == [2]
+    assert got == solve_with_rank(dependent, b)
+    assert got[0] == 1
+
+
+def test_solve_full_rank_refuses_a_minor_that_contradicts_its_rank_mod_p(monkeypatch):
+    real = linalg.solve_with_rank
+    monkeypatch.setattr(linalg, "solve_with_rank",
+                        lambda a, b: (lambda r, sols: (r - 1, sols))(*real(a, b)))
+    with pytest.raises(AssertionError, match="minor has rank 1"):
+        solve_full_rank(mat([[1, 0], [0, 1], [1, 1]]), [])
