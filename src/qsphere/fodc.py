@@ -620,16 +620,9 @@ def verify_freeness(pres: CalculusPresentation, degree=2, coeff_degree=None):
     rank nor the span of the columns, so `rank`, `unique_expansion` and
     `ungenerated` are those of the undivided system.
 
-    The system is solved by `linalg.solve_full_rank`.  It finds as many
-    rows as there are columns that are independent at t0 mod P; the
-    determinant of that square minor is nonzero at t0, so it is nonzero in
-    Q(t) and the columns are independent.  Under full column rank each
-    target has at most one expansion: the solution x of the minor.  With
-    delta the lcm of the denominators of x, every other row is checked
-    exactly as A[i] (delta x) = delta b[i], and a failed row leaves the
-    target ungenerated.  When the rank at t0 falls short, the whole system
-    is eliminated exactly, so `rank` and `unique_expansion` are exact on
-    both paths.
+    The system is solved by `linalg.solve_with_rank`, exactly on every
+    path; why a full column rank at t0 mod P and a check of the rows outside
+    a square minor suffice is set out in `linalg._solve`.
 
     A degree below 1 has no nonconstant monomial to generate, and a
     coefficient degree below 0 no coefficient, so both are refused rather
@@ -668,7 +661,7 @@ def verify_freeness(pres: CalculusPresentation, degree=2, coeff_degree=None):
         targets.append(gamma_vec(pres.d(alg.element({m: ONE}))))
 
     matrix_rows = linalg.transpose(columns)
-    col_rank, sols = linalg.solve_full_rank(matrix_rows, targets)
+    col_rank, sols = linalg.solve_with_rank(matrix_rows, targets)
     unique = col_rank == len(columns)
     failures = [m for m, s in zip(target_monos, sols) if s is None]
     return {"pass": unique and not failures, "unique_expansion": unique,

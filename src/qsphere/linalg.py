@@ -1,18 +1,13 @@
 """Exact linear algebra over Q(t).
 
-Matrices are plain lists of rows of RatFunc.  Every rank and solve runs
-through one sparse forward elimination, `_eliminate`, on rows held as
-{column: nonzero entry}.  Its pivots are chosen by the Markowitz rule
-(Markowitz, "The elimination form of the inverse", 1957): the entry that
-minimises (r-1)(c-1), r and c being the nonzeros of its row and its column
-in the part not yet eliminated.  That bounds the fill-in, and every filled
-cell is a RatFunc operation with reduced fractions.
-
-A tall system expected to have full column rank, such as the n=2
-freeness system of AC-8 (320x80 with 8 right-hand sides), goes through
-`solve_full_rank`: pivot rows found at t0 mod P, one exact solve of the
-square minor on them, and an exact check of the other rows over one
-common denominator.  The rows beyond the rank are never eliminated.
+Matrices are plain lists of rows of RatFunc.  `rank` and `solve_with_rank`
+take one route, `_solve`, which proves a full column rank at t0 mod P and
+eliminates exactly only what that leaves open.  Every exact elimination is
+`_eliminate`: sparse, on rows held as {column: nonzero entry}, with pivots
+chosen by the Markowitz rule (Markowitz, "The elimination form of the
+inverse", 1957), the entry that minimises (r-1)(c-1), r and c being the
+nonzeros of its row and its column in the part not yet eliminated.  That
+bounds the fill-in.
 """
 
 from .scalars import ZERO, ONE, MOD_P, MOD_T0, clear_denominators, eval_mod
@@ -155,22 +150,75 @@ def _eliminate(rows, nc):
 
 
 def rank(rows):
-    """Exact rank; the input is not modified."""
-    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
+    """Exact rank by `_solve`, on the orientation with at least as many rows
+    as columns, so that a rank full at t0 mod P needs no exact elimination."""
+    if rows and len(rows) < len(rows[0]):
+        rows = transpose(rows)
+    return _solve(rows, [])[0]
 
 
 def nullity(rows):
-    if not rows:
-        return 0
-    return len(rows[0]) - rank(rows)
+    return len(rows[0]) - rank(rows) if rows else 0
 
 
 def solve_with_rank(a_rows, b_cols):
-    """One elimination pass: (rank of A, per-column solution or None).
+    """(rank of A, per-column solution of A x = b or None), by `_solve`; a
+    solution is the unique one when the rank is the number of columns."""
+    return _solve(a_rows, b_cols)
 
-    Each solution is a solution of A x = b; the unique one when the rank
-    equals the number of columns.  Columns without a pivot are set to 0.
+
+def _solve(a_rows, b_cols):
+    """The one route of `rank` and `solve_with_rank`: (rank of A, solutions).
+
+    1. nc rows R of A independent at t = MOD_T0 over GF(MOD_P) are sought
+       (`_pivot_rows_mod_p`).  Evaluation there is a ring map on the
+       fractions whose denominators do not vanish at MOD_T0, as every entry
+       of A[R] does, so the nc x nc minor A[R] has a nonzero determinant
+       in Q(t): A has column rank nc.  Without targets that is the answer.
+    2. A[R] x = b[R] is solved exactly for every target by one elimination
+       of the minor.  A rank below nc there contradicts step 1 and raises
+       AssertionError.
+    3. Under full column rank, x is the only possible solution of A x = b.
+       With delta the lcm of the denominators of x (a polynomial, so
+       central), every row outside R is checked as A[i] (delta x) =
+       delta b[i]; on Laurent entries no product or sum there needs a gcd.
+       A failed row puts the target outside the column span: None.
+    4. When fewer than nc rows with every entry defined at MOD_T0 are
+       independent there, the whole system is eliminated exactly.  Only
+       this path reports a rank below nc, so a rank that drops at t0 alone
+       is still found.
     """
+    nc = len(a_rows[0]) if a_rows else 0
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in a_rows]
+    kept = _pivot_rows_mod_p(sparse, nc)
+    if kept is None:
+        return _solve_by_elimination(a_rows, b_cols)
+    if not b_cols:
+        return nc, []
+    r, sols = _solve_by_elimination([a_rows[i] for i in kept],
+                                    [[col[i] for i in kept] for col in b_cols])
+    if r < nc:
+        raise AssertionError("column rank %d at t0 mod P, but the minor has rank %d"
+                             % (nc, r))
+    in_r = set(kept)
+    others = [i for i in range(len(a_rows)) if i not in in_r]
+    for k, (x, col) in enumerate(zip(sols, b_cols) if others else ()):
+        delta, y = clear_denominators(x)
+        for i in others:
+            s = ZERO
+            for j, a in sparse[i]:
+                if y[j]:
+                    s = s + a * y[j]
+            if (s or col[i]) and s != delta * col[i]:
+                sols[k] = None
+                break
+    return nc, sols
+
+
+def _solve_by_elimination(a_rows, b_cols):
+    """(rank, solutions) from one `_eliminate` of [A | b]; a target is None
+    when a leftover row is nonzero in its column, and the columns without a
+    pivot are 0 in every solution."""
     nc = len(a_rows[0]) if a_rows else 0
     pivots, rest = _eliminate([list(a_rows[i]) + [col[i] for col in b_cols]
                                for i in range(len(a_rows))], nc)
@@ -228,54 +276,6 @@ def _pivot_rows_mod_p(sparse_rows, nc):
                 if len(kept) == nc:
                     return sorted(kept)
     return None
-
-
-def solve_full_rank(a_rows, b_cols):
-    """`solve_with_rank` for a system expected to have full column rank nc.
-
-    Returns what `solve_with_rank(a_rows, b_cols)` returns, in four steps:
-
-    1. nc rows R of A independent at t = MOD_T0 over GF(MOD_P) are found
-       (`_pivot_rows_mod_p`).  Evaluation there is a ring map on the
-       fractions whose denominators do not vanish at MOD_T0, and every
-       entry of A[R] is such a fraction, so the determinant of the
-       nc x nc minor A[R] is nonzero in Q(t): A has column rank nc.
-    2. A[R] x = b[R] is solved exactly for every target by one
-       `solve_with_rank`.  A rank below nc there contradicts step 1 and
-       raises AssertionError.
-    3. Under full column rank, x is the only possible solution of A x = b.
-       With delta the lcm of the denominators of x (a polynomial, so
-       central), every row outside R is checked as A[i] (delta x) =
-       delta b[i].  delta x is a polynomial vector, so on Laurent entries
-       no product or sum needs a gcd.  A failed row proves the target
-       outside the column span of A: its solution is None.
-    4. When fewer than nc rows with every entry defined at MOD_T0 are
-       independent there, the whole system goes to `solve_with_rank`.
-       Only this path can report a rank below nc.
-    """
-    nc = len(a_rows[0]) if a_rows else 0
-    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in a_rows]
-    kept = _pivot_rows_mod_p(sparse, nc)
-    if kept is None:
-        return solve_with_rank(a_rows, b_cols)
-    r, sols = solve_with_rank([a_rows[i] for i in kept],
-                              [[col[i] for i in kept] for col in b_cols])
-    if r < nc:
-        raise AssertionError("column rank %d at t0 mod P, but the minor has rank %d"
-                             % (nc, r))
-    in_r = set(kept)
-    others = [i for i in range(len(a_rows)) if i not in in_r]
-    for k, (x, col) in enumerate(zip(sols, b_cols)):
-        delta, y = clear_denominators(x)
-        for i in others:
-            s = ZERO
-            for j, a in sparse[i]:
-                if y[j]:
-                    s = s + a * y[j]
-            if s != delta * col[i]:
-                sols[k] = None
-                break
-    return nc, sols
 
 
 # ---------------------------------------------------------------------------

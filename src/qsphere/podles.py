@@ -291,10 +291,20 @@ class PodlesElement(LinComb):
     def _new(self, terms):
         return PodlesElement(self.alg, terms)
 
+    def _other_c(self, other):
+        """other is an element of a sphere algebra with another c."""
+        return (isinstance(other, PodlesElement) and other.alg is not self.alg
+                and other.alg.c != self.alg.c)
+
     def _coerce(self, other):
-        if isinstance(other, PodlesElement) and other.alg is not self.alg:
+        if self._other_c(other):
             raise ValueError("mixing sphere algebras with different c")
         return LinComb._coerce(self, other)
+
+    def __eq__(self, other):
+        return False if self._other_c(other) else LinComb.__eq__(self, other)
+
+    __hash__ = LinComb.__hash__
 
     def _mono_mul(self, m1, m2):
         return self.alg.reduce_word(m1 + m2)

@@ -586,7 +586,6 @@ def qpow(k2):
 
 Q = qpow(2)
 QINV = qpow(-2)
-QHALF = qpow(1)
 QHAT = Q - QINV          # q - q^-1
 
 
@@ -617,9 +616,6 @@ def cn_value(n2):
 
 # ---------------------------------------------------------------------------
 # the deformation parameter c
-
-INFINITY = "inf"
-
 
 class CParam:
     """The sphere parameter c, supplied through a square root s when finite.

@@ -178,7 +178,7 @@ def test_freeness_verdict_matches_the_raw_columns(eng, coeff_degree, rank, ungen
 def _freeness_by_the_whole_system(monkeypatch, pres):
     """verify_freeness with one exact elimination of the whole system (the oracle)."""
     with monkeypatch.context() as m:
-        m.setattr(linalg, "solve_full_rank", linalg.solve_with_rank)
+        m.setattr(linalg, "solve_with_rank", linalg._solve_by_elimination)
         return verify_freeness(pres, 2)
 
 
@@ -228,9 +228,9 @@ def test_freeness_target_moved_off_the_pivot_rows_is_ungenerated(monkeypatch, en
         return moved
 
     reps = []
-    for solve in (linalg.solve_full_rank, linalg.solve_with_rank):
+    for solve in (linalg.solve_with_rank, linalg._solve_by_elimination):
         with monkeypatch.context() as m:
-            m.setattr(linalg, "solve_full_rank", moving(solve))
+            m.setattr(linalg, "solve_with_rank", moving(solve))
             reps.append(verify_freeness(pres, 2))
     first = [m for m in eng.alg.normal_monomials(2) if m][0]
     assert reps[0] == reps[1]
@@ -239,9 +239,14 @@ def test_freeness_target_moved_off_the_pivot_rows_is_ungenerated(monkeypatch, en
 
 
 def test_freeness_minor_contradicting_its_rank_mod_p_exits_3(capsys, monkeypatch):
-    real = linalg.solve_with_rank
-    monkeypatch.setattr(linalg, "solve_with_rank",
-                        lambda a, b: (lambda r, sols: (r - 1, sols))(*real(a, b)))
+    real = linalg._solve_by_elimination
+
+    def contradicting(a_rows, b_cols):
+        # the 48x48 freeness minor at n = 1 only; the calculus is built first
+        r, sols = real(a_rows, b_cols)
+        return (r - 1 if len(a_rows) == 48 else r), sols
+
+    monkeypatch.setattr(linalg, "_solve_by_elimination", contradicting)
     code = main(["--format", "json", "build-fodc", "--c", "s=1", "--n", "1",
                  "--verify-freeness"])
     captured = capsys.readouterr()

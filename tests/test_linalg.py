@@ -5,7 +5,7 @@ import pytest
 from qsphere import linalg
 from qsphere.scalars import ZERO, ONE, Q, QINV, MOD_T0, RatFunc
 from qsphere.linalg import (charpoly_tridiag, matmul, nullity,
-                            rank, solve_full_rank, solve_with_rank, transpose,
+                            rank, solve_with_rank, transpose,
                             xp_mul, xp_sub, xp_trailing_zeros)
 
 
@@ -170,57 +170,103 @@ def _times(a, x):
     return [row[0] for row in matmul(a, [[v] for v in x])]
 
 
-def test_rank_agrees_with_transpose_and_solve_on_random_laurent_matrices():
-    # the sparse Markowitz elimination against the dense Gauss-Jordan oracle,
-    # on square, tall and wide matrices with consistent and random targets
+def _agrees_with_the_oracle(a, targets, got):
+    """got = (rank, solutions) has the oracle's rank and solvable targets, and
+    solves A x = b exactly; at full column rank the solutions are the oracle's."""
+    got_rank, sols = got
+    want_rank, want = _dense_solve_with_rank(a, targets)
+    assert got_rank == want_rank
+    assert [x is None for x in sols] == [x is None for x in want]
+    for b, x, y in zip(targets, sols, want):
+        if x is not None:
+            assert _times(a, x) == b
+            if got_rank == len(a[0]):
+                assert x == y
+
+
+def _count_eliminations(monkeypatch):
+    """The column counts of the exact eliminations (`_eliminate`) made."""
+    real = linalg._eliminate
+    calls = []
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda rows, nc: calls.append(nc) or real(rows, nc))
+    return calls
+
+
+def test_rank_agrees_with_transpose_and_solve_on_random_laurent_matrices(monkeypatch):
+    # the sparse Markowitz elimination and the route through t0 mod P against
+    # the dense Gauss-Jordan oracle, on square, tall and wide matrices with
+    # consistent and random targets
     rng = random.Random(2024)
-    seen = {"full": 0, "deficient": 0, "solved": 0, "unsolvable": 0}
+    seen = {"full": 0, "deficient": 0, "solved": 0, "unsolvable": 0,
+            "rank proven mod P": 0, "rank eliminated": 0}
     for trial in range(90):
         nc = rng.randint(1, 7)
         # square, tall and wide in turn
         nr = (nc, nc + rng.randint(1, 3), max(1, nc - rng.randint(1, 3)))[trial % 3]
         a = _random_laurent_matrix(rng, nr, nc)
+        calls = _count_eliminations(monkeypatch)
         r = rank(a)
+        monkeypatch.undo()
+        assert r == len(_dense_gauss_jordan(a, nc)[1])
+        seen["rank eliminated" if calls else "rank proven mod P"] += 1
+        assert calls == ([] if r == min(nr, nc) else [min(nr, nc)])
         assert r == rank(transpose(a)) == solve_with_rank(a, [])[0]
         assert r == solve_with_rank(transpose(a), [])[0]
         consistent = [_times(a, [_random_laurent_entry(rng, 0.7) for _ in range(nc)])
                       for _ in range(2)]
         random_b = [[_random_laurent_entry(rng) for _ in range(nr)] for _ in range(2)]
         targets = consistent + random_b
-        got_rank, got = solve_with_rank(a, targets)
-        want_rank, want = _dense_solve_with_rank(a, targets)
-        assert got_rank == want_rank == r
-        assert [x is None for x in got] == [x is None for x in want]
-        assert all(x is not None for x in got[:2])
-        for b, x, y in zip(targets, got, want):
-            if x is None:
-                seen["unsolvable"] += 1
-                continue
-            seen["solved"] += 1
-            assert _times(a, x) == b
-            if r == nc:
-                assert x == y
+        got = solve_with_rank(a, targets)
+        _agrees_with_the_oracle(a, targets, got)
+        assert got[0] == r
+        assert all(x is not None for x in got[1][:2])
+        seen["solved"] += sum(x is not None for x in got[1])
+        seen["unsolvable"] += sum(x is None for x in got[1])
         seen["full" if r == nc else "deficient"] += 1
     assert min(seen.values()) >= 10, seen
 
 
+def test_rank_dropping_at_t0_alone_is_found_exactly(monkeypatch):
+    # det [[1, 1], [1, t - t0 + 1]] = t - t0: rank 1 at t0 mod P, 2 in Q(t)
+    drop = RatFunc((1 - MOD_T0, 1), (1,))
+    square = mat([[1, 1], [1, drop]])
+    wide = mat([[1, 1, 1], [1, drop, 1]])
+    tall = mat([[1, 1], [1, drop], [2, 2]])
+    for a in (square, wide, tall):
+        for rows in (a, transpose(a)):
+            sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+            assert linalg._pivot_rows_mod_p(sparse, len(rows[0])) is None
+        calls = _count_eliminations(monkeypatch)
+        assert rank(a) == rank(transpose(a)) == 2
+        assert len(calls) == 2                  # the whole system, exactly, each time
+        monkeypatch.undo()
+        nr, nc = len(a), len(a[0])
+        targets = [_times(a, [Q] + [ONE] * (nc - 1)),
+                   [ONE] + [ZERO] * (nr - 1), [drop] * nr]
+        got = solve_with_rank(a, targets)
+        assert got == linalg._solve_by_elimination(a, targets)
+        _agrees_with_the_oracle(a, targets, got)
+        assert got[0] == 2 and got[1][0] is not None
+
+
 def _record_solves(monkeypatch):
-    """The row counts of the systems handed to `solve_with_rank`."""
-    real = linalg.solve_with_rank
+    """The row counts of the systems handed to the exact path."""
+    real = linalg._solve_by_elimination
     sizes = []
 
     def recorded(a_rows, b_cols):
         sizes.append(len(a_rows))
         return real(a_rows, b_cols)
 
-    monkeypatch.setattr(linalg, "solve_with_rank", recorded)
+    monkeypatch.setattr(linalg, "_solve_by_elimination", recorded)
     return sizes
 
 
-def test_solve_full_rank_equals_solve_with_rank_on_random_laurent_systems(monkeypatch):
+def test_solve_with_rank_equals_the_whole_system_on_random_laurent_systems(monkeypatch):
     # the same rank and solutions, whether the pivot rows are found mod P
     # (full column rank: one square solve and a check of the other rows)
-    # or the system is rank-deficient and solved whole
+    # or the system is rank-deficient and eliminated whole
     rng = random.Random(2025)
     seen = {"square solve": 0, "whole system": 0, "unsolvable by the check": 0,
             "solved by the check": 0}
@@ -231,11 +277,12 @@ def test_solve_full_rank_equals_solve_with_rank_on_random_laurent_systems(monkey
         targets = ([_times(a, [_random_laurent_entry(rng, 0.7) for _ in range(nc)])
                     for _ in range(2)]
                    + [[_random_laurent_entry(rng) for _ in range(nr)] for _ in range(2)])
-        want = solve_with_rank(a, targets)
+        want = linalg._solve_by_elimination(a, targets)
         sizes = _record_solves(monkeypatch)
-        got = solve_full_rank(a, targets)
+        got = solve_with_rank(a, targets)
         monkeypatch.undo()
         assert got == want
+        _agrees_with_the_oracle(a, targets, got)
         if sizes == [nc] and nr > nc:
             seen["square solve"] += 1
             seen["unsolvable by the check"] += sum(x is None for x in got[1])
@@ -246,46 +293,54 @@ def test_solve_full_rank_equals_solve_with_rank_on_random_laurent_systems(monkey
     assert min(seen.values()) >= 10, seen
 
 
-def test_solve_full_rank_targets_out_of_the_span_on_and_off_the_pivot_rows():
-    a = mat([[1, 0], [0, 1], [1, 1], [1, -1]])
-    b = [ONE, Q, ONE + Q, ONE - Q]
-    assert solve_full_rank(a, [b]) == (2, [[ONE, Q]])
-    for i in range(4):
+def test_solve_with_rank_targets_out_of_the_span_on_and_off_the_pivot_rows(monkeypatch):
+    # the zero row is off the pivot rows, and a target nonzero there is not solvable
+    a = mat([[1, 0], [0, 1], [1, 1], [1, -1], [0, 0]])
+    b = [ONE, Q, ONE + Q, ONE - Q, ZERO]
+    sizes = _record_solves(monkeypatch)
+    assert solve_with_rank(a, [b]) == (2, [[ONE, Q]])
+    assert sizes == [2]                         # the square minor only
+    monkeypatch.undo()
+    for i in range(5):
         moved = list(b)
         moved[i] = moved[i] + ONE
-        assert solve_full_rank(a, [b, moved]) == solve_with_rank(a, [b, moved]) \
-            == (2, [[ONE, Q], None])
+        got = solve_with_rank(a, [b, moved])
+        assert got == linalg._solve_by_elimination(a, [b, moved]) == (2, [[ONE, Q], None])
+        _agrees_with_the_oracle(a, [b, moved], got)
 
 
-def test_solve_full_rank_passes_over_rows_undefined_at_t0(monkeypatch):
+def test_solve_with_rank_passes_over_rows_undefined_at_t0(monkeypatch):
     # 1/(t - t0) has no value at t0: its row cannot be a pivot row mod P
     pole = RatFunc((1,), (-MOD_T0, 1))
     square = [[pole, ONE], [ONE, Q]]
     b = [[ONE, ZERO]]
+    want = linalg._solve_by_elimination(square, b)
     sizes = _record_solves(monkeypatch)
-    got = solve_full_rank(square, b)
+    got = solve_with_rank(square, b)
     assert sizes == [2]                         # the whole system, exactly
-    assert got == solve_with_rank(square, b)
+    assert got == want
     assert got[0] == 2
     tall = square + [[Q, ONE]]
     targets = [_times(tall, [ONE, Q]), [ONE, ZERO, ZERO]]
     sizes.clear()
-    got = solve_full_rank(tall, targets)
+    got = solve_with_rank(tall, targets)
     assert sizes == [2]                         # the two rows defined at t0
-    assert got == solve_with_rank(tall, targets) == (2, [[ONE, Q], None])
+    assert got == (2, [[ONE, Q], None])
     # row 1 is (t - t0) times row 0; with the pole read as 0 mod P the two
     # rows would look independent and the exact minor would be singular
     dependent = [[pole, ONE], [ONE, RatFunc((-MOD_T0, 1), (1,))]]
     sizes.clear()
-    got = solve_full_rank(dependent, b)
+    got = solve_with_rank(dependent, b)
     assert sizes == [2]
-    assert got == solve_with_rank(dependent, b)
-    assert got[0] == 1
+    assert got[0] == rank(dependent) == 1
+    monkeypatch.undo()
+    assert got == linalg._solve_by_elimination(dependent, b)
+    assert solve_with_rank(tall, targets) == linalg._solve_by_elimination(tall, targets)
 
 
-def test_solve_full_rank_refuses_a_minor_that_contradicts_its_rank_mod_p(monkeypatch):
-    real = linalg.solve_with_rank
-    monkeypatch.setattr(linalg, "solve_with_rank",
+def test_solve_with_rank_refuses_a_minor_that_contradicts_its_rank_mod_p(monkeypatch):
+    real = linalg._solve_by_elimination
+    monkeypatch.setattr(linalg, "_solve_by_elimination",
                         lambda a, b: (lambda r, sols: (r - 1, sols))(*real(a, b)))
     with pytest.raises(AssertionError, match="minor has rank 1"):
-        solve_full_rank(mat([[1, 0], [0, 1], [1, 1]]), [])
+        solve_with_rank(mat([[1, 0], [0, 1], [1, 1]]), [[ONE, ONE, RatFunc.from_int(2)]])

@@ -8,6 +8,7 @@ from qsphere.podles import (PodlesAlgebra, basis_independence, build_mu_n,
                             confluence_report, embedded_relations_report,
                             mu_rep_report,
                             original_relations_report, verify_localization)
+from qsphere.fodc import build_rform_calculus, submodule_Vn
 
 GENERIC = CParam.generic(1)
 INF = CParam.infinity()
@@ -177,3 +178,18 @@ def test_nilpotency_of_embedded_mu_shifts():
     for _ in range(3):
         p = linalg.matmul(p, rep.matE1)
     assert linalg.is_zero_matrix(p)
+
+
+def test_elements_of_two_algebras_with_one_c_combine():
+    # each call builds its own PodlesAlgebra; only c decides whether they mix
+    w = build_rform_calculus(1, "id", GENERIC).W_basis[0]
+    v = submodule_Vn(1, GENERIC)[0]
+    assert w.alg is not v.alg
+    assert w == v and hash(w) == hash(v)
+    assert not (w - v) and w * v == w * w
+    other = PodlesAlgebra(CParam.generic(2)).element({("A",): ONE})
+    mine = PodlesAlgebra(GENERIC).element({("A",): ONE})
+    assert other != mine and not (other == mine)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(ValueError, match="different c"):
+            op(mine, other)

@@ -28,3 +28,60 @@ def test_no_unused_imports():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text())
              for path in SOURCES}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def defined_names(source):
+    """Module-level functions, classes and constants of a module, sorted."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return sorted(n for n in names if not (n.startswith("__") and n.endswith("__")))
+
+
+def read_names(source):
+    """Names a module reads, as a variable or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def traced_names(source):
+    """The names in the tracer's ENTRY_POINTS table ("Class.method" gives both)."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "ENTRY_POINTS" for t in node.targets):
+            return {part for n in ast.walk(node.value)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    for part in n.value.split(".")}
+    return set()
+
+
+def test_unread_names_finds_a_planted_name():
+    source = "X = 1\nY, Z = 2, 3\n__all__ = []\ndef f():\n    return Y\nclass C:\n    pass\n"
+    assert defined_names(source) == ["C", "X", "Y", "Z", "f"]
+    assert [n for n in defined_names(source) if n not in read_names(source)] == ["C", "X", "Z", "f"]
+    table = 'ENTRY_POINTS = (("layer", "qsphere.m", "C.f", True),)\n'
+    assert traced_names(table) >= {"C", "f"}
+
+
+def test_every_module_level_name_is_read():
+    # a name is read when some module of src/, tests/ or bench/ reads it, or
+    # when the tracer wraps it
+    readers = (sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+               + sorted((ROOT / "bench").rglob("*.py")))
+    read = set().union(*(read_names(path.read_text()) for path in readers))
+    read |= traced_names((ROOT / "bench" / "tracer.py").read_text())
+    unread = {}
+    for path in sorted((ROOT / "src" / "qsphere").glob("*.py")):
+        names = [n for n in defined_names(path.read_text()) if n not in read]
+        if names:
+            unread[path.name] = names
+    assert unread == {}
