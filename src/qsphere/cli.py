@@ -21,7 +21,7 @@ import sys
 
 from .scalars import CParam, parse_ratfunc, qpow, check_admissible
 from . import podles, uqsl2rep, fodc, selftest
-from .dualfunc import DualEngine
+from .dualfunc import engine_of
 
 
 class CnSpec:
@@ -110,13 +110,12 @@ def selftest_certificate(result):
 def cmd_classify(args):
     c = parse_param_spec(args.c)
     _classifiable(c)
-    engine = DualEngine(c)
-    scan = engine.scan_weights(args.lmax)
+    scan = engine_of(c).scan_weights(args.lmax)
     lines = ["J^c up to l = %d:" % args.lmax]
     certs = []
     components = []
     for sign, l in scan:
-        ts = fodc.tangent_space(c, [(sign, l)], engine=engine)
+        ts = fodc.tangent_space(c, [(sign, l)])
         dim_calc = ts.dim - 1
         entry = {"component": [sign, l], "lambda": _sign_l_str(sign, l),
                  "dim_calculus": dim_calc}

@@ -32,6 +32,10 @@ nonzero value there is the image of a nonzero exact coordinate.  When the
 value is zero, or some coefficient met has a denominator vanishing at t0,
 the orbit is computed exactly in Q(t); members of J^c always take that
 path, and their exact orbit is the module basis.
+
+A process keeps one engine per c, from `engine_of`, for as long as it runs.
+An engine stores an entry only after its cross-checks pass (a weight verdict
+after both routes agree, a calculus after `comodule_matrix`'s checks).
 """
 
 from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam, XcData,
@@ -72,6 +76,7 @@ class PsiVector(LinComb):
 
 
 EPSILON = PsiVector.symbol(0, ONE)      # psi^0_1 is the counit
+_ENGINES = {}                           # c.key() -> the DualEngine of c, see engine_of
 
 
 def _phi_coefficients(a_l, alpha_q, q2, q2l, lam):
@@ -394,3 +399,10 @@ class DualEngine:
         return {"rank": r, "rows": len(rows), "monomials": len(monos),
                 "full_row_rank": r == len(rows), "degree": degree,
                 "labels": labels}
+
+
+def engine_of(c: CParam):
+    """The DualEngine of c, built on first use and kept as long as the process."""
+    if c.key() not in _ENGINES:
+        _ENGINES[c.key()] = DualEngine(c)
+    return _ENGINES[c.key()]

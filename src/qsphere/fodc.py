@@ -14,7 +14,7 @@ import itertools
 from .algebra import accumulate, tensor_terms
 from .scalars import ZERO, ONE, CParam, content, qpow
 from . import linalg, oqsl2, podles
-from .dualfunc import DualEngine, PsiVector, EPSILON
+from .dualfunc import PsiVector, EPSILON, engine_of
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def tangent_space(c: CParam, components, engine=None):
     The rank of the basis, the coefficients of every right coproduct leg
     and those of every X_c image come from one elimination.
     """
-    engine = engine or DualEngine(c)
+    engine = engine or engine_of(c)
     components = sorted(set(components), key=lambda sl: (sl[1], -sl[0]))
     modules = [engine.build_module(sign, l)     # ValueError outside J^c
                for sign, l in components]
@@ -150,7 +150,7 @@ def classify_de_generated(c: CParam, Lmax=6, engine=None):
     """
     if Lmax < 0:
         raise ValueError("lmax must be nonnegative, got %d" % Lmax)
-    engine = engine or DualEngine(c)
+    engine = engine or engine_of(c)
     jset = engine.scan_weights(max(Lmax, 2))
     eligible = [sl for sl in jset if sl != (+1, 0) and sl[1] + 1 <= 3]
     pruned = [sl for sl in jset if sl != (+1, 0) and sl[1] + 1 > 3]
@@ -482,22 +482,22 @@ def check_comodule_matrix(alg, W, psi):
 def build_rform_calculus(n, nu, c: CParam, engine=None):
     """The free-module calculus on W = V(n) with twist nu.
 
-    With an engine, which must be the engine of c, it is built once per
-    (n, nu) and kept on the engine, so its callers share the letter twists
-    and the memoized d; without one it is built fresh.
+    It is built once per (n, nu) and kept on the engine of c (by default the
+    process's, `dualfunc.engine_of`), so its callers share the letter twists
+    and the memoized d; it is stored only after `comodule_matrix`'s checks pass.
     """
     if not nu_is_admissible(nu, c):
         raise ValueError("nu = %r is not a comodule algebra endomorphism at %s"
                          % (nu, c))
-    if engine is not None and engine.c != c:
+    engine = engine or engine_of(c)
+    if engine.c != c:
         raise ValueError("an engine for %s cannot build the calculus at %s"
                          % (engine.c, c))
-    calculi = engine._calculi if engine is not None else {}
+    calculi = engine._calculi
     if (n, nu) not in calculi:
-        alg = engine.alg if engine is not None else podles.PodlesAlgebra(c)
-        W = submodule_Vn(n, c, alg)
-        psi, sinv_psi = comodule_matrix(alg, W)
-        calculi[(n, nu)] = CalculusPresentation(n, nu, c, alg, W, psi, sinv_psi)
+        W = submodule_Vn(n, c, engine.alg)
+        psi, sinv_psi = comodule_matrix(engine.alg, W)
+        calculi[(n, nu)] = CalculusPresentation(n, nu, c, engine.alg, W, psi, sinv_psi)
     return calculi[(n, nu)]
 
 
@@ -555,7 +555,7 @@ def chi_functionals(n, nu, c: CParam, engine=None):
     in every degree iff the ranks on B_{<=d+1} agree.  The rank grows at most
     2N+2 times, so no bound is needed.  Rows and ranks are at stable_degree+1.
     """
-    engine = engine or DualEngine(c)
+    engine = engine or engine_of(c)
     chi_letters, eps_W = _chi_letters(build_rform_calculus(n, nu, c, engine))
     basis = [EPSILON] + engine.build_module(-1 if nu == "flip" else +1, 2 * n).basis
     mod_letters = _module_letters(engine, basis)
@@ -588,7 +588,7 @@ def chibar_report(n, c: CParam, engine=None):
     chibar is the character with chibar(g) = G(g)[0][0].  psi^0_lam is a
     character too, and characters that agree on the letters m, A, p are equal.
     """
-    engine = engine or DualEngine(c)
+    engine = engine or engine_of(c)
     alg = engine.alg
     letters, _ = _chi_letters(build_rform_calculus(n, "id", c, engine))
     char_ok = not any(x for g in podles.LETTERS for x in letters[g][0][1:])

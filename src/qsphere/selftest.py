@@ -9,16 +9,7 @@ degree coeff_degree = degree + 1.
 
 from .scalars import ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam, qpow
 from . import linalg, oqsl2, podles, uqsl2rep, fodc
-from .dualfunc import DualEngine, PsiVector
-
-_ENGINES = {}
-
-
-def _engine(c):
-    key = c.key()
-    if key not in _ENGINES:
-        _ENGINES[key] = DualEngine(c)
-    return _ENGINES[key]
+from .dualfunc import PsiVector, engine_of
 
 
 def c_generic(s=1):
@@ -77,7 +68,7 @@ def ac2_functional_tables():
 
 def ac3_operator_algebra(lmax=6):
     """phi varphi - varphi phi = (kappa - kappa^-1)/(q - q^-1) and conjugations."""
-    eng = _engine(c_generic(1))
+    eng = engine_of(c_generic(1))
     grid = [ONE, Q, QINV, Q * Q, qpow(-4), qpow(6),
             RatFunc.from_int(2), RatFunc.from_int(3), Q * Q + 1]
     ok = True
@@ -98,14 +89,13 @@ def ac4_xc_matrix(lmax=6):
     ok = True
     bad = []
     for c, label in ((c_generic(1), "s=1"), (CParam.infinity(), "inf")):
-        eng = _engine(c)
         for l in range(lmax + 1):
             for sign in (+1, -1):
                 disp = uqsl2rep.xc_matrix(l, c, sign)
                 if not linalg.mat_eq(disp, uqsl2rep.xc_matrix_from_irrep(l, c, sign)):
                     ok = False
                     bad.append((label, l, sign, "irrep"))
-                if not linalg.mat_eq(disp, eng.phi_matrix_rescaled(sign, l)):
+                if not linalg.mat_eq(disp, engine_of(c).phi_matrix_rescaled(sign, l)):
                     ok = False
                     bad.append((label, l, sign, "phi"))
     return {"criterion": "AC-4", "pass": ok,
@@ -151,7 +141,7 @@ def ac6_jc_sets(lmax=8):
     ok = True
     got = {}
     for label, c in cs.items():
-        scan = set(_engine(c).scan_weights(lmax))      # raises on route mismatch
+        scan = set(engine_of(c).scan_weights(lmax))    # raises on route mismatch
         got[label] = sorted(scan)
         if scan != expected[label]:
             ok = False
@@ -169,7 +159,7 @@ def ac7_corollary_counts(lmax=6):
     ok = True
     details = {}
     for label, c, want_count, want_dims in cases:
-        r = fodc.classify_de_generated(c, Lmax=lmax, engine=_engine(c))
+        r = fodc.classify_de_generated(c, Lmax=lmax)
         dims = sorted(e["dim"] for e in r["calculi"])
         details[label] = {"count": r["count"], "dims": dims}
         if r["count"] != want_count or dims != sorted(want_dims):
@@ -184,13 +174,12 @@ def ac8_rform_calculi(ns=(1, 2)):
     ok = True
     details = {}
     c1 = c_generic(1)
-    eng = _engine(c1)
     for n in ns:
-        chi = fodc.chi_functionals(n, "id", c1, engine=eng)
-        cb = fodc.chibar_report(n, c1, engine=eng)
-        pres = fodc.build_rform_calculus(n, "id", c1, engine=eng)
+        chi = fodc.chi_functionals(n, "id", c1)
+        cb = fodc.chibar_report(n, c1)
+        pres = fodc.build_rform_calculus(n, "id", c1)
         fr = fodc.verify_freeness(pres, 2)
-        sub = fodc.submodule_report(n, c1, eng.alg)
+        sub = fodc.submodule_report(n, c1, pres.alg)
         entry = {"spans_equal": chi["spans_equal"], "chibar": cb["pass"],
                  "leibniz": pres.bimodule_report()["pass"], "freeness": fr["pass"],
                  "submodule": sub["pass"]}
@@ -199,9 +188,8 @@ def ac8_rform_calculi(ns=(1, 2)):
                                     for k in ("coeff_degree", "unknowns", "rank")}
         details["n=%d" % n] = dict(entry, stable_degree=chi["stable_degree"])
     cinf = CParam.infinity()
-    enginf = _engine(cinf)
-    chif = fodc.chi_functionals(1, "flip", cinf, engine=enginf)
-    presf = fodc.build_rform_calculus(1, "flip", cinf, engine=enginf)
+    chif = fodc.chi_functionals(1, "flip", cinf)
+    presf = fodc.build_rform_calculus(1, "flip", cinf)
     entry = {"spans_equal": chif["spans_equal"],
              "leibniz": presf.bimodule_report()["pass"]}
     ok = ok and all(entry.values())
@@ -238,7 +226,7 @@ def ac10_structural():
     details["rform_well_defined"] = rwd["pass"]
     # the 18-symbol set cannot be independent against the 16 monomials of
     # degree <= 3, so the certificate runs at degree 4 (25 monomials)
-    indep = _engine(c_generic(1)).truncated_independence(degree=4)
+    indep = engine_of(c_generic(1)).truncated_independence(degree=4)
     details["psi_independence"] = indep["full_row_rank"]
     details["psi_independence_degree"] = indep["degree"]
     basis = all(podles.basis_independence(c, 4)["independent"]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qsphere import fodc, uqsl2rep
+from qsphere import dualfunc, fodc, uqsl2rep
 from qsphere.cli import build_parser, main, parse_param_spec, CnSpec
 from qsphere.dualfunc import DualEngine
 from qsphere.scalars import qpow
@@ -147,6 +147,7 @@ def test_de_generated_is_complete_at_low_lmax(capsys, lmax):
 
 def test_de_generated_without_candidates_fails(capsys, monkeypatch):
     # a scan with only the trivial component: nothing was checked, so no pass
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
     monkeypatch.setattr(DualEngine, "scan_weights", lambda self, lmax: [(1, 0)])
     code, out = run_cli(capsys, "--format", "json", "de-generated", "--c", "s=1")
     assert code == 1
@@ -181,6 +182,7 @@ def test_classify_reports_the_trivial_closure(capsys):
 def test_report_without_certificates_does_not_pass(capsys, monkeypatch):
     # a weight scan that finds no component leaves the report without
     # certificates
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
     monkeypatch.setattr(DualEngine, "scan_weights", lambda self, lmax: [])
     code, out = run_cli(capsys, "--format", "json", "classify", "--c", "s=1",
                         "--lmax", "1")
@@ -195,6 +197,7 @@ def test_report_without_certificates_does_not_pass(capsys, monkeypatch):
 ])
 def test_nilpotency_verdict_once_per_weight(capsys, monkeypatch, argv, calls):
     # one matrix-route kernel per (sign, l) scanned or built, never two
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
     real = uqsl2rep.kernel_dim
     seen = []
 
@@ -203,9 +206,13 @@ def test_nilpotency_verdict_once_per_weight(capsys, monkeypatch, argv, calls):
         return real(l, c, sign)
 
     monkeypatch.setattr(uqsl2rep, "kernel_dim", counted)
-    code, _ = run_cli(capsys, *argv)
+    code, out = run_cli(capsys, *argv)
     assert code == 0
     assert len(seen) == calls and len(set(seen)) == calls
+    # the same request again in this process reads the stored verdicts
+    seen.clear()
+    assert run_cli(capsys, *argv) == (code, out)
+    assert seen == []
 
 
 def test_internal_check_failure_exits_3(capsys, monkeypatch):
@@ -288,6 +295,7 @@ def test_usage_error_leaves_the_parser_usable(capsys):
 
 
 def test_disagreeing_weight_routes_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
     monkeypatch.setattr(uqsl2rep, "kernel_dim", lambda l, c, sign: 0)
     code = main(["classify", "--c", "s=1", "--lmax", "2"])
     captured = capsys.readouterr()
@@ -299,15 +307,24 @@ def test_disagreeing_weight_routes_exit_3(capsys, monkeypatch):
 
 def test_disagreement_on_a_weight_decided_mod_p_exits_3(capsys, monkeypatch):
     # (-1, 1) at s=1 is refuted mod P; its matrix-route kernel is still read
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
     real = uqsl2rep.kernel_dim
     monkeypatch.setattr(uqsl2rep, "kernel_dim",
                         lambda l, c, sign: 1 if (sign, l) == (-1, 1) else real(l, c, sign))
-    code = main(["classify", "--c", "s=1", "--lmax", "2"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err == ("internal check failed: operator and matrix routes "
-                            "disagree at sign=-1 l=1\n")
+    # the weights before (-1, 1) are stored once their routes agree; (-1, 1)
+    # is not, so a second call checks it again and fails again
+    for _ in range(2):
+        code = main(["classify", "--c", "s=1", "--lmax", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("internal check failed: operator and matrix routes "
+                                "disagree at sign=-1 l=1\n")
+    # nothing wrong was stored: with the true kernels the report is the golden one
+    monkeypatch.setattr(uqsl2rep, "kernel_dim", real)
+    argv = ["classify", "--c", "s=1", "--lmax", "4"]
+    code, out = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0 and out == _golden_path(argv).read_text()
 
 
 def test_de_generated_certificate_reads_the_candidates(capsys, monkeypatch):
@@ -326,3 +343,36 @@ def test_de_generated_certificate_reads_the_candidates(capsys, monkeypatch):
     code, out = run_cli(capsys, "--format", "json", "de-generated", "--c", "s=1")
     assert code == 1
     assert json.loads(out)["certificates"][0]["pass"] is False
+
+
+def test_one_engine_per_c_per_process(monkeypatch):
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
+    one = dualfunc.engine_of(parse_param_spec("s=1"))
+    assert dualfunc.engine_of(parse_param_spec("s=1")) is one
+    # s = -1 gives the same c = s^2 but the opposite alpha = -1/(s (q - q^-1))
+    minus = dualfunc.engine_of(parse_param_spec("s=-1"))
+    assert minus is not one
+    assert minus.c.c_value() == one.c.c_value() and minus.alpha == -one.alpha
+    inf = dualfunc.engine_of(parse_param_spec("inf"))
+    assert inf is not one and inf is not minus
+    assert dualfunc.engine_of(parse_param_spec("inf")) is inf
+    assert len(dualfunc._ENGINES) == 3
+
+
+@pytest.mark.parametrize("c, components, nu", [
+    ("s=1", "+2", "id"), ("inf", "-0,+2", "flip"), ("exc:1", "-1,+2", "id")])
+def test_warm_reports_equal_cold_ones(capsys, monkeypatch, c, components, nu):
+    # each command twice in one process: the first call fills the engine of
+    # c, the second reads it, and both emit the same report
+    for argv in (("classify", "--c", c, "--lmax", "4"),
+                 ("tangent-space", "--c", c, "--components=" + components),
+                 ("de-generated", "--c", c),
+                 ("build-fodc", "--c", c, "--n", "1", "--nu", nu, "--verify-freeness")):
+        monkeypatch.setattr(dualfunc, "_ENGINES", {})
+        cold = run_cli(capsys, "--format", "json", *argv)
+        engine = dualfunc.engine_of(parse_param_spec(c))
+        warm = run_cli(capsys, "--format", "json", *argv)
+        assert list(dualfunc._ENGINES.values()) == [engine], argv
+        assert cold[0] == warm[0] == 0, argv
+        assert json.loads(cold[1]) == json.loads(warm[1]), argv
+

@@ -175,6 +175,7 @@ def _lam0(sign, l):
 
 
 def _record_phi(monkeypatch):
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
     calls = []
     real = DualEngine.phi
     monkeypatch.setattr(DualEngine, "phi",
@@ -197,6 +198,7 @@ def test_vanishing_denominator_at_t0_takes_the_exact_path(monkeypatch):
     # at t0 = 1 the denominator t^4 - 1 of alpha and of [l]/(q-q^-1)
     # vanishes, so no weight is decided mod P
     want = DualEngine(CParam.generic(2)).scan_weights(6)
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
     monkeypatch.setattr(dualfunc, "_T0", 1)
     calls = _record_phi(monkeypatch)
     assert DualEngine(CParam.generic(2)).scan_weights(6) == want
@@ -211,6 +213,7 @@ def test_coordinates_zero_at_t0_still_need_their_row(monkeypatch):
     # its psi^1 coordinate vanishes at t0 = 1, but a_1 = -q^2/(q^2 - 1)
     # has no value there, so the weight must not be decided mod P
     want = DualEngine(EXC_HALF).scan_weights(5)
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
     monkeypatch.setattr(dualfunc, "_T0", 1)
     assert DualEngine(EXC_HALF).scan_weights(5) == want
 

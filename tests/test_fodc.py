@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qsphere.scalars import ZERO, ONE, Q, RatFunc, CParam, qpow
-from qsphere import fodc, linalg, oqsl2, selftest
+from qsphere import dualfunc, fodc, linalg, oqsl2
 from qsphere.cli import main, parse_param_spec
 from qsphere.dualfunc import DualEngine, EPSILON, HWModule, PsiVector
 from qsphere.fodc import (chi_functionals, chibar_report, classify_de_generated,
@@ -246,6 +246,7 @@ def test_freeness_minor_contradicting_its_rank_mod_p_exits_3(capsys, monkeypatch
         r, sols = real(a_rows, b_cols)
         return (r - 1 if len(a_rows) == 48 else r), sols
 
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
     monkeypatch.setattr(linalg, "_solve_by_elimination", contradicting)
     code = main(["--format", "json", "build-fodc", "--c", "s=1", "--n", "1",
                  "--verify-freeness"])
@@ -396,7 +397,7 @@ def test_module_leg_outside_the_tangent_space_is_a_check_failure(monkeypatch, ca
     monkeypatch.setattr(DualEngine, "build_module", widened)
     with pytest.raises(AssertionError, match="leaves T\\^eps"):
         chi_functionals(1, "id", GENERIC, engine=DualEngine(GENERIC))
-    monkeypatch.setattr(selftest, "_ENGINES", {})
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
     assert main(["selftest", "--only", "AC-8"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -428,6 +429,7 @@ def test_twist_equals_the_whole_monomial_rule(n, nu, c, degree):
 
 
 def test_swapped_letter_twists_fail_all_four_rules(monkeypatch, capsys):
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
     real = fodc.CalculusPresentation._twist
     swap = {("m",): ("p",), ("p",): ("m",)}
     monkeypatch.setattr(fodc.CalculusPresentation, "_twist",
@@ -502,9 +504,14 @@ def test_an_engine_builds_only_at_its_own_c():
     assert build_rform_calculus(1, "id", CParam.generic(1), engine=engine).c == GENERIC
 
 
-def test_without_an_engine_each_call_builds_fresh(monkeypatch):
+def test_without_an_engine_calls_share_the_process_engine(monkeypatch):
     calls = _count_comodule_builds(monkeypatch)
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
     first = build_rform_calculus(1, "id", GENERIC)
+    assert build_rform_calculus(1, "id", CParam.generic(1)) is first
+    assert build_rform_calculus(1, "id", GENERIC, engine=dualfunc.engine_of(GENERIC)) is first
+    assert calls == [3]
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})    # as in a new process
     assert build_rform_calculus(1, "id", GENERIC) is not first
     assert calls == [3, 3]
 
@@ -516,10 +523,13 @@ def test_comodule_matrix_check_catches_swapped_columns(eng, monkeypatch):
     check_comodule_matrix(alg, W, psi)
     with pytest.raises(AssertionError, match=r"Delta\(b_0\) is not"):
         check_comodule_matrix(alg, W, _swap_first_columns(psi))
-    # the CLI reports the failed identity as an internal check failure
+    # the CLI reports the failed identity as an internal check failure, on
+    # every call: a calculus that failed its checks is not kept
     real = fodc.check_comodule_matrix
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
     monkeypatch.setattr(fodc, "check_comodule_matrix",
                         lambda alg, W, psi: real(alg, W, _swap_first_columns(psi)))
+    assert main(["--format", "json", "build-fodc", "--n", "1"]) == 3
     assert main(["--format", "json", "build-fodc", "--n", "1"]) == 3
 
 
@@ -678,6 +688,7 @@ def test_irreducibility_equals_the_orbit_search(spec):
 
 
 def _planted_module(monkeypatch, plant):
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
     real = DualEngine.build_module
 
     def planted(self, sign, l):
@@ -725,6 +736,7 @@ def test_one_elimination_per_tangent_space_and_none_per_irreducibility(monkeypat
 def test_tangent_space_report_names_a_coproduct_witness(monkeypatch, capsys):
     # a failed closure is a failed certificate in the JSON report, not a traceback
     real = DualEngine.psi_coproduct
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
     monkeypatch.setattr(DualEngine, "psi_coproduct", lambda self, sym: real(self, sym) + (
         [(ONE, (0, 1, qpow(6)), STRAY)] if sym == (0, 0, qpow(-4)) else []))
     assert main(["--format", "json", "tangent-space", "--c", "s=1", "--components=+2"]) == 1
