@@ -22,7 +22,7 @@ and the right action of the twisted primitive element decomposes as
 psi X_c = q^-1 phi(psi) + lam varphi(psi) + alpha (1 - lam^-1) kappa(psi).
 Each engine keeps these coefficients in one table, filled per (l, lam)
 when phi or varphi is applied; the weight scan reads phi's coefficients
-at t0 mod P from a second table, built from the same formula.
+at t0 mod P from rows built by the same formula, kept for one scan.
 
 The weight scan proves a weight (±, l) outside J^c by a nonzero value of
 phi^(l+1) psi^0_{±q^(-l)} at t = t0 = 1234567891011 over GF(P), P = 2^61 - 1.
@@ -34,8 +34,9 @@ the orbit is computed exactly in Q(t); members of J^c always take that
 path, and their exact orbit is the module basis.
 
 A process keeps one engine per c, from `engine_of`, for as long as it runs.
-An engine stores an entry only after its cross-checks pass (a weight verdict
-after both routes agree, a calculus after `comodule_matrix`'s checks).
+An engine stores an entry only after its cross-checks pass: a weight verdict
+after both routes agree, and through `keep` a module after the U_q(sl2)
+relations, a tangent space, and a calculus after `comodule_matrix`'s checks.
 """
 
 from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam, XcData,
@@ -116,6 +117,11 @@ class HWModule:
         self.matF = matF
         self.matK = matK
 
+    def copy(self):
+        """The same module, its basis and matrices in lists of its own."""
+        return HWModule(self.sign, self.l, self.lambda0, list(self.basis),
+                        *([list(row) for row in m] for m in (self.matE, self.matF, self.matK)))
+
 
 class DualEngine:
     """Operator and evaluation engine over a fixed admissible parameter c."""
@@ -132,8 +138,13 @@ class DualEngine:
         self._evaluator = oqsl2.Evaluator()
         self._orbits = {}               # (sign, l) -> phi-orbit or None
         self._table = {}                # l -> `_per_l`; (l, lam) -> `_constants` row
-        self._mod_table = {}            # (l, lam) -> `_mod_row`
-        self._calculi = {}              # (n, nu) -> fodc.CalculusPresentation
+        self._kept = {}                 # key -> a certified result, see `keep`
+
+    def keep(self, key, build):
+        """The result kept under key, else build()'s, kept only if build() returns."""
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
 
     # -- the three operators, read off one table of structure constants
 
@@ -172,20 +183,15 @@ class DualEngine:
         same `_phi_coefficients`, applied to a_l, alpha q, q^2, q^(2l) and
         lam at _T0; None when one of them has no value there.
         """
-        key = (l, lam)
-        if key not in self._mod_table:
-            a_l, _, a_mod = self._per_l(l)
-            lam_mod = eval_mod(lam, _T0, _P)
-            row = None
-            if None not in (a_mod, self._alpha_q_mod, lam_mod):
-                q2l = qpow(4 * l)
-                coeffs = _phi_coefficients(a_mod, self._alpha_q_mod, pow(_T0, 4, _P),
-                                           pow(_T0, 4 * l, _P), lam_mod)
-                nonzero = (bool(a_l), bool(self.alpha) and lam != q2l, lam * lam != q2l)
-                row = [(k, x % _P) for k, (x, nz) in enumerate(zip(coeffs, nonzero), l - 1)
-                       if nz]
-            self._mod_table[key] = row
-        return self._mod_table[key]
+        a_l, _, a_mod = self._per_l(l)
+        lam_mod = eval_mod(lam, _T0, _P)
+        if None in (a_mod, self._alpha_q_mod, lam_mod):
+            return None
+        q2l = qpow(4 * l)
+        coeffs = _phi_coefficients(a_mod, self._alpha_q_mod, pow(_T0, 4, _P),
+                                   pow(_T0, 4 * l, _P), lam_mod)
+        nonzero = (bool(a_l), bool(self.alpha) and lam != q2l, lam * lam != q2l)
+        return [(k, x % _P) for k, (x, nz) in enumerate(zip(coeffs, nonzero), l - 1) if nz]
 
     def phi(self, v):
         _require_m0(v)
@@ -243,11 +249,12 @@ class DualEngine:
 
     # -- highest weight scan (Prop. on local finiteness, both routes)
 
-    def is_nilpotent_weight(self, sign, l):
+    def is_nilpotent_weight(self, sign, l, rows=None):
         """phi^(l+1) kills psi^0_{lambda0}; cross-checked against the matrix kernel.
 
         First phi^(l+1) psi is computed at t = _T0 over GF(_P), from the
-        rows of `_mod_row`.  Evaluation at _T0 mod _P is a
+        rows of `_mod_row`, kept in `rows` ((l, lam) -> row; a weight scan
+        hands one dict to all its weights).  Evaluation at _T0 mod _P is a
         ring map on the fractions whose denominators do not vanish there,
         and the orbit uses only + and x, so a nonzero coordinate proves
         phi^(l+1) psi != 0: the weight is outside J^c.  Otherwise (a zero
@@ -260,7 +267,7 @@ class DualEngine:
         if key not in self._orbits:
             lam0 = _lambda0(sign, l)
             orbit = None
-            if not self._nonzero_mod_p(lam0, l):
+            if not self._nonzero_mod_p(lam0, l, {} if rows is None else rows):
                 orbit = [PsiVector.symbol(0, lam0)]
                 for _ in range(l + 1):
                     v = self.phi(orbit[-1])
@@ -275,7 +282,7 @@ class DualEngine:
             self._orbits[key] = orbit
         return self._orbits[key] is not None
 
-    def _nonzero_mod_p(self, lam0, l):
+    def _nonzero_mod_p(self, lam0, l, rows):
         """phi^(l+1) psi^0_lam0 has a nonzero coordinate at _T0 mod _P.
 
         False when it vanishes there, or when some coefficient met on the
@@ -289,7 +296,9 @@ class DualEngine:
         for _ in range(l + 1):
             out = {}
             for k, x in vec.items():
-                mod = self._mod_row(k, lam)
+                if (k, lam) not in rows:
+                    rows[(k, lam)] = self._mod_row(k, lam)
+                mod = rows[(k, lam)]
                 if mod is None:
                     return False
                 for k2, y in mod:
@@ -302,15 +311,21 @@ class DualEngine:
         """The (sign, l) in J^c with l <= Lmax; a negative Lmax would scan nothing."""
         if Lmax < 0:
             raise ValueError("lmax must be nonnegative, got %d" % Lmax)
-        out = []
+        out, rows = [], {}              # the modular rows live for this scan only
         for l in range(Lmax + 1):
             for sign in (+1, -1):
-                if self.is_nilpotent_weight(sign, l):
+                if self.is_nilpotent_weight(sign, l, rows):
                     out.append((sign, l))
         return out
 
     def build_module(self, sign, l):
-        """The (l+1)-dimensional module on the phi-orbit of psi^0_{±q^(-l)}."""
+        """The (l+1)-dimensional module on the phi-orbit of psi^0_{±q^(-l)}.
+
+        It is kept per (sign, l); each call gets a copy.
+        """
+        return self.keep(("module", sign, l), lambda: self._build_module(sign, l)).copy()
+
+    def _build_module(self, sign, l):
         if not self.is_nilpotent_weight(sign, l):
             raise ValueError("(%+d, %d) is not in J^c" % (sign, l))
         basis = list(self._orbits[(sign, l)])

@@ -70,10 +70,19 @@ def tangent_space(c: CParam, components, engine=None):
     """Build and certify the tangent space for a list of (sign, l) components.
 
     The rank of the basis, the coefficients of every right coproduct leg
-    and those of every X_c image come from one elimination.
+    and those of every X_c image come from one elimination.  It is kept on
+    the engine per component set; each call gets its own lists, modules and
+    certificate.
     """
     engine = engine or engine_of(c)
     components = sorted(set(components), key=lambda sl: (sl[1], -sl[0]))
+    ts = engine.keep(("tangent space", tuple(components)),
+                     lambda: _certified_space(c, components, engine))
+    return TangentSpace(c, components, [m.copy() for m in ts.modules], list(ts.basis),
+                        ts.dim, engine, dict(ts.certificate))
+
+
+def _certified_space(c, components, engine):
     modules = [engine.build_module(sign, l)     # ValueError outside J^c
                for sign, l in components]
     basis = [EPSILON]
@@ -253,6 +262,7 @@ class CalculusPresentation:
         self.omega = list(W_basis)      # coords of omega = sum gamma^i b_i
         self._twist_cache = {}
         self._d_cache = {}
+        self._bimodule = None           # `bimodule_report`, once it has run
 
     # Gamma elements are coordinate lists xi = [x_1, ..., x_N] meaning
     # sum_i gamma^i x_i
@@ -387,8 +397,14 @@ class CalculusPresentation:
         algebra map B -> End(Gamma_B) exactly when those operators satisfy
         the rules that present B.  Right multiplication commutes with it, so
         Gamma is a bimodule, and d = [omega, .] is inner: d(xy) = omega x y -
-        x y omega = d(x) y + x d(y) for all x and y.
+        x y omega = d(x) y + x d(y) for all x and y.  The report is kept on
+        the calculus; each call gets a copy.
         """
+        if self._bimodule is None:
+            self._bimodule = self._bimodule_report()
+        return dict(self._bimodule, failures=list(self._bimodule["failures"]))
+
+    def _bimodule_report(self):
         failures = []
         for x, y in self.alg.rewriting.rules:
             a, b = self.alg.gen(x), self.alg.gen(y)
@@ -493,12 +509,12 @@ def build_rform_calculus(n, nu, c: CParam, engine=None):
     if engine.c != c:
         raise ValueError("an engine for %s cannot build the calculus at %s"
                          % (engine.c, c))
-    calculi = engine._calculi
-    if (n, nu) not in calculi:
+
+    def build():
         W = submodule_Vn(n, c, engine.alg)
-        psi, sinv_psi = comodule_matrix(engine.alg, W)
-        calculi[(n, nu)] = CalculusPresentation(n, nu, c, engine.alg, W, psi, sinv_psi)
-    return calculi[(n, nu)]
+        return CalculusPresentation(n, nu, c, engine.alg, W, *comodule_matrix(engine.alg, W))
+
+    return engine.keep(("calculus", n, nu), build)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qsphere import dualfunc, fodc, uqsl2rep
+from qsphere import dualfunc, fodc, linalg, uqsl2rep
 from qsphere.cli import build_parser, main, parse_param_spec, CnSpec
 from qsphere.dualfunc import DualEngine
 from qsphere.scalars import qpow
@@ -328,6 +328,7 @@ def test_disagreement_on_a_weight_decided_mod_p_exits_3(capsys, monkeypatch):
 
 
 def test_de_generated_certificate_reads_the_candidates(capsys, monkeypatch):
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})     # the planted verdicts stay here
     code, out = run_cli(capsys, "--format", "json", "de-generated", "--c", "s=1")
     assert code == 0
     assert json.loads(out)["certificates"] == [
@@ -375,4 +376,43 @@ def test_warm_reports_equal_cold_ones(capsys, monkeypatch, c, components, nu):
         assert list(dualfunc._ENGINES.values()) == [engine], argv
         assert cold[0] == warm[0] == 0, argv
         assert json.loads(cold[1]) == json.loads(warm[1]), argv
+    # two components after a classify, which kept their modules and spaces
+    pair = {"s=1": "+2,+4", "inf": "-0,+2", "exc:1": "-1,+2"}[c]
+    argv = ("tangent-space", "--c", c, "--components=" + pair)
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
+    cold = run_cli(capsys, "--format", "json", *argv)
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
+    assert run_cli(capsys, "--format", "json", "classify", "--c", c, "--lmax", "4")[0] == 0
+    assert run_cli(capsys, "--format", "json", *argv) == cold and cold[0] == 0
+
+
+def test_a_module_failing_its_relations_is_not_kept(capsys, monkeypatch):
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
+    real = uqsl2rep.relation_failures
+    monkeypatch.setattr(uqsl2rep, "relation_failures", lambda E, F, K: ["planted"])
+    code = main(["classify", "--c", "s=1", "--lmax", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal check failed: module fails planted\n"
+    assert dualfunc.engine_of(parse_param_spec("s=1"))._kept == {}
+    # with the real check the same engine gives the golden report
+    monkeypatch.setattr(uqsl2rep, "relation_failures", real)
+    argv = ["classify", "--c", "s=1", "--lmax", "4"]
+    code, out = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0 and out == _golden_path(argv).read_text()
+
+
+def test_a_repeated_tangent_space_request_eliminates_nothing(capsys, monkeypatch):
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
+    argv = ("tangent-space", "--c", "s=1", "--components=+2,+4")
+    calls = []
+    for name in ("_eliminate", "_pivot_rows_mod_p"):
+        monkeypatch.setattr(linalg, name, lambda *a, real=getattr(linalg, name), name=name:
+                            calls.append(name) or real(*a))
+    cold = run_cli(capsys, "--format", "json", *argv)
+    assert cold[0] == 0 and calls
+    calls.clear()
+    assert run_cli(capsys, "--format", "json", *argv) == cold
+    assert calls == []
 

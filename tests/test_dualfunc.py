@@ -237,15 +237,18 @@ def test_mod_p_rows_carry_the_exact_rows_terms(c):
                     assert mod == want, (l, lam)
 
 
-def test_scan_builds_exact_rows_for_members_only():
+def test_scan_builds_exact_rows_for_members_only(monkeypatch):
     # a non-member is decided from the modular rows; only the members'
-    # exact orbits read exact rows
+    # exact orbits read exact rows.  The modular rows live for one scan.
     eng = DualEngine(CParam.generic(2))
+    built = set()
+    real = eng._mod_row
+    monkeypatch.setattr(eng, "_mod_row", lambda l, lam: built.add((l, lam)) or real(l, lam))
     members = eng.scan_weights(6)
     rows = {key for key in eng._table if isinstance(key, tuple)}
     assert rows == {(l, lam) for sl in members for v in eng._orbits[sl]
                     for (_, l, lam) in v.terms}
-    assert len(rows) < len(eng._mod_table)
+    assert len(rows) < len(built)
 
 
 def test_scan_matches_ac6_and_non_member_orbits_do_not_vanish():

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -454,6 +455,58 @@ def test_leibniz_report_refuses_bounds_below_two(eng, bound):
     pres = build_rform_calculus(1, "id", GENERIC, engine=eng)
     with pytest.raises(ValueError, match="total degree bound >= 2"):
         pres.leibniz_report(bound)
+
+
+def _count_linalg_calls(monkeypatch):
+    """The names of the exact eliminations and modular pivot searches made."""
+    calls = []
+    for name in ("_eliminate", "_pivot_rows_mod_p"):
+        monkeypatch.setattr(linalg, name, lambda *a, real=getattr(linalg, name), name=name:
+                            calls.append(name) or real(*a))
+    return calls
+
+
+def test_an_engine_certifies_each_result_once(monkeypatch):
+    eng = DualEngine(GENERIC)
+    calls = _count_linalg_calls(monkeypatch)
+    ts, mod = tangent_space(GENERIC, [(1, 2), (1, 4)], engine=eng), eng.build_module(1, 4)
+    assert "_eliminate" in calls
+    calls.clear()
+    again = tangent_space(GENERIC, [(1, 4), (1, 2), (1, 2)], engine=eng)
+    assert (again.components, again.dim, again.certificate) == (
+        ts.components, ts.dim, ts.certificate)
+    assert again.basis == ts.basis and again.certificate is not ts.certificate
+    mod_again = eng.build_module(1, 4)
+    assert mod_again is not mod and mod_again.matF is not mod.matF
+    assert ([mod_again.basis, mod_again.matE, mod_again.matF, mod_again.matK]
+            == [mod.basis, mod.matE, mod.matF, mod.matK])
+    assert calls == []
+    # the bimodule report is kept on its calculus
+    pres = build_rform_calculus(1, "id", GENERIC, engine=eng)
+    rep = pres.bimodule_report()
+    monkeypatch.setattr(pres, "_bimodule_report", None)     # a second run would raise
+    assert pres.bimodule_report() == rep and rep["pass"]
+
+
+def test_editing_a_returned_report_changes_no_later_answer():
+    eng = DualEngine(GENERIC)
+    pres = build_rform_calculus(1, "id", GENERIC, engine=eng)
+    ts = tangent_space(GENERIC, [(1, 4)], engine=eng)
+    fr, bi = verify_freeness(pres, 2), pres.bimodule_report()
+    want = copy.deepcopy((ts.certificate, fr, bi, irreducibility_report(ts)))
+    ts.certificate["pass"] = False
+    del ts.certificate["xc_closed"]
+    ts.modules[0].matF[1][2] = ZERO
+    ts.modules[0].basis.pop()
+    eng.build_module(1, 4).matF[2][3] = ZERO
+    fr["pass"] = False
+    fr["ungenerated"].append(("m",))
+    bi["failures"].append("planted")
+    again = tangent_space(GENERIC, [(1, 4)], engine=eng)
+    assert (again.certificate, verify_freeness(pres, 2), pres.bimodule_report(),
+            irreducibility_report(again)) == want
+    assert all(w["pass"] for w in want)
+    assert len(eng.build_module(1, 4).basis) == 5
 
 
 def _swap_first_columns(psi):
