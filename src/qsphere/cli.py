@@ -90,14 +90,13 @@ def _print_text(report, indent=0):
 def cmd_selftest(args):
     results = selftest.run_all(args.only)
     report = {"schema": "qsphere-report/1", "command": "selftest",
-              "certificates": [], "lines": []}
+              "certificates": [selftest_certificate(r) for r in results], "lines": []}
+    if args.format == "json":
+        return _emit(report, args.format)
     for r in results:
-        report["certificates"].append(selftest_certificate(r))
         print("%s %s" % (r["criterion"], "PASS" if r["pass"] else "FAIL"))
         if not r["pass"]:
             print("    %s" % (r["details"],))
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if _report_pass(report) else 1
 
 

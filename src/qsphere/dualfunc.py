@@ -22,7 +22,7 @@ and the right action of the twisted primitive element decomposes as
 psi X_c = q^-1 phi(psi) + lam varphi(psi) + alpha (1 - lam^-1) kappa(psi).
 Each engine keeps these coefficients in one table, filled per (l, lam)
 when phi or varphi is applied; the weight scan reads phi's coefficients
-at t0 mod P from rows built by the same formula, kept for one scan.
+at t0 mod P from rows built by the same formula where it meets them.
 
 The weight scan proves a weight (±, l) outside J^c by a nonzero value of
 phi^(l+1) psi^0_{±q^(-l)} at t = t0 = 1234567891011 over GF(P), P = 2^61 - 1.
@@ -63,9 +63,6 @@ class PsiVector(LinComb):
     def value_at_unit(self):
         """Evaluation on 1: only the (0, 0, lam) symbols contribute."""
         return self.coeff_sum(lambda sym: sym[0] == 0 and sym[1] == 0)
-
-    def grades(self):
-        return {lam for (_, _, lam) in self.terms}
 
     def _mono_str(self, sym):
         m, l, lam = sym
@@ -249,14 +246,13 @@ class DualEngine:
 
     # -- highest weight scan (Prop. on local finiteness, both routes)
 
-    def is_nilpotent_weight(self, sign, l, rows=None):
+    def is_nilpotent_weight(self, sign, l):
         """phi^(l+1) kills psi^0_{lambda0}; cross-checked against the matrix kernel.
 
         First phi^(l+1) psi is computed at t = _T0 over GF(_P), from the
-        rows of `_mod_row`, kept in `rows` ((l, lam) -> row; a weight scan
-        hands one dict to all its weights).  Evaluation at _T0 mod _P is a
-        ring map on the fractions whose denominators do not vanish there,
-        and the orbit uses only + and x, so a nonzero coordinate proves
+        rows of `_mod_row`.  Evaluation at _T0 mod _P is a ring map on the
+        fractions whose denominators do not vanish there, and the orbit
+        uses only + and x, so a nonzero coordinate proves
         phi^(l+1) psi != 0: the weight is outside J^c.  Otherwise (a zero
         value, or a denominator vanishing at _T0) the phi-orbit psi, phi psi,
         ... up to its first zero is computed exactly with `phi`.  The orbit
@@ -267,7 +263,7 @@ class DualEngine:
         if key not in self._orbits:
             lam0 = _lambda0(sign, l)
             orbit = None
-            if not self._nonzero_mod_p(lam0, l, {} if rows is None else rows):
+            if not self._nonzero_mod_p(lam0, l):
                 orbit = [PsiVector.symbol(0, lam0)]
                 for _ in range(l + 1):
                     v = self.phi(orbit[-1])
@@ -282,7 +278,7 @@ class DualEngine:
             self._orbits[key] = orbit
         return self._orbits[key] is not None
 
-    def _nonzero_mod_p(self, lam0, l, rows):
+    def _nonzero_mod_p(self, lam0, l):
         """phi^(l+1) psi^0_lam0 has a nonzero coordinate at _T0 mod _P.
 
         False when it vanishes there, or when some coefficient met on the
@@ -296,9 +292,7 @@ class DualEngine:
         for _ in range(l + 1):
             out = {}
             for k, x in vec.items():
-                if (k, lam) not in rows:
-                    rows[(k, lam)] = self._mod_row(k, lam)
-                mod = rows[(k, lam)]
+                mod = self._mod_row(k, lam)
                 if mod is None:
                     return False
                 for k2, y in mod:
@@ -311,12 +305,8 @@ class DualEngine:
         """The (sign, l) in J^c with l <= Lmax; a negative Lmax would scan nothing."""
         if Lmax < 0:
             raise ValueError("lmax must be nonnegative, got %d" % Lmax)
-        out, rows = [], {}              # the modular rows live for this scan only
-        for l in range(Lmax + 1):
-            for sign in (+1, -1):
-                if self.is_nilpotent_weight(sign, l, rows):
-                    out.append((sign, l))
-        return out
+        return [(sign, l) for l in range(Lmax + 1) for sign in (+1, -1)
+                if self.is_nilpotent_weight(sign, l)]
 
     def build_module(self, sign, l):
         """The (l+1)-dimensional module on the phi-orbit of psi^0_{±q^(-l)}.
@@ -326,6 +316,13 @@ class DualEngine:
         return self.keep(("module", sign, l), lambda: self._build_module(sign, l)).copy()
 
     def _build_module(self, sign, l):
+        """The module on the kept orbit, psi^k = phi^k psi^0_lam0 for k <= l.
+
+        By `_constants`, phi raises a grade by q^2 and varphi lowers it by
+        q^2, so psi^k has the single grade q^(2k) lam0, which is K's
+        eigenvalue on it; varphi kills psi^0 since [0] = 0.  F is read off
+        varphi(psi^k), which must be a multiple of psi^(k-1).
+        """
         if not self.is_nilpotent_weight(sign, l):
             raise ValueError("(%+d, %d) is not in J^c" % (sign, l))
         basis = list(self._orbits[(sign, l)])
@@ -338,16 +335,8 @@ class DualEngine:
             matE[k + 1][k] = ONE
         matK = linalg.zeros(n, n)
         for k in range(n):
-            grades = basis[k].grades()
-            if len(grades) != 1:
-                raise AssertionError("orbit vector is not grading-homogeneous")
-            (grade,) = grades
-            if grade != qpow(4 * k) * lam0:
-                raise AssertionError("unexpected grade in phi-orbit")
-            matK[k][k] = grade
+            matK[k][k] = qpow(4 * k) * lam0
         matF = linalg.zeros(n, n)
-        if not self.varphi(basis[0]).is_zero():
-            raise AssertionError("highest weight vector is not varphi-killed")
         for k in range(1, n):
             fv = self.varphi(basis[k])
             prev = basis[k - 1]

@@ -65,10 +65,6 @@ def is_zero_matrix(a):
     return all(not x for row in a for x in row)
 
 
-def mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def _entry_weight(x):
     return len(x.num) + len(x.den)
 
@@ -276,60 +272,3 @@ def _pivot_rows_mod_p(sparse_rows, nc):
                 if len(kept) == nc:
                     return sorted(kept)
     return None
-
-
-# ---------------------------------------------------------------------------
-# polynomials in an auxiliary variable x with RatFunc coefficients
-# (dense lists, low degree first) -- enough for characteristic polynomials
-
-def xp_trim(p):
-    n = len(p)
-    while n and not p[n - 1]:
-        n -= 1
-    return p[:n]
-
-
-def xp_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] = out[i] + x
-    return xp_trim(out)
-
-
-def xp_sub(a, b):
-    return xp_add(a, [-x for x in b])
-
-
-def xp_mul(a, b):
-    if not a or not b:
-        return []
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-    return xp_trim(out)
-
-
-def xp_trailing_zeros(p):
-    """Multiplicity of the root x = 0."""
-    k = 0
-    while k < len(p) and not p[k]:
-        k += 1
-    return k if k < len(p) else 0
-
-
-def charpoly_tridiag(diag, sup, sub):
-    """det(x I - M) for a tridiagonal matrix via the three-term recurrence."""
-    n = len(diag)
-    pm1 = [ONE]
-    if n == 0:
-        return pm1
-    p = [-diag[0], ONE]
-    for k in range(1, n):
-        head = xp_mul([-diag[k], ONE], p)
-        tail = xp_mul([sup[k - 1] * sub[k - 1]], pm1)
-        pm1, p = p, xp_sub(head, tail)
-    return p

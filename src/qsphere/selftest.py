@@ -8,7 +8,7 @@ degree coeff_degree = degree + 1.
 """
 
 from .scalars import ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam, qpow
-from . import linalg, oqsl2, podles, uqsl2rep, fodc
+from . import oqsl2, podles, uqsl2rep, fodc
 from .dualfunc import PsiVector, engine_of
 
 
@@ -92,10 +92,10 @@ def ac4_xc_matrix(lmax=6):
         for l in range(lmax + 1):
             for sign in (+1, -1):
                 disp = uqsl2rep.xc_matrix(l, c, sign)
-                if not linalg.mat_eq(disp, uqsl2rep.xc_matrix_from_irrep(l, c, sign)):
+                if disp != uqsl2rep.xc_matrix_from_irrep(l, c, sign):
                     ok = False
                     bad.append((label, l, sign, "irrep"))
-                if not linalg.mat_eq(disp, engine_of(c).phi_matrix_rescaled(sign, l)):
+                if disp != engine_of(c).phi_matrix_rescaled(sign, l):
                     ok = False
                     bad.append((label, l, sign, "phi"))
     return {"criterion": "AC-4", "pass": ok,

@@ -12,10 +12,42 @@ q^(2k-l)[l-k] beta) that describes the raising operator on the rescaled
 dual-coalgebra basis.  For the plus sign it equals q^(l+1) times the
 transpose of the X_c-action on the irrep; for the minus sign the twisted
 module realizes the negative of it, so the cross-check uses -q^(l+1).
+
+Characteristic polynomials are XPoly, polynomials in an auxiliary x.
 """
 
 from .scalars import ZERO, ONE, Q, QINV, QHAT, CParam, XcData, qint, qpow
 from . import linalg
+from .algebra import LinComb
+
+
+class XPoly(LinComb):
+    """A polynomial in x with RatFunc coefficients, {exponent: coefficient}."""
+
+    __slots__ = ()
+
+    UNIT = 0
+
+    def _mono_mul(self, i, j):
+        return {i + j: ONE}
+
+    def _mono_str(self, i):
+        return None if i == 0 else "x" if i == 1 else "x^%d" % i
+
+    @staticmethod
+    def _sort_key(i):
+        return i
+
+
+X = XPoly({1: ONE})
+
+
+def charpoly_tridiag(diag, sup, sub):
+    """det(x I - M) for a tridiagonal matrix via the three-term recurrence."""
+    prev, p = XPoly(), X ** 0
+    for d, bc in zip(diag, [ZERO] + [b * c for b, c in zip(sup, sub)]):
+        prev, p = p, (X - d) * p - bc * prev
+    return p
 
 
 class IrrepVl:
@@ -164,19 +196,18 @@ def charpoly_check(l, c: CParam, sign=+1):
     diag = [m[k][k] for k in range(n)]
     sup = [m[k][k + 1] for k in range(n - 1)]
     sub = [m[k + 1][k] for k in range(n - 1)]
-    cp = linalg.charpoly_tridiag(diag, sup, sub)
+    cp = charpoly_tridiag(diag, sup, sub)
 
     scale = qpow(2 * (l + 1))
     pairs, zero_root = _pair_closed_forms(l, c, sign)
-    expected = [ONE]
+    expected = X ** 0
     for _, s, p in pairs:
-        expected = linalg.xp_mul(expected, [scale * scale * p, -(scale * s), ONE])
+        expected = expected * (X * X - scale * s * X + scale * scale * p)
     if zero_root is not None:
-        expected = linalg.xp_mul(expected, [-(scale * zero_root), ONE])
+        expected = expected * (X - scale * zero_root)
 
-    diff = linalg.xp_sub(cp, expected)
-    data = SpectralData(l, c, sign, [(s, p) for _, s, p in pairs],
-                        linalg.xp_trailing_zeros(cp))
+    diff = cp - expected
+    data = SpectralData(l, c, sign, [(s, p) for _, s, p in pairs], min(cp.terms))
     return data, ("equal" if not diff else "unequal"), diff
 
 

@@ -273,8 +273,6 @@ def test_readme_command_examples_run(capsys):
     cmds = _readme_commands()
     assert len(cmds) >= 6
     for argv in cmds:
-        if argv[0] == "selftest":
-            continue
         code, out = run_cli(capsys, "--format", "json", *argv)
         assert code == 0, argv
         json.loads(out)

@@ -239,7 +239,8 @@ def test_mod_p_rows_carry_the_exact_rows_terms(c):
 
 def test_scan_builds_exact_rows_for_members_only(monkeypatch):
     # a non-member is decided from the modular rows; only the members'
-    # exact orbits read exact rows.  The modular rows live for one scan.
+    # exact orbits read exact rows.  A modular row is built where the scan
+    # meets it and is not kept.
     eng = DualEngine(CParam.generic(2))
     built = set()
     real = eng._mod_row
@@ -343,10 +344,18 @@ def test_build_module_rejects_non_weights(eng):
         eng.build_module(-1, 2)
 
 
-def test_module_vectors_are_graded(eng):
-    mod = eng.build_module(+1, 4)
-    for k, v in enumerate(mod.basis):
-        assert v.grades() == {qpow(4 * k) * mod.lambda0}
+def test_module_vectors_are_graded():
+    # what _build_module takes from `_constants`: psi^k = phi^k psi^0 has the
+    # single grade q^(2k) lam0, varphi kills psi^0, and K is diag of the grades
+    for c in (GENERIC, CParam.infinity(), selftest.c_exc(1), selftest.c_exc(2)):
+        eng = dualfunc.engine_of(c)
+        for sign, l in eng.scan_weights(8):
+            mod = eng.build_module(sign, l)
+            grades = [qpow(4 * k) * mod.lambda0 for k in range(l + 1)]
+            for v, grade in zip(mod.basis, grades):
+                assert {lam for (_, _, lam) in v.terms} == {grade}, (c, sign, l)
+            assert eng.varphi(mod.basis[0]).is_zero()
+            assert [mod.matK[k][k] for k in range(l + 1)] == grades
 
 
 def test_truncated_independence(eng):
@@ -358,5 +367,4 @@ def test_phi_matrix_rescaled_matches_display(eng):
     from qsphere.uqsl2rep import xc_matrix
     for l in (0, 1, 3):
         for sign in (+1, -1):
-            assert linalg.mat_eq(eng.phi_matrix_rescaled(sign, l),
-                                 xc_matrix(l, GENERIC, sign))
+            assert eng.phi_matrix_rescaled(sign, l) == xc_matrix(l, GENERIC, sign)

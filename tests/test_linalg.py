@@ -4,9 +4,8 @@ import pytest
 
 from qsphere import linalg
 from qsphere.scalars import ZERO, ONE, Q, QINV, MOD_T0, RatFunc
-from qsphere.linalg import (charpoly_tridiag, matmul, nullity,
-                            rank, solve_with_rank, transpose,
-                            xp_mul, xp_sub, xp_trailing_zeros)
+from qsphere.linalg import matmul, nullity, rank, solve_with_rank, transpose
+from qsphere.uqsl2rep import X, charpoly_tridiag
 
 
 def mat(rows):
@@ -61,8 +60,7 @@ def test_charpoly_tridiag_2x2():
     # det(xI - [[a, b], [c, d]]) = x^2 - (a+d)x + (ad - bc)
     a, b, c, d = Q, ONE, QINV, Q * Q
     p = charpoly_tridiag([a, d], [b], [c])
-    want = [a * d - b * c, -(a + d), ONE]
-    assert p == want
+    assert p == X * X - (a + d) * X + (a * d - b * c)
 
 
 def test_charpoly_tridiag_3x3_against_dense():
@@ -76,15 +74,7 @@ def test_charpoly_tridiag_3x3_against_dense():
     a1 = (diag[0] * diag[1] + diag[0] * diag[2] + diag[1] * diag[2]
           - sup[0] * sub[0] - sup[1] * sub[1])
     a2 = -(diag[0] + diag[1] + diag[2])
-    assert p == [a0, a1, a2, ONE]
-
-
-def test_xp_helpers():
-    p = xp_mul([ONE, ONE], [ONE, ONE])
-    assert p == [ONE, 2 * ONE, ONE]
-    assert xp_trailing_zeros([ZERO, ZERO, ONE]) == 2
-    assert xp_trailing_zeros([ZERO, ZERO]) == 0
-    assert xp_sub(p, p) == []
+    assert p == X ** 3 + a2 * X * X + a1 * X + a0
 
 
 def _dense_gauss_jordan(rows, nc):

@@ -2,8 +2,9 @@ import pytest
 
 from qsphere.scalars import (ZERO, ONE, Q, QINV, QHAT, CParam, cn_value,
                              qint, qpow)
-from qsphere import linalg
-from qsphere.uqsl2rep import (charpoly_check, irrep, kernel_dim,
+from qsphere import linalg, uqsl2rep
+from qsphere.cli import main
+from qsphere.uqsl2rep import (X, XPoly, charpoly_check, irrep, kernel_dim,
                               relation_failures, xc_matrix,
                               xc_matrix_from_irrep, _pair_closed_forms)
 
@@ -64,8 +65,7 @@ def test_xc_matrix_matches_irrep_route():
     for c in (GENERIC, INF):
         for l in range(0, 5):
             for sign in (+1, -1):
-                assert linalg.mat_eq(xc_matrix(l, c, sign),
-                                     xc_matrix_from_irrep(l, c, sign))
+                assert xc_matrix(l, c, sign) == xc_matrix_from_irrep(l, c, sign)
 
 
 def test_charpoly_l0_is_x():
@@ -85,6 +85,36 @@ def test_charpoly_verdicts_and_zero_roots():
             for sign in (+1, -1):
                 _, verdict, _ = charpoly_check(l, c, sign)
                 assert verdict == "equal", (l, sign)
+
+
+def test_xpoly_arithmetic():
+    # a polynomial on x^0 alone equals, and hashes like, the scalar it holds
+    for c in (ZERO, ONE, Q * Q + 1):
+        p = X ** 0 * c
+        assert p == c and hash(p) == hash(c)
+    assert XPoly({0: Q}) == Q and hash(XPoly({0: Q})) == hash(Q)
+    sq = (X + 1) * (X + 1)
+    assert sq == X * X + 2 * X + 1
+    assert str(sq) == "1 + 2*x + x^2"
+    assert str(X * X - Q * X) == "-q*x + x^2"
+    assert str(X) == "x"
+    assert sq - sq == XPoly() == 0 and not (sq - sq)
+    assert min((X * X * sq).terms) == 2
+
+
+def test_wrong_pair_product_is_unequal(monkeypatch, capsys):
+    real = _pair_closed_forms
+
+    def planted(l, c, sign):
+        pairs, zero_root = real(l, c, sign)
+        (r2, s, p), *rest = pairs
+        return [(r2, s, p + 1)] + rest, zero_root
+
+    monkeypatch.setattr(uqsl2rep, "_pair_closed_forms", planted)
+    _, verdict, diff = charpoly_check(3, GENERIC, +1)
+    assert verdict == "unequal" and diff
+    assert main(["eigenvalues", "--c", "s=2", "--l", "3", "--sign", "+"]) == 1
+    assert "[FAIL] charpoly factorization" in capsys.readouterr().out
 
 
 def test_kernel_dims():
