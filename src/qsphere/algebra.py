@@ -68,7 +68,7 @@ class LinComb:
     UNIT = ()
 
     def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+        self.terms = {m: v for m, v in terms.items() if v} if terms else {}
 
     def _new(self, terms):
         return type(self)(terms)
@@ -176,9 +176,6 @@ class LinComb:
             if keep(m):
                 out = out + c
         return out
-
-    def degree(self):
-        return max((len(m) for m in self.terms), default=0)
 
     def __str__(self):
         if not self.terms:

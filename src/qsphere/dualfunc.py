@@ -58,7 +58,7 @@ class PsiVector(LinComb):
         lam = RatFunc.coerce(lam)
         if lam is None or lam.is_zero():
             raise ValueError("psi symbols need a nonzero lambda subscript")
-        return PsiVector({(m, l, lam): coeff} if coeff else None)
+        return PsiVector({(m, l, lam): coeff})
 
     def value_at_unit(self):
         """Evaluation on 1: only the (0, 0, lam) symbols contribute."""

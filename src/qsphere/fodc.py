@@ -263,6 +263,7 @@ class CalculusPresentation:
         self._twist_cache = {}
         self._d_cache = {}
         self._bimodule = None           # `bimodule_report`, once it has run
+        self._tables = None             # the printed tables of `to_json_dict`
 
     # Gamma elements are coordinate lists xi = [x_1, ..., x_N] meaning
     # sum_i gamma^i x_i
@@ -273,55 +274,46 @@ class CalculusPresentation:
     def rmult(self, coords, b):
         return [x * b for x in coords]
 
-    def _twist(self, mono):
-        """T[i][j] in B with mono . gamma^i = sum_j gamma^j T[i][j].
+    def _twist(self, g):
+        """T_g[i][j] in B with g . gamma^i = sum_j gamma^j T_g[i][j], for a letter g.
 
-        A letter g acts by the twisted rule T_g[i][j] = sum nu(g(0))
-        r(g(1), S^-1 psi_ij) over its coaction, one `oqsl2.rform` per SL2 leg
-        (of degree <= 2) and entry; () acts as the identity, and g m' as g
-        after m': T[i][k] = sum_j T_g[j][k] T_m'[i][j], products in B.
+        The twisted rule T_g[i][j] = sum nu(g(0)) r(g(1), S^-1 psi_ij) over
+        the coaction of g, one `oqsl2.rform` per SL2 leg (of degree <= 2)
+        and entry; kept per letter.
         """
-        t = self._twist_cache.get(mono)
+        t = self._twist_cache.get(g)
         if t is not None:
             return t
         N, alg = self.N, self.alg
         t = [[alg.element() for _ in range(N)] for _ in range(N)]
-        if not mono:
-            for i in range(N):
-                t[i][i] = alg.unit()
-        elif len(mono) == 1:
-            legs = {}
-            for (pm, am), cc in alg.coact(alg.gen(mono[0])).items():
-                legs[am] = legs.get(am, alg.element()) + alg.element({pm: cc})
-            for am, left in legs.items():
-                leg, left = oqsl2.SL2Element({am: ONE}), nu_apply(self.nu, left)
-                for i in range(N):
-                    for j in range(N):
-                        r = oqsl2.rform(leg, self.sinv_psi[i][j])
-                        if r:
-                            t[i][j] = t[i][j] + r * left
-        else:
-            tg, rest = self._twist(mono[:1]), self._twist(mono[1:])
+        legs = {}
+        for (pm, am), cc in alg.coact(alg.gen(g)).items():
+            legs[am] = legs.get(am, alg.element()) + alg.element({pm: cc})
+        for am, left in legs.items():
+            leg, left = oqsl2.SL2Element({am: ONE}), nu_apply(self.nu, left)
             for i in range(N):
                 for j in range(N):
-                    if rest[i][j]:
-                        for k in range(N):
-                            if tg[j][k]:
-                                t[i][k] = t[i][k] + tg[j][k] * rest[i][j]
-        self._twist_cache[mono] = t
+                    r = oqsl2.rform(leg, self.sinv_psi[i][j])
+                    if r:
+                        t[i][j] = t[i][j] + r * left
+        self._twist_cache[g] = t
         return t
 
     def lmult(self, a, coords):
-        """a . (sum_i gamma^i x_i) via the r-form twisted bimodule rule."""
+        """a . (sum_i gamma^i x_i) via the r-form twisted bimodule rule.
+
+        A monomial acts as the composition of its letter operators, the
+        last letter first: g . (sum_j gamma^j y_j) = sum_k gamma^k sum_j
+        T_g[j][k] y_j.
+        """
         out = self.zero()
-        nonzero = [i for i in range(self.N) if coords[i]]
         for mono, cc in a.terms.items():
-            t = self._twist(mono)
-            for i in nonzero:
-                xi = coords[i]
-                for j in range(self.N):
-                    if t[i][j]:
-                        out[j] = out[j] + cc * (t[i][j] * xi)
+            v = coords
+            for g in reversed(mono):
+                t = self._twist(g)
+                v = [sum((t[j][k] * y for j, y in enumerate(v) if y and t[j][k]),
+                         self.alg.element()) for k in range(self.N)]
+            out = [x + cc * y if y else x for x, y in zip(out, v)]
         return out
 
     def d(self, x):
@@ -334,8 +326,7 @@ class CalculusPresentation:
                 dm = [u - v for u, v in zip(self.rmult(self.omega, m),
                                             self.lmult(m, self.omega))]
                 self._d_cache[mono] = dm
-            for k in range(self.N):
-                out[k] = out[k] + dm[k] * cc
+            out = [u + v * cc for u, v in zip(out, dm)]
         return out
 
     def coords_eq(self, u, v):
@@ -345,23 +336,21 @@ class CalculusPresentation:
         """Every coordinate is zero (the benchmark worker checks d(1) = 0 with it)."""
         return all(x.is_zero() for x in u)
 
+    def gamma(self, i):
+        """The coordinates of gamma^i."""
+        return [self.alg.unit() if k == i else self.alg.element() for k in range(self.N)]
+
+    def _generators(self):
+        alg = self.alg
+        return {"em1": alg.em1(), "e0": alg.e0(), "e1": alg.e1(), "A": alg.A()}
+
     def differential_table(self):
-        gens = {"em1": self.alg.em1(), "e0": self.alg.e0(),
-                "e1": self.alg.e1(), "A": self.alg.A()}
-        return {name: self.d(x) for name, x in gens.items()}
+        return {name: self.d(x) for name, x in self._generators().items()}
 
     def left_action_table(self):
-        gens = {"em1": self.alg.em1(), "e0": self.alg.e0(),
-                "e1": self.alg.e1(), "A": self.alg.A()}
-        table = {}
-        for name, a in gens.items():
-            rows = []
-            for i in range(self.N):
-                unit_i = self.zero()
-                unit_i[i] = self.alg.unit()
-                rows.append(self.lmult(a, unit_i))
-            table[name] = rows
-        return table
+        """Row i of a generator's table is its action on gamma^i."""
+        return {name: [self.lmult(a, self.gamma(i)) for i in range(self.N)]
+                for name, a in self._generators().items()}
 
     def leibniz_report(self, max_total_degree=4):
         """d(xy) = x d(y) + d(x) y on all monomial pairs up to a degree bound.
@@ -392,8 +381,8 @@ class CalculusPresentation:
     def bimodule_report(self):
         """lmult(x y) = lmult(x) lmult(y) on each gamma^i for the four rules x y -> rhs.
 
-        This proves Leibniz in every degree.  By `_twist` the left action on a
-        monomial is the composition of its letter operators, so it is an
+        This proves Leibniz in every degree.  `lmult` applies a monomial as
+        the composition of its letter operators, so the left action is an
         algebra map B -> End(Gamma_B) exactly when those operators satisfy
         the rules that present B.  Right multiplication commutes with it, so
         Gamma is a bimodule, and d = [omega, .] is inner: d(xy) = omega x y -
@@ -409,15 +398,21 @@ class CalculusPresentation:
         for x, y in self.alg.rewriting.rules:
             a, b = self.alg.gen(x), self.alg.gen(y)
             for i in range(self.N):
-                unit_i = self.zero()
-                unit_i[i] = self.alg.unit()
-                if not self.coords_eq(self.lmult(a * b, unit_i),
-                                      self.lmult(a, self.lmult(b, unit_i))):
+                gamma = self.gamma(i)
+                if not self.coords_eq(self.lmult(a * b, gamma),
+                                      self.lmult(a, self.lmult(b, gamma))):
                     failures.append("%s*%s" % (a, b))
                     break
         return {"pass": not failures, "failures": failures}
 
     def to_json_dict(self):
+        """The presentation as JSON; its tables are printed once and kept as strings."""
+        if self._tables is None:
+            self._tables = (
+                {k: [str(x) for x in v] for k, v in self.differential_table().items()},
+                {k: [[str(x) for x in row] for row in v]
+                 for k, v in self.left_action_table().items()})
+        dtable, ltable = self._tables
         sign = -1 if self.nu == "flip" else +1
         return {
             "schema": "qsphere-report/1",
@@ -428,10 +423,8 @@ class CalculusPresentation:
             "dim": self.N,
             "W_basis": [str(b) for b in self.W_basis],
             "omega": [str(b) for b in self.omega],
-            "differential_table": {k: [str(x) for x in v]
-                                   for k, v in self.differential_table().items()},
-            "left_action_table": {k: [[str(x) for x in row] for row in v]
-                                  for k, v in self.left_action_table().items()},
+            "differential_table": {k: list(v) for k, v in dtable.items()},
+            "left_action_table": {k: [list(row) for row in v] for k, v in ltable.items()},
         }
 
 
@@ -523,7 +516,7 @@ def build_rform_calculus(n, nu, c: CParam, engine=None):
 def _chi_letters(pres):
     """G(g)[i][j] = eps(T_g[j][i]) for the three letters, and R(()) = [eps(b_j)]."""
     alg, N = pres.alg, pres.N
-    twists = {g: pres._twist((g,)) for g in podles.LETTERS}
+    twists = {g: pres._twist(g) for g in podles.LETTERS}
     return ({g: [[alg.counit(t[j][i]) for j in range(N)] for i in range(N)]
              for g, t in twists.items()}, [alg.counit(b) for b in pres.W_basis])
 

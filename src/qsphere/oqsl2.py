@@ -53,7 +53,7 @@ class SL2Element(LinComb):
 
     @staticmethod
     def unit(coeff=ONE):
-        return SL2Element({(): coeff} if coeff else None)
+        return SL2Element({(): coeff})
 
     @staticmethod
     def gen(name):

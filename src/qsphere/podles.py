@@ -73,11 +73,11 @@ class PodlesAlgebra:
     # -- element constructors
 
     def element(self, terms=None):
-        return PodlesElement(self, dict(terms) if terms else {})
+        return PodlesElement(self, {m: v for m, v in terms.items() if v} if terms else {})
 
     def unit(self, coeff=ONE):
         coeff = RatFunc.coerce(coeff)
-        return self.element({(): coeff} if coeff else None)
+        return self.element({(): coeff})
 
     def gen(self, name):
         return self.element({(name,): ONE})
@@ -309,6 +309,10 @@ class PodlesElement(LinComb):
     def _mono_mul(self, m1, m2):
         return self.alg.reduce_word(m1 + m2)
 
+    def degree(self):
+        """The length of the longest word, 0 for zero."""
+        return max((len(m) for m in self.terms), default=0)
+
     def _mono_str(self, m):
         return super()._mono_str(tuple(_PRINT[g] for g in m))
 
@@ -473,7 +477,7 @@ class BorelOp(LinComb):
 
     @staticmethod
     def mono(a, b, coeff=ONE):
-        return BorelOp({(a, b): coeff} if coeff else None)
+        return BorelOp({(a, b): coeff})
 
     def _mono_mul(self, m1, m2):
         # opposite product: F^a1 K^b1 then F^a2 K^b2 multiplies as the

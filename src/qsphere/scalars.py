@@ -236,7 +236,7 @@ def _canonical(num, cof, g):
     positive.
     """
     if not num:
-        return (), (1,)
+        return (), _monomial_den(0, 1)
     if len(g) > 1:
         _, num, g = _pgcd(num, g)
     den = g if cof == (1,) else cof if g == (1,) else _pmul(cof, g)
@@ -246,6 +246,8 @@ def _canonical(num, cof, g):
     if cg != 1:
         num = tuple(x // cg for x in num)
         den = tuple(x // cg for x in den)
+    if _is_monomial(den):
+        den = _monomial_den(len(den) - 1, den[-1])
     return num, den
 
 
@@ -271,7 +273,13 @@ def _laurent(num, k, m):
         g = math.gcd(m, *num)
         if g != 1:
             num, m = tuple(x // g for x in num), m // g
-    return RatFunc(num, (0,) * k + (m,), _reduced=True)
+    return RatFunc(num, _monomial_den(k, m), _reduced=True)
+
+
+@functools.cache
+def _monomial_den(k, m):
+    """The tuple of m*t^k, one per (k, m): canonical monomial denominators share it."""
+    return (0,) * k + (m,)
 
 
 def _align(a, shift, factor):
@@ -401,9 +409,12 @@ class RatFunc:
     def inv(self):
         if not self.num:
             raise ZeroDivisionError("inverse of 0 in Q(t)")
-        if self.num[-1] < 0:
-            return RatFunc(_pneg(self.den), _pneg(self.num), _reduced=True)
-        return RatFunc(self.den, self.num, _reduced=True)
+        num, den = self.den, self.num
+        if den[-1] < 0:
+            num, den = _pneg(num), _pneg(den)
+        if _is_monomial(den):
+            den = _monomial_den(len(den) - 1, den[-1])
+        return RatFunc(num, den, _reduced=True)
 
     def __truediv__(self, other):
         o = RatFunc.coerce(other)
@@ -581,7 +592,7 @@ def qpow(k2):
     """t**k2 as a field element, i.e. q^(k2/2); k2 may be negative."""
     if k2 >= 0:
         return RatFunc((0,) * k2 + (1,), (1,), _reduced=True)
-    return RatFunc((1,), (0,) * (-k2) + (1,), _reduced=True)
+    return RatFunc((1,), _monomial_den(-k2, 1), _reduced=True)
 
 
 Q = qpow(2)

@@ -7,6 +7,7 @@ from qsphere.algebra import LinComb, RewriteSystem, accumulate
 from qsphere.oqsl2 import A_, B_, D_, UNIT, SL2Element
 from qsphere.podles import BorelOp, PodlesAlgebra
 from qsphere.dualfunc import PsiVector
+from qsphere.uqsl2rep import X, XPoly
 from qsphere.scalars import ZERO, ONE, Q, CParam, RatFunc
 
 
@@ -79,3 +80,30 @@ def test_rewrite_system_normal_forms_and_confluence():
 def test_lincomb_needs_a_product():
     with pytest.raises(TypeError):
         LinComb({("a",): ONE}) * LinComb({("b",): ONE})
+
+
+def test_zero_coefficients_are_dropped_on_construction():
+    alg = PodlesAlgebra(CParam.generic(1))
+    psi = PsiVector.symbol(1, Q)
+    built = [(XPoly({0: ZERO, 1: ONE}), X),
+             (SL2Element({**A_.terms, (): ZERO}), A_),
+             (PsiVector({**psi.terms, (0, 0, ONE): ZERO}), psi),
+             (BorelOp({(0, 0): ZERO, (1, 0): ONE}), BorelOp.mono(1, 0)),
+             (alg.element({(): ZERO, ("A",): ONE}), alg.A())]
+    for got, want in built:
+        assert ZERO not in got.terms.values()
+        zero = want - want
+        for x in (got, got + zero, zero + got, got - zero):
+            assert x == want and hash(x) == hash(want)
+    assert XPoly({0: ZERO, 1: ONE}) + 0 == X
+    assert XPoly({0: ZERO}) == 0 and not XPoly({0: ZERO})
+    assert alg.element({("m",): ZERO}).is_zero()
+
+
+def test_degree_is_the_longest_sphere_word():
+    alg = PodlesAlgebra(CParam.generic(1))
+    assert alg.element().degree() == 0 and alg.unit().degree() == 0
+    assert alg.e0().degree() == 1
+    assert (alg.A() * alg.em1() * alg.e1() + 3).degree() == 3
+    assert (alg.em1() * alg.e1()).degree() == 2      # m p -> A - A^2 + c
+    assert not hasattr(XPoly, "degree") and not hasattr(X, "degree")

@@ -414,3 +414,23 @@ def test_a_repeated_tangent_space_request_eliminates_nothing(capsys, monkeypatch
     assert run_cli(capsys, "--format", "json", *argv) == cold
     assert calls == []
 
+
+def test_a_repeated_build_fodc_request_applies_no_left_action(capsys, monkeypatch):
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
+    argv = ("--format", "json", "build-fodc", "--c", "s=1", "--n", "1")
+    calls = []
+    real = fodc.CalculusPresentation.lmult
+    monkeypatch.setattr(fodc.CalculusPresentation, "lmult",
+                        lambda self, a, coords: calls.append(a) or real(self, a, coords))
+    cold = run_cli(capsys, *argv)
+    assert cold[0] == 0 and calls
+    calls.clear()
+    assert run_cli(capsys, *argv) == cold
+    assert calls == []
+    # the kept tables are handed out as copies
+    pres = fodc.build_rform_calculus(1, "id", parse_param_spec("s=1"))
+    doc = pres.to_json_dict()
+    doc["differential_table"]["e1"][0] = doc["left_action_table"]["A"][0][0] = "x"
+    again, first = pres.to_json_dict(), json.loads(cold[1])
+    for key in ("differential_table", "left_action_table"):
+        assert again[key] == first[key]

@@ -422,19 +422,23 @@ def _whole_monomial_twist(pres, mono):
     (1, "id", GENERIC, 4), (2, "id", GENERIC, 4), (1, "flip", INF, 4),
     (1, "id", CParam.generic(2), 3), (2, "flip", INF, 3)])
 def test_twist_equals_the_whole_monomial_rule(n, nu, c, degree):
-    # the composition of letter twists is the twisted rule on each normal monomial
+    # lmult composes the letter twists; on each normal monomial and gamma^i
+    # that is the twisted rule of the whole monomial
     pres = build_rform_calculus(n, nu, c, engine=DualEngine(c))
-    for m in pres.alg.normal_monomials(degree):
-        assert pres._twist(m) == _whole_monomial_twist(pres, m), m
+    alg = pres.alg
+    for m in alg.normal_monomials(degree):
+        whole = _whole_monomial_twist(pres, m)
+        for i in range(pres.N):
+            assert pres.lmult(alg.element({m: ONE}), pres.gamma(i)) == whole[i], (m, i)
     assert pres.bimodule_report() == {"pass": True, "failures": []}
 
 
 def test_swapped_letter_twists_fail_all_four_rules(monkeypatch, capsys):
     monkeypatch.setattr(dualfunc, "_ENGINES", {})
     real = fodc.CalculusPresentation._twist
-    swap = {("m",): ("p",), ("p",): ("m",)}
+    swap = {"m": "p", "p": "m"}
     monkeypatch.setattr(fodc.CalculusPresentation, "_twist",
-                        lambda self, mono: real(self, swap.get(mono, mono)))
+                        lambda self, g: real(self, swap.get(g, g)))
     for n in (1, 2):
         pres = build_rform_calculus(n, "id", GENERIC, engine=DualEngine(GENERIC))
         assert pres.bimodule_report()["failures"] == [

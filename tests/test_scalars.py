@@ -8,6 +8,7 @@ from qsphere import fodc, linalg, scalars
 from qsphere.dualfunc import DualEngine
 from qsphere.scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam,
                              XcData, qint, qbinom, cn_value, eval_mod,
+                             clear_denominators,
                              check_admissible, parse_ratfunc, qpow, _padd,
                              _pmul, _pneg, _pgcd, _prs_gcd, _pdiv_exact,
                              _heu_gcd)
@@ -308,6 +309,32 @@ def test_laurent_arithmetic_matches_the_canonical_route():
         _same(ONE * x, x)
     assert exponents == {-1, 0, 1}
     assert cancelled["t"] > 20 and cancelled["int"] > 20
+
+
+def test_equal_monomial_denominators_share_one_tuple():
+    # every canonical denominator m*t^k is the one tuple of (k, m), whichever
+    # route built it; the Laurent results equal the fractions built unreduced
+    rng = random.Random(25011)
+    p, t0 = 2 ** 61 - 1, 1234567891011
+    shared = {}
+    for _ in range(300):
+        (a, b), (c, d) = _rand_laurent(rng), _rand_laurent(rng)
+        x, y = _unreduced(a, b), _unreduced(c, d)
+        bd = _pmul(b, d)
+        values = [x, y, -x, x.inv(), y / x, qpow(-rng.randint(1, 9))]
+        for got, want in [(x + y, _unreduced(_padd(_pmul(a, d), _pmul(c, b)), bd)),
+                          (x * y, _unreduced(_pmul(a, c), bd))]:
+            _same(got, want)
+            assert str(got) == str(want)
+            assert eval_mod(got, t0, p) == eval_mod(want, t0, p)
+            assert clear_denominators([got]) == clear_denominators([want])
+            values.append(got)
+        for v in values:
+            if v.den == (0,) * (len(v.den) - 1) + v.den[-1:]:
+                assert shared.setdefault((len(v.den) - 1, v.den[-1]), v.den) is v.den
+    assert qpow(-4).den is (QINV * QINV).den is (Q * Q).inv().den
+    assert ZERO.den is ONE.den is (x - x).den
+    assert len(shared) > 20
 
 
 def test_laurent_cancellation_by_hand():
