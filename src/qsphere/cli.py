@@ -19,7 +19,7 @@ import json
 import re
 import sys
 
-from .scalars import CParam, parse_ratfunc, qpow, check_admissible
+from .scalars import CParam, parse_ratfunc, check_admissible
 from . import podles, uqsl2rep, fodc, selftest
 from .dualfunc import engine_of
 
@@ -41,7 +41,7 @@ def parse_param_spec(text):
         r2 = int(text[4:])
         if r2 < 1:
             raise ValueError("exc:<r2> needs r2 >= 1")
-        return CParam.generic((qpow(r2) - qpow(-r2)).inv())
+        return selftest.c_exc(r2)
     if text.startswith("cn:"):
         return CnSpec(int(text[3:]))
     raise ValueError("cannot parse c-specifier %r" % text)

@@ -7,7 +7,7 @@ f_mu g^m E^l where mu^2 = lam; the classification span uses m = 0 only
 in Q(t) mu^(n mod 2), and the sphere embeds into even lengths (the spin-1
 coefficients have degree 2 and the rewriting rules keep the parity of
 the length).  An embedded element with an odd-length monomial raises
-ArithmeticError.
+ArithmeticError.  Every engine evaluates with the one `oqsl2.EVALUATOR`.
 
 The raising/lowering/weight operators phi, varphi, kappa act on m = 0
 symbols by
@@ -132,7 +132,6 @@ class DualEngine:
         self._alpha_q = self.alpha * Q
         self._alpha_q_mod = eval_mod(self._alpha_q, _T0, _P)
         self.alg = podles.PodlesAlgebra(c)
-        self._evaluator = oqsl2.Evaluator()
         self._orbits = {}               # (sign, l) -> phi-orbit or None
         self._table = {}                # l -> `_per_l`; (l, lam) -> `_constants` row
         self._kept = {}                 # key -> a certified result, see `keep`
@@ -236,7 +235,7 @@ class DualEngine:
         """
         m, l, lam = sym
         letters = (("fs", lam),) + (("g",),) * m + (("E",),) * l
-        return self._evaluator.eval(letters, self.alg.embed(x))
+        return oqsl2.EVALUATOR.eval(letters, self.alg.embed(x))
 
     def eval_vector(self, v, x):
         out = ZERO

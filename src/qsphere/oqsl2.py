@@ -114,10 +114,10 @@ def coproduct(x):
     return out
 
 
-_S_LETTER = {"a": ("d", None), "d": ("a", None),
-             "b": ("b", "minus_qinv"), "c": ("c", "minus_q")}
-_SINV_LETTER = {"a": ("d", None), "d": ("a", None),
-                "b": ("b", "minus_q"), "c": ("c", "minus_qinv")}
+# _S_LETTER[g] = (h, coeff) with S(g) = coeff h: S(a) = d, S(d) = a,
+# S(b) = -q^-1 b, S(c) = -q c; then S^-1(h) = coeff^-1 g
+_S_LETTER = {"a": ("d", ONE), "d": ("a", ONE), "b": ("b", -QINV), "c": ("c", -Q)}
+_SINV_LETTER = {h: (g, coeff.inv()) for g, (h, coeff) in _S_LETTER.items()}
 
 
 def antipode(x, inverse=False):
@@ -126,15 +126,11 @@ def antipode(x, inverse=False):
     out = SL2Element()
     for m, c in x.terms.items():
         word = []
-        coeff = c
         for g in reversed(m):
-            tgt, sc = table[g]
+            tgt, coeff = table[g]
             word.append(tgt)
-            if sc == "minus_q":
-                coeff = -coeff * Q
-            elif sc == "minus_qinv":
-                coeff = -coeff * QINV
-        out = out + SL2Element.from_word(tuple(word), coeff)
+            c = c * coeff
+        out = out + SL2Element.from_word(tuple(word), c)
     return out
 
 
@@ -320,6 +316,12 @@ class Evaluator:
         return total
 
 
+# A word's values on SL2 monomials do not depend on the sphere's c, so one
+# evaluator and its memo serve the whole process: the psi functionals of
+# every engine, the sphere's U_q(sl2)-action and the r-form below.
+EVALUATOR = Evaluator()
+
+
 # ---------------------------------------------------------------------------
 # the standard universal r-form
 #
@@ -342,8 +344,6 @@ _R_LEGS = {x: [(_R_LETTER[x1], _R_LETTER[x2]) for x1, x2 in _GEN_COPROD[x]]
            for x in GENS}
 _R_WORDS = {}
 
-_R_EVALUATOR = Evaluator()
-
 
 def rform_words(w1, w2):
     """The r-form on a pair of free words (well defined on the quotient).
@@ -353,7 +353,7 @@ def rform_words(w1, w2):
     word = _R_WORDS.get(w2)
     if word is None:
         word = _R_WORDS[w2] = tuple(_R_LETTER[x] for x in reversed(w2))
-    return _R_EVALUATOR.eval_word(word, w1)
+    return EVALUATOR.eval_word(word, w1)
 
 
 def rform(x, y):

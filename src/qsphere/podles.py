@@ -9,14 +9,17 @@ A^j e_{-1}^i and A^j e_1^k; no monomial contains both e_{-1} and e_1.
 These equal the basis monomials e_{-1}^i A^j and A^j e_1^k up to an
 explicit q-power.
 
-Also here: the embedding into O_q(SL2), the left U_q(sl2)-action and the
-right coaction (both module-algebra extensions of the generator tables),
-the indecomposable representations mu_n at c = c(n), and the localization
+Also here: the embedding into O_q(SL2), the right coaction (the algebra
+map extending the generator table), the left U_q(sl2)-action read off the
+coaction as X |> b = b(0) X(b(1)) (Podles, Lett. Math. Phys. 14, 1987;
+Klimyk-Schmuedgen, Quantum Groups and Their Representations, 11.6), with
+the functional X evaluated on the O_q(SL2) leg by `oqsl2.EVALUATOR`, the
+indecomposable representations mu_n at c = c(n), and the localization
 check onto the opposite Borel algebra.
 """
 
 from .algebra import LinComb, RewriteSystem, accumulate, tensor_terms
-from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, qpow, CParam, cn_value)
+from .scalars import (ZERO, ONE, Q, QHAT, RatFunc, qpow, CParam, cn_value)
 from . import oqsl2
 from .oqsl2 import SL2Element, pi_coeff
 from .scalars import ExprParser
@@ -61,7 +64,6 @@ class PodlesAlgebra:
         })
         self._embed_letter = None
         self._embed_cache = {}
-        self._act_cache = {}
         self._coact_letter = None
         self._coact_cache = {}
 
@@ -180,63 +182,17 @@ class PodlesAlgebra:
             self._embed_cache[mono] = v
         return v
 
-    # -- left action of E, F, K^n (module-algebra extension of the tables)
-
-    def _act_letter(self, kind, letter):
-        if kind == "E":
-            if letter == "m":
-                return self.element()
-            if letter == "A":
-                return self.em1()
-            return self.e0()
-        if kind == "F":
-            if letter == "m":
-                return -QINV * self.e0()
-            if letter == "A":
-                return -QINV * self.e1()
-            return self.element()
-        raise ValueError(kind)
-
-    _K_WEIGHT = {"m": 2, "A": 0, "p": -2}      # q-exponent of the K-eigenvalue
-
-    def k_weight(self, mono):
-        return sum(self._K_WEIGHT[g] for g in mono)
+    # -- left action of E, F, K^n, read off the right coaction
 
     def act(self, kind, x, power=1):
-        """Left action of E, F or K^power on an element."""
-        if kind == "K":
-            out = {}
-            for mono, coeff in x.terms.items():
-                out[mono] = coeff * qpow(2 * power * self.k_weight(mono))
-            return self.element(out)
-        total = self.element()
-        for mono, coeff in x.terms.items():
-            total = total + coeff * self._act_mono(kind, mono)
-        return total
-
-    def _act_mono(self, kind, mono):
-        key = (kind, mono)
-        v = self._act_cache.get(key)
-        if v is not None:
-            return v
-        if not mono:
-            v = self.element()
-        else:
-            g, rest = mono[0], mono[1:]
-            head = self.element({(g,): ONE})
-            if kind == "E":
-                # E acts by (E x)(K y) + x (E y)
-                v = (self._act_letter("E", g) *
-                     qpow(2 * self.k_weight(rest)) * self.element({rest: ONE})
-                     if rest else self._act_letter("E", g))
-                if rest:
-                    v = v + head * self._act_mono("E", rest)
-            else:
-                # F acts by (F x) y + (K^-1 x)(F y)
-                v = self._act_letter("F", g) * self.element({rest: ONE})
-                v = v + qpow(-2 * self._K_WEIGHT[g]) * head * self._act_mono("F", rest)
-        self._act_cache[key] = v
-        return v
+        """Left action X |> x = x(0) X(x(1)) of X = E, F or K^power."""
+        word = ((kind, power),) if kind == "K" else ((kind,),)
+        out = {}
+        for (pm, am), coeff in self.coact(x).items():
+            v = oqsl2.EVALUATOR.eval_word(word, am)
+            if v:
+                out[pm] = out.get(pm, ZERO) + coeff * v
+        return self.element(out)
 
     # -- right coaction B -> B (x) O_q(SL2)
 

@@ -2,9 +2,13 @@
 
 Each function returns {"criterion", "pass", "details"}; the CLI selftest
 command and the pytest acceptance module both run these.  Every check is
-exact over Q(t).  Two bounds remain: the weight-scan depth (`lmax`, the CLI's
---lmax) and AC-8's freeness check at degree 2 with the guessed coefficient
-degree coeff_degree = degree + 1.
+exact over Q(t), on sampled ranges.  Truncations of one claim: AC-8's
+freeness at degree 2 (guessed coeff_degree = degree + 1); AC-10's
+confluence and Hopf axioms on words of length <= 3, r-form
+well-definedness on length <= 2, psi and normal-basis independence at
+degree 4.  Finite samples of a family: l <= lmax in AC-3 (6, nine lambda),
+AC-4 (6), AC-5 (6 at four c; kernel dichotomy 8) and AC-6 (8; the CLI's
+--lmax); AC-7's Lmax 6; AC-8's n in (1, 2); AC-9's n <= 4.
 """
 
 from .scalars import ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam, qpow
@@ -37,7 +41,7 @@ def ac1_embedded_relations():
 def ac2_functional_tables():
     """f_lambda, g, E, F on the pi-matrix reproduce the four displayed matrices."""
     lam = RatFunc.from_int(5)
-    ev = oqsl2.Evaluator()
+    ev = oqsl2.EVALUATOR
     words = {"f": (("f", lam),), "g": (("g",),), "E": (("E",),), "F": (("F",),)}
     ok = True
     mismatches = []

@@ -76,6 +76,10 @@ def test_antipode_examples():
     x = B_
     assert antipode(antipode(x, inverse=True)) == x
     assert antipode(antipode(x)) == qpow(-4) * x
+    # S and S^-1 invert each other on every PBW monomial of length <= 3
+    for mono in sorted({m for w in all_words(3) for m in reduce_word(w)}):
+        m = SL2Element({mono: ONE})
+        assert antipode(antipode(m, inverse=True)) == m == antipode(antipode(m), inverse=True)
     # m(S (x) id) Delta(a) = eps(a) 1
     total = SL2Element()
     for (m1, m2), c in coproduct(A_).items():
@@ -291,9 +295,9 @@ def _expanded_rform(w1, w2, memo):
 
 def test_rform_words_matches_full_expansion():
     pairs = [(w1, w2) for w1 in all_words(2) for w2 in all_words(4)]
-    oqsl2._R_EVALUATOR._memo.clear()
+    oqsl2.EVALUATOR._memo.clear()
     memo = {}
     want = [_expanded_rform(w1, w2, memo) for w1, w2 in pairs]
-    oqsl2._R_EVALUATOR._memo.clear()
+    oqsl2.EVALUATOR._memo.clear()
     got = [oqsl2.rform_words(w1, w2) for w1, w2 in pairs]
     assert got == want

@@ -9,6 +9,7 @@ from qsphere.podles import (PodlesAlgebra, basis_independence, build_mu_n,
                             mu_rep_report,
                             original_relations_report, verify_localization)
 from qsphere.fodc import build_rform_calculus, submodule_Vn
+from qsphere.selftest import c_exc
 
 GENERIC = CParam.generic(1)
 INF = CParam.infinity()
@@ -133,23 +134,37 @@ def test_parser_e0_sugar(alg):
     assert alg.parse(str(x)) == x
 
 
-def test_action_tables(alg):
-    assert alg.act("E", alg.e1()) == alg.e0()
-    assert alg.act("E", alg.e0()) == -(Q * Q + 1) * alg.em1()
-    assert alg.act("E", alg.em1()).is_zero()
-    assert alg.act("F", alg.em1()) == -QINV * alg.e0()
-    assert alg.act("F", alg.e0()) == (Q + QINV) * alg.e1()
-    assert alg.act("F", alg.e1()).is_zero()
-    assert alg.act("K", alg.em1()) == Q * Q * alg.em1()
+def test_action_tables(alg, alg_inf):
+    for a in (alg, alg_inf):
+        em1, e0, e1, A = a.em1(), a.e0(), a.e1(), a.A()
+        assert a.act("E", e1) == e0
+        assert a.act("E", e0) == -(Q * Q + 1) * em1
+        assert a.act("E", em1).is_zero()
+        assert a.act("E", A) == em1
+        assert a.act("F", em1) == -QINV * e0
+        assert a.act("F", e0) == (Q + QINV) * e1
+        assert a.act("F", e1).is_zero()
+        assert a.act("F", A) == -QINV * e1
+        assert a.act("K", em1) == Q * Q * em1
+        assert a.act("K", e1) == qpow(-4) * e1
+        assert a.act("K", em1, -1) == qpow(-4) * em1
+        assert a.act("K", e1, -1) == Q * Q * e1
+        for power in (1, -1):
+            assert a.act("K", e0, power) == e0 and a.act("K", A, power) == A
 
 
-def test_action_is_module_algebra(alg):
-    # E(xy) = (Ex)(Ky) + x(Ey) via the recursion used on a product directly
-    x = alg.parse("A*em1")
-    y = alg.parse("e1*e1")
-    lhs = alg.act("E", x * y)
-    rhs = alg.act("E", x) * alg.act("K", y) + x * alg.act("E", y)
-    assert lhs == rhs
+def test_action_is_module_algebra(alg, alg_inf):
+    # E(xy) = E(x)K(y) + xE(y), F(xy) = F(x)y + K^-1(x)F(y), K(xy) = K(x)K(y)
+    # on every pair of normal monomials of total degree <= 4
+    for a in (alg, alg_inf, PodlesAlgebra(c_exc(1))):
+        monos = [a.element({m: ONE}) for m in a.normal_monomials(4)]
+        for x, y in itertools.product(monos, repeat=2):
+            if x.degree() + y.degree() > 4:
+                continue
+            xy = x * y
+            assert a.act("E", xy) == a.act("E", x) * a.act("K", y) + x * a.act("E", y)
+            assert a.act("F", xy) == a.act("F", x) * y + a.act("K", x, -1) * a.act("F", y)
+            assert a.act("K", xy) == a.act("K", x) * a.act("K", y)
 
 
 def test_mu_reps():
