@@ -39,7 +39,7 @@ after both routes agree, and through `keep` a module after the U_q(sl2)
 relations, a tangent space, and a calculus after `comodule_matrix`'s checks.
 """
 
-from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam, XcData,
+from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam,
                       eval_mod, qint, qbinom, qpow)
 from .scalars import MOD_P as _P, MOD_T0 as _T0  # proves a weight outside J^c
 from . import linalg, oqsl2, podles, uqsl2rep
@@ -127,8 +127,7 @@ class DualEngine:
         if c.is_zero():
             raise ValueError("c = 0 is excluded (quantum subgroup case)")
         self.c = c
-        self.xc = XcData(c)
-        self.alpha = self.xc.alpha
+        self.alpha = uqsl2rep.xc_alpha(c)
         self._alpha_q = self.alpha * Q
         self._alpha_q_mod = eval_mod(self._alpha_q, _T0, _P)
         self.alg = podles.PodlesAlgebra(c)

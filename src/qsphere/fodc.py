@@ -41,8 +41,7 @@ class TangentSpace:
 
 def _coordinates(vectors):
     """Coordinate rows of PsiVectors over the union of their symbols."""
-    symbols = sorted({s for v in vectors for s in v.terms},
-                     key=lambda s: (s[0], s[1], s[2].sort_key()))
+    symbols = sorted({s for v in vectors for s in v.terms}, key=PsiVector._sort_key)
     index = {s: i for i, s in enumerate(symbols)}
     return [linalg.coordinate_row(v.terms, index) for v in vectors]
 
@@ -189,11 +188,10 @@ def classify_de_generated(c: CParam, Lmax=6, engine=None):
 # ---------------------------------------------------------------------------
 # the SL2-subcomodules V(n) of the sphere
 
-def submodule_Vn(n, c: CParam, alg=None):
-    """Basis of the (2n+1)-dimensional submodule: E-orbit of e_1^n."""
+def submodule_Vn(n, alg):
+    """Basis of the (2n+1)-dimensional submodule of alg: E-orbit of e_1^n."""
     if n < 1:
         raise ValueError("n must be positive")
-    alg = alg or podles.PodlesAlgebra(c)
     basis = [alg.e1() ** n]
     for _ in range(2 * n):
         basis.append(alg.act("E", basis[-1]))
@@ -204,9 +202,9 @@ def submodule_Vn(n, c: CParam, alg=None):
     return basis
 
 
-def submodule_report(n, c: CParam, alg=None):
-    alg = alg or podles.PodlesAlgebra(c)
-    basis = submodule_Vn(n, c, alg)
+def submodule_report(pres):
+    """V(n) = pres.W_basis has the K-weights q^(2(i-n)) and F keeps its span."""
+    n, alg, basis = pres.n, pres.alg, pres.W_basis
     ok_k = all(alg.act("K", b) == qpow(2 * (2 * (i - n))) * b
                for i, b in enumerate(basis))
     # F keeps the span
@@ -215,7 +213,7 @@ def submodule_report(n, c: CParam, alg=None):
         linalg.transpose(rows), [_podles_row(alg, alg.act("F", b), 2 * n) for b in basis])
     ok_f = all(x is not None for x in sols)
     return {"pass": ok_k and ok_f and rk == 2 * n + 1, "K_weights": ok_k,
-            "F_closed": ok_f, "rank": rk, "dim": 2 * n + 1, "basis": basis}
+            "F_closed": ok_f, "rank": rk, "dim": 2 * n + 1, "basis": list(basis)}
 
 
 def _podles_row(alg, x, degree):
@@ -250,14 +248,13 @@ def nu_apply(kind, x):
 class CalculusPresentation:
     """A free right-module calculus, with the twisted left action and d = [omega, .]."""
 
-    def __init__(self, n, nu, c, alg, W_basis, psi, sinv_psi):
+    def __init__(self, n, nu, c, alg, W_basis, sinv_psi):
         self.n = n
         self.nu = nu
         self.c = c
         self.alg = alg
         self.W_basis = W_basis
-        self.psi = psi                  # psi[j][i]: coaction matrix in O_q(SL2)
-        self.sinv_psi = sinv_psi        # S^-1(psi[i][j]), indexed [i][j]
+        self.sinv_psi = sinv_psi        # S^-1(psi[i][j]) of the comodule matrix psi
         self.N = len(W_basis)
         self.omega = list(W_basis)      # coords of omega = sum gamma^i b_i
         self._twist_cache = {}
@@ -504,8 +501,9 @@ def build_rform_calculus(n, nu, c: CParam, engine=None):
                          % (engine.c, c))
 
     def build():
-        W = submodule_Vn(n, c, engine.alg)
-        return CalculusPresentation(n, nu, c, engine.alg, W, *comodule_matrix(engine.alg, W))
+        W = submodule_Vn(n, engine.alg)
+        _, sinv_psi = comodule_matrix(engine.alg, W)
+        return CalculusPresentation(n, nu, c, engine.alg, W, sinv_psi)
 
     return engine.keep(("calculus", n, nu), build)
 

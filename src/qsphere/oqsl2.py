@@ -337,12 +337,10 @@ _R_GEN = {
     ("c", "b"): qpow(-1) * QHAT,
 }
 
-# the letters ('r', x), their legs and the letter word of each second
-# argument are built once and shared by the memo keys
+# the letters ('r', x) and their legs are built once and shared by the memo keys
 _R_LETTER = {x: ("r", x) for x in GENS}
 _R_LEGS = {x: [(_R_LETTER[x1], _R_LETTER[x2]) for x1, x2 in _GEN_COPROD[x]]
            for x in GENS}
-_R_WORDS = {}
 
 
 def rform_words(w1, w2):
@@ -350,10 +348,7 @@ def rform_words(w1, w2):
 
     r(w1, x_1...x_m) is the word r(-, x_m)...r(-, x_1) of letters on w1.
     """
-    word = _R_WORDS.get(w2)
-    if word is None:
-        word = _R_WORDS[w2] = tuple(_R_LETTER[x] for x in reversed(w2))
-    return EVALUATOR.eval_word(word, w1)
+    return EVALUATOR.eval_word(tuple(_R_LETTER[x] for x in reversed(w2)), w1)
 
 
 def rform(x, y):

@@ -9,13 +9,13 @@ A^j e_{-1}^i and A^j e_1^k; no monomial contains both e_{-1} and e_1.
 These equal the basis monomials e_{-1}^i A^j and A^j e_1^k up to an
 explicit q-power.
 
-Also here: the embedding into O_q(SL2), the right coaction (the algebra
-map extending the generator table), the left U_q(sl2)-action read off the
-coaction as X |> b = b(0) X(b(1)) (Podles, Lett. Math. Phys. 14, 1987;
-Klimyk-Schmuedgen, Quantum Groups and Their Representations, 11.6), with
-the functional X evaluated on the O_q(SL2) leg by `oqsl2.EVALUATOR`, the
-indecomposable representations mu_n at c = c(n), and the localization
-check onto the opposite Borel algebra.
+Besides the rules, the data are the counit and the right coaction's letter
+table (e_i -> sum_j e_j (x) pi_{j,i}); the rest is read off the coaction
+(Podles, Lett. Math. Phys. 14, 1987; Klimyk-Schmuedgen, 11.6): the
+embedding into O_q(SL2) as (eps (x) id) Delta_B on the letters, and the left
+U_q(sl2)-action as X |> b = b(0) X(b(1)), X evaluated on the O_q(SL2) leg
+by `oqsl2.EVALUATOR`.  Also here: the representations mu_n at c = c(n),
+and the localization check onto the opposite Borel algebra.
 """
 
 from .algebra import LinComb, RewriteSystem, accumulate, tensor_terms
@@ -148,21 +148,14 @@ class PodlesAlgebra:
     # -- embedding into O_q(SL2)
 
     def _letter_images(self):
+        """iota(g) = eps(g(0)) g(1) for each letter g, read off its coaction."""
         if self._embed_letter is None:
-            wm, w0, wp = self.eps_weights()
-            weights = {-1: wm, 0: w0, 1: wp}
-            e = {}
-            for i in (-1, 0, 1):
-                e[i] = SL2Element()
-                for j in (-1, 0, 1):
-                    e[i] = e[i] + weights[j] * pi_coeff(j, i)
-            img = {"m": e[-1], "p": e[1]}
-            scale = (Q * Q + 1).inv()
-            if self.c.is_infinity():
-                img["A"] = -scale * e[0]
-            else:
-                img["A"] = scale * (SL2Element.unit() - e[0])
-            self._embed_letter = img
+            self._embed_letter = {}
+            for g, terms in self._coact_letters().items():
+                img = {}
+                for (pm, am), coeff in terms.items():
+                    accumulate(img, {am: self.counit(self.element({pm: coeff}))})
+                self._embed_letter[g] = SL2Element(img)
         return self._embed_letter
 
     def embed(self, x):

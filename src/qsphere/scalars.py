@@ -695,22 +695,6 @@ class CParam:
         return "CParam(%s)" % self
 
 
-class XcData:
-    """Coefficients of the twisted primitive element alpha(K^-1 - 1) + beta K^-1 E + gamma F."""
-
-    __slots__ = ("alpha", "beta", "gamma")
-
-    def __init__(self, c: CParam):
-        if c.is_zero():
-            raise ValueError("c = 0 has no twisted primitive element of this shape")
-        self.beta = Q
-        self.gamma = ONE
-        if c.is_infinity():
-            self.alpha = ZERO
-        else:
-            self.alpha = -ONE / (c.s * QHAT)
-
-
 def check_admissible(c: CParam):
     """Report whether c lies in J2 \\ {0}: c != 0 and c is not an exceptional value c(n).
 

@@ -16,10 +16,6 @@ from . import oqsl2, podles, uqsl2rep, fodc
 from .dualfunc import PsiVector, engine_of
 
 
-def c_generic(s=1):
-    return CParam.generic(s)
-
-
 def c_exc(r2):
     """c = (q^r - q^-r)^(-2) with r = r2/2, via its exact square root."""
     return CParam.generic((qpow(r2) - qpow(-r2)).inv())
@@ -29,7 +25,7 @@ def ac1_embedded_relations():
     """Embedded generators satisfy the four defining relations."""
     details = {}
     ok = True
-    for label, c in (("s=1", c_generic(1)), ("s=2", c_generic(2)),
+    for label, c in (("s=1", CParam.generic(1)), ("s=2", CParam.generic(2)),
                      ("inf", CParam.infinity())):
         rep = podles.embedded_relations_report(c)
         rep2 = podles.original_relations_report(c)
@@ -72,7 +68,7 @@ def ac2_functional_tables():
 
 def ac3_operator_algebra(lmax=6):
     """phi varphi - varphi phi = (kappa - kappa^-1)/(q - q^-1) and conjugations."""
-    eng = engine_of(c_generic(1))
+    eng = engine_of(CParam.generic(1))
     grid = [ONE, Q, QINV, Q * Q, qpow(-4), qpow(6),
             RatFunc.from_int(2), RatFunc.from_int(3), Q * Q + 1]
     ok = True
@@ -92,7 +88,7 @@ def ac4_xc_matrix(lmax=6):
     """The displayed tridiagonal matrix from both the irrep and operator routes."""
     ok = True
     bad = []
-    for c, label in ((c_generic(1), "s=1"), (CParam.infinity(), "inf")):
+    for c, label in ((CParam.generic(1), "s=1"), (CParam.infinity(), "inf")):
         for l in range(lmax + 1):
             for sign in (+1, -1):
                 disp = uqsl2rep.xc_matrix(l, c, sign)
@@ -110,7 +106,7 @@ def ac5_spectra(lmax=6, kernel_lmax=8):
     """Characteristic polynomial factorizations and the zero-kernel dichotomy."""
     ok = True
     verdicts = {}
-    for label, c in (("s=1", c_generic(1)), ("s=2", c_generic(2)),
+    for label, c in (("s=1", CParam.generic(1)), ("s=2", CParam.generic(2)),
                      ("inf", CParam.infinity()), ("exc:1", c_exc(1))):
         bad = []
         for l in range(lmax + 1):
@@ -122,7 +118,7 @@ def ac5_spectra(lmax=6, kernel_lmax=8):
         ok = ok and not bad
     dichotomy = True
     for l in range(kernel_lmax + 1):
-        kd = uqsl2rep.kernel_dim(l, c_generic(1), +1)
+        kd = uqsl2rep.kernel_dim(l, CParam.generic(1), +1)
         if kd != (1 if l % 2 == 0 else 0):
             dichotomy = False
     ok = ok and dichotomy
@@ -140,7 +136,7 @@ def ac6_jc_sets(lmax=8):
         "exc:2": ({(+1, l) for l in range(0, lmax + 1, 2)}       # r = 1
                   | {(-1, k) for k in range(2, lmax + 1, 2)}),
     }
-    cs = {"s=1": c_generic(1), "inf": CParam.infinity(),
+    cs = {"s=1": CParam.generic(1), "inf": CParam.infinity(),
           "exc:1": c_exc(1), "exc:2": c_exc(2)}
     ok = True
     got = {}
@@ -156,7 +152,7 @@ def ac6_jc_sets(lmax=8):
 def ac7_corollary_counts(lmax=6):
     """The de_i-generated classification: 1 / 3 / 2 calculi with stated dims."""
     cases = (
-        ("s=1", c_generic(1), 1, [3]),
+        ("s=1", CParam.generic(1), 1, [3]),
         ("inf", CParam.infinity(), 3, [1, 3, 3]),
         ("exc:1", c_exc(1), 2, [2, 3]),
     )
@@ -177,13 +173,13 @@ def ac8_rform_calculi(ns=(1, 2)):
     freeness."""
     ok = True
     details = {}
-    c1 = c_generic(1)
+    c1 = CParam.generic(1)
     for n in ns:
         chi = fodc.chi_functionals(n, "id", c1)
         cb = fodc.chibar_report(n, c1)
         pres = fodc.build_rform_calculus(n, "id", c1)
         fr = fodc.verify_freeness(pres, 2)
-        sub = fodc.submodule_report(n, c1, pres.alg)
+        sub = fodc.submodule_report(pres)
         entry = {"spans_equal": chi["spans_equal"], "chibar": cb["pass"],
                  "leibniz": pres.bimodule_report()["pass"], "freeness": fr["pass"],
                  "submodule": sub["pass"]}
@@ -221,7 +217,7 @@ def ac10_structural():
     conf_sl2 = oqsl2.confluence_report(3)
     details["sl2_confluent"] = conf_sl2["confluent"]
     conf_pod = all(podles.confluence_report(c, 3)["confluent"]
-                   for c in (c_generic(1), c_generic(2), CParam.infinity(),
+                   for c in (CParam.generic(1), CParam.generic(2), CParam.infinity(),
                              CParam.zero()))
     details["podles_confluent"] = conf_pod
     hopf = oqsl2.hopf_axioms_report(3)
@@ -230,14 +226,14 @@ def ac10_structural():
     details["rform_well_defined"] = rwd["pass"]
     # the 18-symbol set cannot be independent against the 16 monomials of
     # degree <= 3, so the certificate runs at degree 4 (25 monomials)
-    indep = engine_of(c_generic(1)).truncated_independence(degree=4)
+    indep = engine_of(CParam.generic(1)).truncated_independence(degree=4)
     details["psi_independence"] = indep["full_row_rank"]
     details["psi_independence_degree"] = indep["degree"]
     basis = all(podles.basis_independence(c, 4)["independent"]
-                for c in (c_generic(1), CParam.infinity()))
+                for c in (CParam.generic(1), CParam.infinity()))
     details["normal_basis_independent"] = basis
     details["normal_basis_degree"] = 4
-    pb = all(podles.verify_localization(c)["pass"] for c in (c_generic(1), c_generic(2)))
+    pb = all(podles.verify_localization(CParam.generic(s))["pass"] for s in (1, 2))
     details["localization_residuals_zero"] = pb
     ok = (conf_sl2["confluent"] and conf_pod and hopf["pass"] and rwd["pass"]
           and indep["full_row_rank"] and basis and pb)

@@ -16,7 +16,7 @@ module realizes the negative of it, so the cross-check uses -q^(l+1).
 Characteristic polynomials are XPoly, polynomials in an auxiliary x.
 """
 
-from .scalars import ZERO, ONE, Q, QINV, QHAT, CParam, XcData, qint, qpow
+from .scalars import ZERO, ONE, Q, QINV, QHAT, CParam, qint, qpow
 from . import linalg
 from .algebra import LinComb
 
@@ -108,36 +108,44 @@ def irrep(l, sign=+1):
     return IrrepVl(l, sign)
 
 
+# X_c = alpha(c) (K^-1 - 1) + BETA K^-1 E + GAMMA F, the twisted primitive element
+BETA, GAMMA = Q, ONE
+
+
+def xc_alpha(c: CParam):
+    """alpha(c) = -1/(s (q - q^-1)) for c = s^2, and 0 at c = infinity."""
+    if c.is_zero():
+        raise ValueError("c = 0 has no twisted primitive element of this shape")
+    return ZERO if c.is_infinity() else -ONE / (c.s * QHAT)
+
+
 def xc_matrix(l, c: CParam, sign=+1):
     """The displayed (l+1)x(l+1) tridiagonal matrix for weight ±q^(-l)."""
     if l < 0:
         raise ValueError("l must be nonnegative")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if c.is_zero():
-        raise ValueError("c = 0 is outside the classification setting")
-    xd = XcData(c)
+    alpha = xc_alpha(c)
     n = l + 1
     scale = qpow(2 * (l + 1))
     out = linalg.zeros(n, n)
     sgn = ONE if sign == +1 else -ONE
     for k in range(n):
-        out[k][k] = scale * (qpow(2 * (2 * k - l)) - sgn) * xd.alpha
+        out[k][k] = scale * (qpow(2 * (2 * k - l)) - sgn) * alpha
         if k + 1 < n:
-            out[k][k + 1] = scale * qint(k + 1) * xd.gamma
-            out[k + 1][k] = scale * qpow(2 * (2 * k - l)) * qint(l - k) * xd.beta
+            out[k][k + 1] = scale * qint(k + 1) * GAMMA
+            out[k + 1][k] = scale * qpow(2 * (2 * k - l)) * qint(l - k) * BETA
     return out
 
 
 def xc_matrix_from_irrep(l, c: CParam, sign=+1):
     """The same matrix derived from the irrep: (±q^(l+1)) transpose(M(X_c))."""
-    xd = XcData(c)
     v = irrep(l, sign)
     m = linalg.matmul(v.matKinv(), v.matE)
-    m = linalg.scalmul(xd.beta, m)
-    m = linalg.matadd(m, linalg.scalmul(xd.gamma, v.matF))
+    m = linalg.scalmul(BETA, m)
+    m = linalg.matadd(m, linalg.scalmul(GAMMA, v.matF))
     shift = linalg.matsub(v.matKinv(), linalg.identity(l + 1))
-    m = linalg.matadd(m, linalg.scalmul(xd.alpha, shift))
+    m = linalg.matadd(m, linalg.scalmul(xc_alpha(c), shift))
     scale = qpow(2 * (l + 1)) if sign == +1 else -qpow(2 * (l + 1))
     return linalg.scalmul(scale, linalg.transpose(m))
 
@@ -170,8 +178,7 @@ def _pair_closed_forms(l, c, sign):
         sum = alpha (q^r + q^-r)^2,
         prod = (q^r + q^-r)^2 (alpha^2 - beta gamma q^-1 ((q^r-q^-r)/(q-q^-1))^2).
     """
-    xd = XcData(c)
-    a, bg = xd.alpha, xd.beta * xd.gamma * QINV
+    a, bg = xc_alpha(c), BETA * GAMMA * QINV
     pairs = []
     for r2 in range(l % 2 if l % 2 else 2, l + 1, 2):
         minus = qpow(r2) - qpow(-r2)
@@ -185,7 +192,7 @@ def _pair_closed_forms(l, c, sign):
         pairs.append((r2, s, p))
     zero_root = None
     if l % 2 == 0:
-        zero_root = ZERO if sign == +1 else 2 * xd.alpha
+        zero_root = ZERO if sign == +1 else 2 * a
     return pairs, zero_root
 
 

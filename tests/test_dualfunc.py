@@ -1,8 +1,9 @@
 import pytest
 
-from qsphere.scalars import ZERO, ONE, Q, QHAT, RatFunc, CParam, XcData, qpow
+from qsphere.scalars import ZERO, ONE, Q, QHAT, RatFunc, CParam, qpow
 from qsphere import dualfunc, fodc, linalg, oqsl2, scalars, selftest, uqsl2rep
 from qsphere.dualfunc import DualEngine, PsiVector, EPSILON
+from qsphere.uqsl2rep import BETA, GAMMA, xc_alpha
 
 GENERIC = CParam.generic(1)
 EXC_HALF = CParam.generic((qpow(1) - qpow(-1)).inv())
@@ -145,11 +146,11 @@ def test_psi_product_pairing(eng):
 
 def _act_xc(alg, x):
     """Left action of the twisted primitive element X_c on a sphere element."""
-    xd = XcData(alg.c)
-    out = xd.beta * alg.act("K", alg.act("E", x), -1)
-    out = out + xd.gamma * alg.act("F", x)
-    if xd.alpha:
-        out = out + xd.alpha * (alg.act("K", x, -1) - x)
+    alpha = xc_alpha(alg.c)
+    out = BETA * alg.act("K", alg.act("E", x), -1)
+    out = out + GAMMA * alg.act("F", x)
+    if alpha:
+        out = out + alpha * (alg.act("K", x, -1) - x)
     return out
 
 

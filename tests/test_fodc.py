@@ -90,16 +90,16 @@ def test_classification_exc_r1_still_one():
 
 def test_submodule_v1(eng):
     alg = eng.alg
-    basis = submodule_Vn(1, GENERIC, alg)
+    basis = submodule_Vn(1, alg)
     assert basis[0] == alg.e1()
     assert basis[1] == alg.e0()
     assert basis[2] == -(Q * Q + 1) * alg.em1()
-    rep = submodule_report(1, GENERIC, alg)
+    rep = submodule_report(build_rform_calculus(1, "id", GENERIC, eng))
     assert rep["pass"] and rep["rank"] == 3
 
 
 def test_submodule_v2(eng):
-    rep = submodule_report(2, GENERIC, eng.alg)
+    rep = submodule_report(build_rform_calculus(2, "id", GENERIC, eng))
     assert rep["pass"] and rep["rank"] == 5
 
 
@@ -306,7 +306,7 @@ def _element_level_chi_rows(n, nu, c, alg, monos):
     elems = [alg.element({m: ONE}) for m in monos]
     embedded = [alg.embed(nu_apply(nu, x)) for x in elems]
     rows = []
-    for b in submodule_Vn(n, c, alg):
+    for b in submodule_Vn(n, alg):
         sb = oqsl2.antipode(alg.embed(b), inverse=True)
         rows.append([oqsl2.rform(y, sb) - alg.counit(b) * alg.counit(x)
                      for x, y in zip(elems, embedded)])
@@ -575,7 +575,7 @@ def test_without_an_engine_calls_share_the_process_engine(monkeypatch):
 
 def test_comodule_matrix_check_catches_swapped_columns(eng, monkeypatch):
     alg = eng.alg
-    W = submodule_Vn(1, GENERIC, alg)
+    W = submodule_Vn(1, alg)
     psi, _ = comodule_matrix(alg, W)
     check_comodule_matrix(alg, W, psi)
     with pytest.raises(AssertionError, match=r"Delta\(b_0\) is not"):

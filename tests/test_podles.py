@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qsphere.scalars import ONE, Q, QINV, RatFunc, CParam, qpow
+from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc, CParam, qpow
 from qsphere import linalg, oqsl2
 from qsphere.podles import (PodlesAlgebra, basis_independence, build_mu_n,
                             confluence_report, embedded_relations_report,
@@ -73,6 +73,38 @@ def test_embed_on_the_prefix_is_the_letter_product(c):
         for g in mono:
             want = want * letters[g]
         assert alg.embed(alg.element({mono: ONE})) == want, mono
+
+
+@pytest.mark.parametrize("c", [GENERIC, CParam.generic(2), INF, c_exc(1), CParam.zero()])
+def test_letter_images_match_the_spin1_formula(c):
+    # the oracle: iota(e_i) = sum_j eps(e_j) pi_{j,i} and
+    # iota(A) = (kappa - iota(e_0))/(1+q^2), with kappa = 0 at c = inf, else 1
+    alg = PodlesAlgebra(c)
+    eps = dict(zip((-1, 0, 1), alg.eps_weights()))
+    e = {i: sum((eps[j] * oqsl2.pi_coeff(j, i) for j in (-1, 0, 1)), oqsl2.SL2Element())
+         for i in (-1, 0, 1)}
+    kappa = ZERO if c.is_infinity() else ONE
+    want = {"m": e[-1], "p": e[1], "A": (kappa * oqsl2.UNIT - e[0]) * (Q * Q + 1).inv()}
+    for g, img in want.items():
+        assert alg.embed(alg.gen(g)) == img, g
+
+
+def test_a_fault_in_the_coaction_letters_reaches_the_embedding(monkeypatch):
+    # the embedding is read off the coaction letter table: doubling e_1's
+    # coaction doubles its image and breaks the embedded relations
+    real = PodlesAlgebra._coact_letters
+
+    def doubled(self):
+        letters = dict(real(self))
+        letters["p"] = {k: 2 * v for k, v in letters["p"].items()}
+        return letters
+
+    clean = PodlesAlgebra(GENERIC)
+    clean_e1 = clean.embed(clean.e1())
+    monkeypatch.setattr(PodlesAlgebra, "_coact_letters", doubled)
+    alg = PodlesAlgebra(GENERIC)
+    assert alg.embed(alg.e1()) == 2 * clean_e1
+    assert not embedded_relations_report(GENERIC)["pass"]
 
 
 def test_embedded_relations_all_variants():
@@ -198,7 +230,7 @@ def test_nilpotency_of_embedded_mu_shifts():
 def test_elements_of_two_algebras_with_one_c_combine():
     # each call builds its own PodlesAlgebra; only c decides whether they mix
     w = build_rform_calculus(1, "id", GENERIC).W_basis[0]
-    v = submodule_Vn(1, GENERIC)[0]
+    v = submodule_Vn(1, PodlesAlgebra(GENERIC))[0]
     assert w.alg is not v.alg
     assert w == v and hash(w) == hash(v)
     assert not (w - v) and w * v == w * w

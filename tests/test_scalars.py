@@ -7,11 +7,12 @@ import pytest
 from qsphere import fodc, linalg, scalars
 from qsphere.dualfunc import DualEngine
 from qsphere.scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam,
-                             XcData, qint, qbinom, cn_value, eval_mod,
+                             qint, qbinom, cn_value, eval_mod,
                              clear_denominators,
                              check_admissible, parse_ratfunc, qpow, _padd,
                              _pmul, _pneg, _pgcd, _prs_gcd, _pdiv_exact,
                              _heu_gcd)
+from qsphere.uqsl2rep import BETA, GAMMA, xc_alpha
 
 
 def test_qint_small_values():
@@ -133,19 +134,18 @@ def test_parse_half_powers_and_fractions():
 
 def test_cparam_and_xc_data():
     c = CParam.generic(1)
-    xd = XcData(c)
-    assert xd.alpha == -ONE / QHAT
-    assert xd.beta == Q and xd.gamma == ONE
+    assert xc_alpha(c) == -ONE / QHAT
+    assert BETA == Q and GAMMA == ONE
     assert c.c_value() == ONE
 
     cinf = CParam.infinity()
-    assert XcData(cinf).alpha == ZERO
+    assert xc_alpha(cinf) == ZERO
     assert cinf.c_value() is None
 
     with pytest.raises(ValueError):
         CParam.generic(0)
     with pytest.raises(ValueError):
-        XcData(CParam.zero())
+        xc_alpha(CParam.zero())
 
 
 def test_check_admissible():

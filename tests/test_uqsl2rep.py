@@ -5,7 +5,7 @@ from qsphere.scalars import (ZERO, ONE, Q, QINV, QHAT, CParam, cn_value,
 from qsphere import linalg, uqsl2rep
 from qsphere.cli import main
 from qsphere.uqsl2rep import (X, XPoly, charpoly_check, irrep, kernel_dim,
-                              relation_failures, xc_matrix,
+                              relation_failures, xc_alpha, xc_matrix,
                               xc_matrix_from_irrep, _pair_closed_forms)
 
 GENERIC = CParam.generic(1)
@@ -50,8 +50,7 @@ def test_xc_matrix_l0():
     m = xc_matrix(0, GENERIC, +1)
     assert m == [[ZERO]]
     m = xc_matrix(0, GENERIC, -1)
-    from qsphere.scalars import XcData
-    assert m[0][0] == 2 * Q * XcData(GENERIC).alpha
+    assert m[0][0] == 2 * Q * xc_alpha(GENERIC)
 
 
 def test_xc_matrix_superdiagonal_entries():
