@@ -124,8 +124,6 @@ class DualEngine:
     """Operator and evaluation engine over a fixed admissible parameter c."""
 
     def __init__(self, c: CParam):
-        if c.is_zero():
-            raise ValueError("c = 0 is excluded (quantum subgroup case)")
         self.c = c
         self.alpha = uqsl2rep.xc_alpha(c)
         self._alpha_q = self.alpha * Q

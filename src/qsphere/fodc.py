@@ -225,12 +225,15 @@ def _podles_row(alg, x, degree):
 # comodule algebra endomorphisms nu
 
 def nu_is_admissible(kind, c: CParam):
-    """The sign flip e_i -> -e_i respects the relations only at c = infinity."""
+    """Whether nu respects the sphere's relations at c: the flip negates the odd
+    words and each rule rewrites a two-letter word, so it is admissible exactly
+    when every right side has only even words (at c = infinity)."""
     if kind == "id":
         return True
     if kind != "flip":
         raise ValueError("nu must be 'id' or 'flip'")
-    return c.is_infinity()
+    rules = podles.PodlesAlgebra(c).rewriting.rules
+    return all(len(word) % 2 == 0 for rhs in rules.values() for _, word in rhs)
 
 
 def nu_apply(kind, x):

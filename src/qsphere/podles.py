@@ -1,13 +1,13 @@
 """The Podles sphere O_q(S^2_c) as an abstract algebra.
 
 Internal generators are e_{-1} (letter "m"), A (letter "A") and e_1
-(letter "p"); e_0 is parser sugar for 1 - (1+q^2) A, or -(1+q^2) A when
-c = infinity.  The four-rule rewriting system of the defining relations
-(e_1 A -> q^2 A e_1, e_{-1} A -> q^-2 A e_{-1}, and the two e-e rules)
-moves A-letters to the front, so stored normal-form monomials are
-A^j e_{-1}^i and A^j e_1^k; no monomial contains both e_{-1} and e_1.
-These equal the basis monomials e_{-1}^i A^j and A^j e_1^k up to an
-explicit q-power.
+(letter "p"); e_0 = kappa - (1+q^2) A, where kappa = eps(e_0) is 1 at
+finite c and 0 at c = infinity.  The four-rule rewriting system of the
+defining relations (e_1 A -> q^2 A e_1, e_{-1} A -> q^-2 A e_{-1}, and the
+two e-e rules) moves A-letters to the front, so stored normal-form
+monomials are A^j e_{-1}^i and A^j e_1^k; no monomial contains both e_{-1}
+and e_1.  These equal the basis monomials e_{-1}^i A^j and A^j e_1^k up to
+an explicit q-power.
 
 Besides the rules, the data are the counit and the right coaction's letter
 table (e_i -> sum_j e_j (x) pi_{j,i}); the rest is read off the coaction
@@ -22,7 +22,6 @@ from .algebra import LinComb, RewriteSystem, accumulate, tensor_terms
 from .scalars import (ZERO, ONE, Q, QHAT, RatFunc, qpow, CParam, cn_value)
 from . import oqsl2
 from .oqsl2 import SL2Element, pi_coeff
-from .scalars import ExprParser
 from . import linalg
 
 LETTERS = ("m", "A", "p")
@@ -94,22 +93,12 @@ class PodlesAlgebra:
         return self.gen("A")
 
     def e0(self):
-        scale = Q * Q + 1
-        if self.c.is_infinity():
-            return self.element({("A",): -scale})
-        return self.element({(): ONE, ("A",): -scale})
+        """e_0 = kappa - (1+q^2) A, with kappa = eps(e_0)."""
+        return self.element({(): self.eps_weights()[1], ("A",): -(Q * Q + 1)})
 
     def generators_e(self):
         """[e_{-1}, e_0, e_1] as elements."""
         return [self.em1(), self.e0(), self.e1()]
-
-    def parse(self, text):
-        symbols = {"em1": self.em1(), "e1": self.e1(), "A": self.A(),
-                   "e0": self.e0()}
-        v = ExprParser(text, symbols, self.unit()).parse()
-        if isinstance(v, RatFunc):
-            v = self.unit(v)
-        return v
 
     def normal_monomials(self, max_degree):
         return normal_words(max_degree)
@@ -125,13 +114,12 @@ class PodlesAlgebra:
         return (ONE, ONE, ZERO)      # c = 0, localization normalization
 
     def counit(self, x):
-        """The restriction of the counit; A has counit (1 - eps(e0))/(1+q^2)."""
-        wm, w0, wp = self.eps_weights()
-        if self.c.is_infinity():
-            epsA = -w0 / (Q * Q + 1)
-        else:
-            epsA = (ONE - w0) / (Q * Q + 1)
-        return self.character({"m": wm, "A": epsA, "p": wp}, x)
+        """The restriction of the counit.
+
+        eps(A) = 0, since e_0 = kappa - (1+q^2) A and kappa = eps(e_0).
+        """
+        wm, _, wp = self.eps_weights()
+        return self.character({"m": wm, "A": ZERO, "p": wp}, x)
 
     def character(self, table, x):
         """The value on x of the character with letter values table[g]."""
@@ -197,10 +185,10 @@ class PodlesAlgebra:
                 for j in (-1, 0, 1):
                     accumulate(t, tensor_terms(ee[j].terms, pi_coeff(j, i).terms))
                 return t
+            # A = (kappa - e_0)/(1+q^2), and kappa is grouplike
             scale = (Q * Q + 1).inv()
             tA = accumulate({}, coact_ei(0), -scale)
-            if not self.c.is_infinity():
-                accumulate(tA, {((), ()): scale})
+            accumulate(tA, {((), ()): self.eps_weights()[1] * scale})
             self._coact_letter = {"m": coact_ei(-1), "p": coact_ei(1), "A": tA}
         return self._coact_letter
 

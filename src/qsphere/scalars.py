@@ -714,7 +714,7 @@ def check_admissible(c: CParam):
 
 
 # ---------------------------------------------------------------------------
-# parsing of q-syntax expressions (shared by the algebra text formats)
+# parsing of Q(t) in q-syntax (the s= parameter specs of the CLI)
 
 _OPS = set("+-*/^()")
 
@@ -748,18 +748,14 @@ def _tokenize(s):
 
 
 class ExprParser:
-    """Recursive-descent parser for scalar and algebra expressions.
+    """Recursive-descent parser for elements of Q(t) written in q.
 
-    `symbols` maps generator names to algebra elements; `one` is the algebra
-    unit.  The literal q (and q raised to half-integer powers) is embedded
-    through `one`, so one parser serves Q(t), O_q(SL2) and the sphere.
+    The only name is q, which alone takes half-integer exponents (q^(3/2)).
     """
 
-    def __init__(self, text, symbols=None, one=ONE):
+    def __init__(self, text):
         self.toks = _tokenize(text)
         self.pos = 0
-        self.symbols = symbols or {}
-        self.one = one
 
     def peek(self):
         return self.toks[self.pos][0]
@@ -796,22 +792,11 @@ class ExprParser:
             if k in ("*", "/"):
                 op = self.next()[0]
                 w = self.unary()
-                if op == "*":
-                    v = v * w
-                else:
-                    v = self._divide(v, w)
+                v = v * w if op == "*" else v / w
             elif k in ("int", "name", "("):
                 v = v * self.unary()
             else:
                 return v
-
-    @staticmethod
-    def _divide(v, w):
-        if isinstance(w, RatFunc):
-            if isinstance(v, RatFunc):
-                return v / w
-            return v * w.inv()
-        raise ValueError("division only by scalars")
 
     def unary(self):
         sign = 1
@@ -828,12 +813,9 @@ class ExprParser:
         self.next()
         p2 = self.exponent()           # exponent in halves
         if p2 % 2 == 0:
-            n = p2 // 2
-            if isinstance(base, RatFunc) or n >= 0:
-                return base ** n
-            raise ValueError("negative powers only for scalars")
+            return base ** (p2 // 2)
         if is_q:
-            return self.one * qpow(p2)
+            return qpow(p2)
         raise ValueError("half-integer exponents only on q")
 
     def exponent(self):
@@ -866,12 +848,10 @@ class ExprParser:
         """Returns (value, is_q_literal)."""
         t = self.next()
         if t[0] == "int":
-            return self.one * t[1], False
+            return RatFunc.from_int(t[1]), False
         if t[0] == "name":
             if t[1] == "q":
-                return self.one * Q, True
-            if t[1] in self.symbols:
-                return self.symbols[t[1]], False
+                return Q, True
             raise ValueError("unknown symbol %r" % t[1])
         if t[0] == "(":
             v = self.expr()
@@ -881,7 +861,4 @@ class ExprParser:
 
 
 def parse_ratfunc(text):
-    v = ExprParser(text).parse()
-    if not isinstance(v, RatFunc):
-        raise ValueError("expression is not a scalar")
-    return v
+    return ExprParser(text).parse()

@@ -97,7 +97,7 @@ def test_psi_eval_root_independence(eng):
     # for a square subscript both explicit roots give the evaluation
     alg = eng.alg
     lam = qpow(8)          # mu = ±q^2
-    x = alg.parse("A*e1*e1")
+    x = alg.A() * alg.e1() * alg.e1()
     got = eng.psi_eval((0, 2, lam), x)
     for mu in (qpow(4), -qpow(4)):
         word = (("f", mu), ("E",), ("E",))

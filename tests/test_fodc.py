@@ -7,6 +7,7 @@ import pytest
 from qsphere.scalars import ZERO, ONE, Q, RatFunc, CParam, qpow
 from qsphere import dualfunc, fodc, linalg, oqsl2
 from qsphere.cli import main, parse_param_spec
+from qsphere.selftest import c_exc
 from qsphere.dualfunc import DualEngine, EPSILON, HWModule, PsiVector
 from qsphere.fodc import (chi_functionals, chibar_report, classify_de_generated,
                           build_rform_calculus, check_comodule_matrix,
@@ -107,6 +108,8 @@ def test_nu_admissibility():
     assert nu_is_admissible("id", GENERIC)
     assert not nu_is_admissible("flip", GENERIC)
     assert nu_is_admissible("flip", INF)
+    assert not nu_is_admissible("flip", CParam.zero())
+    assert not nu_is_admissible("flip", c_exc(1))
     with pytest.raises(ValueError):
         nu_is_admissible("other", GENERIC)
     with pytest.raises(ValueError):
@@ -115,8 +118,8 @@ def test_nu_admissibility():
 
 def test_nu_flip_is_endomorphism_at_infinity(eng_inf):
     alg = eng_inf.alg
-    x = alg.parse("em1*e1")
-    y = alg.parse("A*e1")
+    x = alg.em1() * alg.e1()
+    y = alg.A() * alg.e1()
     assert nu_apply("flip", x * y) == nu_apply("flip", x) * nu_apply("flip", y)
 
 

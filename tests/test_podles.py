@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc, CParam, qpow
+from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc, CParam, parse_ratfunc, qpow
 from qsphere import linalg, oqsl2
 from qsphere.podles import (PodlesAlgebra, basis_independence, build_mu_n,
                             confluence_report, embedded_relations_report,
@@ -56,8 +56,8 @@ def test_embed_is_algebra_map(alg):
     x, y = alg.em1(), alg.e1()
     assert alg.embed(x * y) == alg.embed(x) * alg.embed(y)
     assert alg.embed(alg.unit()) == oqsl2.UNIT
-    z = alg.parse("A*e1 - q*em1")
-    w = alg.parse("e0 + 2*A")
+    z = alg.A() * alg.e1() - Q * alg.em1()
+    w = alg.e0() + 2 * alg.A()
     assert alg.embed(z * w) == alg.embed(z) * alg.embed(w)
 
 
@@ -105,6 +105,29 @@ def test_a_fault_in_the_coaction_letters_reaches_the_embedding(monkeypatch):
     alg = PodlesAlgebra(GENERIC)
     assert alg.embed(alg.e1()) == 2 * clean_e1
     assert not embedded_relations_report(GENERIC)["pass"]
+
+
+def test_a_planted_eps_e0_reaches_e0_and_the_coaction_of_A(monkeypatch):
+    # kappa = eps(e_0) is read from eps_weights alone: a planted eps(e_0) = 2
+    # moves e_0's constant and doubles the part of A's coaction with an
+    # empty sphere leg, and the embedded relations then fail
+    def sphere_constant(alg):
+        return {am: v for (pm, am), v in alg._coact_letters()["A"].items() if pm == ()}
+
+    clean = sphere_constant(PodlesAlgebra(GENERIC))
+    wm, _, wp = PodlesAlgebra(GENERIC).eps_weights()
+    monkeypatch.setattr(PodlesAlgebra, "eps_weights", lambda self: (wm, 2 * ONE, wp))
+    alg = PodlesAlgebra(GENERIC)
+    assert alg.e0() == 2 * alg.unit() - (Q * Q + 1) * alg.A()
+    assert clean and sphere_constant(alg) == {am: 2 * v for am, v in clean.items()}
+    assert not embedded_relations_report(GENERIC)["pass"]
+
+
+@pytest.mark.parametrize("c", [GENERIC, CParam.generic(2), INF, c_exc(1), CParam.zero()])
+def test_counit_of_A_is_zero_and_of_e0_is_kappa(c):
+    alg = PodlesAlgebra(c)
+    assert alg.counit(alg.A()) == ZERO
+    assert alg.counit(alg.e0()) == alg.eps_weights()[1]
 
 
 def test_embedded_relations_all_variants():
@@ -160,10 +183,9 @@ def test_basis_independence_ranks_once_and_finds_a_witness(monkeypatch):
 
 
 def test_parser_e0_sugar(alg):
-    e0 = alg.parse("e0")
-    assert e0 == alg.unit() - (Q * Q + 1) * alg.A()
-    x = alg.parse("em1*e1 + q^2*A")
-    assert alg.parse(str(x)) == x
+    assert alg.e0() == alg.unit() - (Q * Q + 1) * alg.A()
+    x = alg.em1() * alg.e1() + Q * Q * alg.A()
+    assert all(parse_ratfunc(str(v)) == v for v in x.terms.values())
 
 
 def test_action_tables(alg, alg_inf):

@@ -132,6 +132,14 @@ def test_parse_half_powers_and_fractions():
     assert parse_ratfunc("1/(q^(1/2)-q^(-1/2))^2") == (qpow(1) - qpow(-1)) ** -2
 
 
+def test_parse_reads_q_alone_and_half_powers_only_on_q():
+    assert parse_ratfunc("q^(-3/2)") == qpow(-3)
+    assert parse_ratfunc("(q+1)^-2") == (Q + 1) ** -2
+    for text in ("e1", "s", "2*s + q", "2^(1/2)", "(q+1)^(1/2)"):
+        with pytest.raises(ValueError):
+            parse_ratfunc(text)
+
+
 def test_cparam_and_xc_data():
     c = CParam.generic(1)
     assert xc_alpha(c) == -ONE / QHAT

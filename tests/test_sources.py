@@ -85,3 +85,40 @@ def test_every_module_level_name_is_read():
         if names:
             unread[path.name] = names
     assert unread == {}
+
+
+def c_branches(source):
+    """The functions ("Class.method" in a class) that branch on c: a call of
+    c.is_infinity() or c.is_zero() on a name or attribute c, or any read of .variant."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and (
+                    child.attr == "variant"
+                    or child.attr in ("is_infinity", "is_zero")
+                    and (getattr(child.value, "id", None) == "c"
+                         or getattr(child.value, "attr", None) == "c")):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_c_branches_finds_a_planted_branch():
+    source = ("class P:\n    def e0(self):\n        return self.c.is_infinity()\n"
+              "    def rank(self, x):\n        return x.is_zero()\n"
+              "def f(c):\n    return c.variant if c.is_zero() else None\n")
+    assert c_branches(source) == {"P.e0", "f"}
+
+
+def test_the_sphere_states_c_only_in_its_rules_counit_and_localization():
+    # kappa = eps(e_0) is read off eps_weights, so e_0, the counit and the
+    # coaction need no branch of their own on the parameter
+    source = (ROOT / "src" / "qsphere" / "podles.py").read_text()
+    allowed = {"PodlesAlgebra.__init__", "PodlesAlgebra.eps_weights", "verify_localization"}
+    assert c_branches(source) <= allowed
