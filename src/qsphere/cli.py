@@ -76,13 +76,11 @@ def _emit(report, fmt):
     return 0 if _report_pass(report) else 1
 
 
-def _print_text(report, indent=0):
-    pad = "  " * indent
+def _print_text(report):
     for cert in report["certificates"]:
-        print("%s[%s] %s" % (pad, "pass" if cert.get("pass") else "FAIL",
-                             cert["name"]))
+        print("[%s] %s" % ("pass" if cert.get("pass") else "FAIL", cert["name"]))
     for line in report.get("lines", []):
-        print(pad + line)
+        print(line)
 
 
 # -- commands ---------------------------------------------------------------
@@ -181,20 +179,16 @@ def cmd_tangent_space(args):
     if len(ts.components) == 1 and ts.components[0] != (+1, 0):
         irr = fodc.irreducibility_report(ts)
         certs.append({"name": "irreducible", "pass": irr["pass"]})
-    report = {"schema": "qsphere-report/1", "command": "tangent-space",
-              "params": {"c": args.c, "components": args.components}}
-    report.update(fodc.tangent_space_json(ts))
-    report["command"] = "tangent-space"
-    report["certificates"] = certs
-    report["lines"] = lines
+    report = fodc.tangent_space_json(ts)
+    report.update(command="tangent-space", certificates=certs, lines=lines,
+                  params={"c": args.c, "components": args.components})
     return _emit(report, args.format)
 
 
 def cmd_build_fodc(args):
     c = parse_param_spec(args.c)
     _classifiable(c)
-    nu = "flip" if args.nu == "flip" else "id"
-    pres = fodc.build_rform_calculus(args.n, nu, c)
+    pres = fodc.build_rform_calculus(args.n, args.nu, c)
     certs = [{"name": "bimodule and Leibniz in every degree (four rules)",
               "pass": pres.bimodule_report()["pass"]}]
     if args.verify_freeness:
@@ -204,9 +198,9 @@ def cmd_build_fodc(args):
                       "rank": fr["rank"]})
     report = pres.to_json_dict()
     report["command"] = "build-fodc"
-    report["params"] = {"c": args.c, "n": args.n, "nu": nu}
+    report["params"] = {"c": args.c, "n": args.n, "nu": args.nu}
     report["certificates"] = certs
-    report["lines"] = ["dim = %d, nu = %s" % (pres.N, nu)]
+    report["lines"] = ["dim = %d, nu = %s" % (pres.N, args.nu)]
     return _emit(report, args.format)
 
 

@@ -208,17 +208,13 @@ def submodule_report(pres):
     ok_k = all(alg.act("K", b) == qpow(2 * (2 * (i - n))) * b
                for i, b in enumerate(basis))
     # F keeps the span
-    rows = [_podles_row(alg, b, 2 * n) for b in basis]
+    idx = {m: i for i, m in enumerate(alg.normal_monomials(2 * n))}
     rk, sols = linalg.solve_with_rank(
-        linalg.transpose(rows), [_podles_row(alg, alg.act("F", b), 2 * n) for b in basis])
+        linalg.transpose([linalg.coordinate_row(b.terms, idx) for b in basis]),
+        [linalg.coordinate_row(alg.act("F", b).terms, idx) for b in basis])
     ok_f = all(x is not None for x in sols)
     return {"pass": ok_k and ok_f and rk == 2 * n + 1, "K_weights": ok_k,
             "F_closed": ok_f, "rank": rk, "dim": 2 * n + 1, "basis": list(basis)}
-
-
-def _podles_row(alg, x, degree):
-    monos = alg.normal_monomials(degree)
-    return linalg.coordinate_row(x.terms, {m: i for i, m in enumerate(monos)})
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +433,8 @@ def comodule_matrix(alg, W):
     """
     N = len(W)
     deg = N - 1                         # 2n for W = V(n)
-    rows = [_podles_row(alg, b, deg) for b in W]
     idx = {m: k for k, m in enumerate(alg.normal_monomials(deg))}
+    rows = [linalg.coordinate_row(b.terms, idx) for b in W]
     legs = []                           # (i, SL2 monomial, sphere coefficients)
     for i in range(N):
         by_amono = {}

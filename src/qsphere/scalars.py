@@ -9,10 +9,16 @@ A RatFunc is a reduced fraction of integer-coefficient polynomials in t.
 The canonical form (coprime numerator/denominator, coprime integer
 contents, positive leading denominator coefficient) is unique, so equal
 field elements compare and hash equal and may be used as dict keys.
+
+Elements are printed in q and parsed back by `parse_ratfunc`, which reads
+the CLI's s= specs: integer literals, the name q, unary + and -, binary
++ - * / and ^ (products need an explicit *), with a constant integer or
+half-integer exponent, a half-integer only on q.
 """
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 # ---------------------------------------------------------------------------
@@ -716,149 +722,48 @@ def check_admissible(c: CParam):
 # ---------------------------------------------------------------------------
 # parsing of Q(t) in q-syntax (the s= parameter specs of the CLI)
 
-_OPS = set("+-*/^()")
-
-
-def _tokenize(s):
-    toks = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            toks.append(("int", int(s[i:j])))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(s) and (s[j].isalnum() or s[j] == "_"):
-                j += 1
-            toks.append(("name", s[i:j]))
-            i = j
-        elif ch in _OPS:
-            toks.append((ch, ch))
-            i += 1
-        else:
-            raise ValueError("unexpected character %r in expression" % ch)
-    toks.append(("end", None))
-    return toks
-
-
-class ExprParser:
-    """Recursive-descent parser for elements of Q(t) written in q.
-
-    The only name is q, which alone takes half-integer exponents (q^(3/2)).
-    """
-
-    def __init__(self, text):
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos][0]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind):
-        t = self.next()
-        if t[0] != kind:
-            raise ValueError("expected %r, got %r" % (kind, t[1]))
-        return t
-
-    def parse(self):
-        v = self.expr()
-        if self.peek() != "end":
-            raise ValueError("trailing input at token %r" % (self.toks[self.pos][1],))
-        return v
-
-    def expr(self):
-        v = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()[0]
-            w = self.term()
-            v = v + w if op == "+" else v - w
-        return v
-
-    def term(self):
-        v = self.unary()
-        while True:
-            k = self.peek()
-            if k in ("*", "/"):
-                op = self.next()[0]
-                w = self.unary()
-                v = v * w if op == "*" else v / w
-            elif k in ("int", "name", "("):
-                v = v * self.unary()
-            else:
-                return v
-
-    def unary(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.next()[0] == "-":
-                sign = -sign
-        v = self.power()
-        return v if sign == 1 else -v
-
-    def power(self):
-        base, is_q = self.atom()
-        if self.peek() != "^":
-            return base
-        self.next()
-        p2 = self.exponent()           # exponent in halves
-        if p2 % 2 == 0:
-            return base ** (p2 // 2)
-        if is_q:
-            return qpow(p2)
-        raise ValueError("half-integer exponents only on q")
-
-    def exponent(self):
-        """Parse an exponent, returned in halves (q^(3/2) -> 3)."""
-        t = self.next()
-        if t[0] == "int":
-            return 2 * t[1]
-        if t[0] == "-":
-            return -2 * self.expect("int")[1]
-        if t[0] == "(":
-            sign = 1
-            t = self.next()
-            if t[0] == "-":
-                sign = -1
-                t = self.next()
-            if t[0] != "int":
-                raise ValueError("bad exponent")
-            val2 = 2 * t[1]
-            if self.peek() == "/":
-                self.next()
-                d = self.expect("int")[1]
-                if d not in (1, 2):
-                    raise ValueError("only halves allowed in exponents")
-                val2 = val2 // d if d == 1 else t[1]
-            self.expect(")")
-            return sign * val2
-        raise ValueError("bad exponent token %r" % (t[1],))
-
-    def atom(self):
-        """Returns (value, is_q_literal)."""
-        t = self.next()
-        if t[0] == "int":
-            return RatFunc.from_int(t[1]), False
-        if t[0] == "name":
-            if t[1] == "q":
-                return Q, True
-            raise ValueError("unknown symbol %r" % t[1])
-        if t[0] == "(":
-            v = self.expr()
-            self.expect(")")
-            return v, False
-        raise ValueError("unexpected token %r" % (t[1],))
+_BINARY = {"Add": operator.add, "Sub": operator.sub, "Mult": operator.mul,
+           "Div": operator.truediv}
 
 
 def parse_ratfunc(text):
-    return ExprParser(text).parse()
+    """The element of Q(t) that `text` writes in q, e.g. "1/(q^(1/2) - q^(-1/2))".
+
+    The text is read as a Python expression with ^ for **, of integer
+    literals, the name q, unary + and -, binary + - * / and powers.  Products
+    need an explicit *.  An exponent is a constant integer or half-integer,
+    and a half-integer only on q itself (q^(3/2) = t^3).  Anything else
+    raises ValueError; the text is never evaluated as Python.
+    """
+    import ast      # only CLI specs are parsed: bench's freeness_n2 and rform_eval never load it
+    try:
+        return _ratfunc_of(ast.parse(text.replace("^", "**"), mode="eval").body)
+    except (SyntaxError, RecursionError, MemoryError) as e:
+        raise ValueError("cannot parse the q-expression: %s"
+                         % getattr(e, "msg", type(e).__name__)) from None
+
+
+def _ratfunc_of(node):
+    kind = type(node).__name__
+    if kind == "Constant" and type(node.value) is int:
+        return RatFunc.from_int(node.value)
+    if kind == "Name" and node.id == "q":
+        return Q
+    op = type(getattr(node, "op", None)).__name__
+    if kind == "UnaryOp" and op in ("UAdd", "USub"):
+        v = _ratfunc_of(node.operand)
+        return -v if op == "USub" else v
+    if kind == "BinOp" and op in _BINARY:
+        return _BINARY[op](_ratfunc_of(node.left), _ratfunc_of(node.right))
+    if kind == "BinOp" and op == "Pow":
+        k2 = 2 * _ratfunc_of(node.right)        # the exponent in halves
+        if len(k2.num) > 1 or k2.den != (1,):
+            raise ValueError("an exponent must be a constant integer or half-integer")
+        k2 = k2.num[0] if k2.num else 0
+        if type(node.left).__name__ == "Name" and node.left.id == "q":
+            return qpow(k2)
+        if k2 % 2:
+            raise ValueError("half-integer exponents only on q")
+        return _ratfunc_of(node.left) ** (k2 // 2)
+    what = repr(node.id) if kind == "Name" else repr(node.value) if kind == "Constant" else kind
+    raise ValueError("a q-expression has integers, q, + - * / and ^ only, not %s" % what)

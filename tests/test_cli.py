@@ -129,6 +129,20 @@ def test_malformed_components_are_usage_errors(capsys, components):
     assert "cannot parse component %r" % components in captured.err
 
 
+@pytest.mark.parametrize("expr", [
+    "(" * 400 + "1" + ")" * 400, "-" * 5000 + "1", "2q", "1.5", "True", "x", "q.num",
+    "__import__('os')", "[1]", "q^(1/3)", "2^(1/2)", "(q+1)^(1/2)", "q^q", "1/(", ""],
+    ids=["deep-parens", "deep-minus", "2q", "1.5", "True", "x", "q.num", "import",
+         "list", "q^(1/3)", "2^(1/2)", "(q+1)^(1/2)", "q^q", "unclosed", "empty"])
+def test_malformed_s_specs_are_usage_errors(capsys, expr):
+    # the grammar is integers, q, + - * / and ^, with explicit products
+    code = main(["--format", "json", "classify", "--c", "s=" + expr, "--lmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("lmax", [0, 1])
 def test_de_generated_is_complete_at_low_lmax(capsys, lmax):
     # the enumeration needs l <= 2 whatever the bound; a scan to lmax only

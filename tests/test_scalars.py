@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +134,13 @@ def test_parse_half_powers_and_fractions():
     assert parse_ratfunc("3/2*q") == RatFunc((0, 0, 3), (2,))
     assert parse_ratfunc("-1/(q+q^-1)^2") == cn_value(2)
     assert parse_ratfunc("1/(q^(1/2)-q^(-1/2))^2") == (qpow(1) - qpow(-1)) ** -2
+    # the sign binds looser than ^, and the exponent may be a constant expression
+    assert parse_ratfunc("-q^2") == -(Q * Q)
+    assert parse_ratfunc("q^-1") == QINV
+    assert parse_ratfunc("q^(4/2)") == Q * Q
+    for k in range(1, 6):
+        assert parse_ratfunc("q^(%d/2)" % k) == qpow(k)
+        assert parse_ratfunc("q^(-%d/2)" % k) == qpow(-k)
 
 
 def test_parse_reads_q_alone_and_half_powers_only_on_q():
@@ -138,6 +149,15 @@ def test_parse_reads_q_alone_and_half_powers_only_on_q():
     for text in ("e1", "s", "2*s + q", "2^(1/2)", "(q+1)^(1/2)"):
         with pytest.raises(ValueError):
             parse_ratfunc(text)
+
+
+def test_the_cli_loads_no_expression_parser_until_it_parses():
+    # a subprocess, since pytest itself imports ast
+    code = subprocess.run([sys.executable, "-c",
+                           "import qsphere.cli, sys; sys.exit('ast' in sys.modules)"],
+                          env=dict(os.environ, PYTHONPATH=str(Path(scalars.__file__).parents[1]))
+                          ).returncode
+    assert code == 0
 
 
 def test_cparam_and_xc_data():

@@ -122,3 +122,23 @@ def test_the_sphere_states_c_only_in_its_rules_counit_and_localization():
     source = (ROOT / "src" / "qsphere" / "podles.py").read_text()
     allowed = {"PodlesAlgebra.__init__", "PodlesAlgebra.eps_weights", "verify_localization"}
     assert c_branches(source) <= allowed
+
+
+def bare_calls(source, names=("eval", "exec", "compile", "__import__")):
+    """The bare names among `names` that a module calls, sorted; obj.eval(...) is not one."""
+    return sorted({node.func.id for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id in names})
+
+
+def test_bare_calls_finds_a_planted_call():
+    source = ("x = eval('1')\nEVALUATOR.eval(w)\nf = compile\n"
+              "def g(s):\n    return __import__(s), exec(s)\n")
+    assert bare_calls(source) == ["__import__", "eval", "exec"]
+
+
+def test_no_module_evaluates_text_as_python():
+    # parameter specs are read from their syntax tree, never run
+    found = {path.name: bare_calls(path.read_text())
+             for path in sorted((ROOT / "src" / "qsphere").glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
