@@ -121,7 +121,9 @@ class LinComb:
             out = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in o.terms.items():
-                    accumulate(out, self._mono_mul(m1, m2), c1 * c2)
+                    t = self._mono_mul(m1, m2)
+                    if t:               # no coefficient product for a zero product
+                        accumulate(out, t, c1 * c2)
             return self._new(out)
         c = RatFunc.coerce(other)
         if c is None:

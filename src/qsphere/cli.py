@@ -12,6 +12,8 @@ The parameter c is given as one of
     s=<expr>    generic c = s^2 (expr is a q-expression, e.g. s=1/(q-q^-1))
     exc:<r2>    c = (q^r - q^-r)^(-2) with r = r2/2
     cn:<n2>     the exceptional value c(n), n = n2/2 (mu-rep only)
+A c of t-degree above scalars.MAX_C_DEGREE (400) is refused before it is
+built: s of t-degree above 200, and r2 or n2 above 100.
 """
 
 import argparse
@@ -19,7 +21,7 @@ import json
 import re
 import sys
 
-from .scalars import CParam, parse_ratfunc, check_admissible
+from .scalars import CParam, check_admissible, check_spec_degree, parse_ratfunc
 from . import podles, uqsl2rep, fodc, selftest
 from .dualfunc import engine_of
 
@@ -36,14 +38,19 @@ def parse_param_spec(text):
     if text == "inf":
         return CParam.infinity()
     if text.startswith("s="):
-        return CParam.generic(parse_ratfunc(text[2:]))
+        s = parse_ratfunc(text[2:])
+        check_spec_degree(2 * (max(len(s.num), len(s.den)) - 1))
+        return CParam.generic(s)
     if text.startswith("exc:"):
         r2 = int(text[4:])
         if r2 < 1:
             raise ValueError("exc:<r2> needs r2 >= 1")
+        check_spec_degree(4 * r2)
         return selftest.c_exc(r2)
     if text.startswith("cn:"):
-        return CnSpec(int(text[3:]))
+        n2 = int(text[3:])
+        check_spec_degree(4 * n2)
+        return CnSpec(n2)
     raise ValueError("cannot parse c-specifier %r" % text)
 
 
@@ -138,21 +145,20 @@ def cmd_eigenvalues(args):
     c = parse_param_spec(args.c)
     _classifiable(c)
     sign = +1 if args.sign == "+" else -1
-    data, verdict, diff = uqsl2rep.charpoly_check(args.l, c, sign)
+    pairs, zero_mult, diff = uqsl2rep.charpoly_check(args.l, c, sign)
     kd = uqsl2rep.kernel_dim(args.l, c, sign)
     lines = ["level l = %d, sign %s" % (args.l, args.sign),
-             "zero root multiplicity: %d" % data.zero_root_multiplicity,
+             "zero root multiplicity: %d" % zero_mult,
              "kernel dimension: %d" % kd]
-    pairs = [{"sum": str(s), "prod": str(p)} for s, p in data.pairs]
+    pairs = [{"sum": str(s), "prod": str(p)} for s, p in pairs]
     for i, pr in enumerate(pairs):
         lines.append("pair %d: sum = %s ; prod = %s" % (i + 1, pr["sum"], pr["prod"]))
     report = {"schema": "qsphere-report/1", "command": "eigenvalues",
               "params": {"c": args.c, "l": args.l, "sign": args.sign},
               "pairs": pairs,
-              "zero_root_multiplicity": data.zero_root_multiplicity,
+              "zero_root_multiplicity": zero_mult,
               "kernel_dim": kd,
-              "certificates": [{"name": "charpoly factorization", "pass":
-                                verdict == "equal"}],
+              "certificates": [{"name": "charpoly factorization", "pass": not diff}],
               "lines": lines}
     return _emit(report, args.format)
 
@@ -242,8 +248,8 @@ def cmd_mu_rep(args):
     rep = r.pop("rep")
     lines = ["mu_%d matrices at c = c(%d):" % (n, n)]
     mats = {}
-    for name, m in rep.matrices().items():
-        mats[name] = [[str(x) for x in row] for row in m]
+    for name, m in rep.items():
+        mats[name] = [[str(x) for x in row] for row in m.rows(n)]
         lines.append("  %s = %s" % (name, mats[name]))
     report = {"schema": "qsphere-report/1", "command": "mu-rep",
               "params": {"n": n}, "matrices": mats,

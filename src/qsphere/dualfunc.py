@@ -44,6 +44,7 @@ from .scalars import (ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam,
 from .scalars import MOD_P as _P, MOD_T0 as _T0  # proves a weight outside J^c
 from . import linalg, oqsl2, podles, uqsl2rep
 from .algebra import LinComb, accumulate
+from .linalg import Matrix
 
 
 class PsiVector(LinComb):
@@ -115,9 +116,9 @@ class HWModule:
         self.matK = matK
 
     def copy(self):
-        """The same module, its basis and matrices in lists of its own."""
+        """The same module, its basis and matrices in containers of its own."""
         return HWModule(self.sign, self.l, self.lambda0, list(self.basis),
-                        *([list(row) for row in m] for m in (self.matE, self.matF, self.matK)))
+                        *(Matrix(m.terms) for m in (self.matE, self.matF, self.matK)))
 
 
 class DualEngine:
@@ -325,22 +326,18 @@ class DualEngine:
         if len(basis) <= l:
             raise AssertionError("phi-orbit collapsed early")
         lam0 = _lambda0(sign, l)
-        n = l + 1
-        matE = linalg.zeros(n, n)
-        for k in range(l):
-            matE[k + 1][k] = ONE
-        matK = linalg.zeros(n, n)
-        for k in range(n):
-            matK[k][k] = qpow(4 * k) * lam0
-        matF = linalg.zeros(n, n)
-        for k in range(1, n):
+        matE = Matrix({(k + 1, k): ONE for k in range(l)})
+        matK = Matrix({(k, k): qpow(4 * k) * lam0 for k in range(l + 1)})
+        entriesF = {}
+        for k in range(1, l + 1):
             fv = self.varphi(basis[k])
             prev = basis[k - 1]
             sym = next(iter(prev.terms))
             ck = fv.terms.get(sym, ZERO) / prev.terms[sym]
             if fv != ck * prev:
                 raise AssertionError("varphi does not stay on the orbit line")
-            matF[k - 1][k] = ck
+            entriesF[(k - 1, k)] = ck
+        matF = Matrix(entriesF)
         # E is the unit shift, so it is nilpotent of order l+1 by construction
         failures = uqsl2rep.relation_failures(matE, matF, matK)
         if failures:

@@ -123,8 +123,8 @@ def irreducibility_report(ts: TangentSpace):
     they fix the counit line; (3) kappa has the distinct eigenvalues
     q^(4k) lambda0 there (`build_module` asserts them), so an invariant
     subspace is spanned by basis vectors; (4) phi v_k = v_(k+1) and
-    varphi v_k = F[k-1][k] v_(k-1); (5) so v_k generates the quotient iff
-    F[j-1][j] != 0 for every 1 <= j <= k.  Without `dim_matches` no v_k
+    varphi v_k = F[k-1, k] v_(k-1); (5) so v_k generates the quotient iff
+    F[j-1, j] != 0 for every 1 <= j <= k.  Without `dim_matches` no v_k
     generates it.
     """
     if len(ts.components) != 1:
@@ -133,7 +133,7 @@ def irreducibility_report(ts: TangentSpace):
     if n == 0:
         return {"pass": True, "note": "trivial component"}
     F = ts.modules[0].matF
-    first = (next((j for j in range(1, n) if not F[j - 1][j]), n)
+    first = (next((j for j in range(1, n) if not F[j - 1, j]), n)
              if ts.certificate["dim_matches"] else 0)
     failures = list(range(first, n))
     return {"pass": not failures, "failures": failures}
@@ -228,7 +228,7 @@ def nu_is_admissible(kind, c: CParam):
         return True
     if kind != "flip":
         raise ValueError("nu must be 'id' or 'flip'")
-    rules = podles.PodlesAlgebra(c).rewriting.rules
+    rules = podles.sphere_rules(c.c_value())
     return all(len(word) % 2 == 0 for rhs in rules.values() for _, word in rhs)
 
 

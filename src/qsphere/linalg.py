@@ -1,8 +1,10 @@
 """Exact linear algebra over Q(t).
 
-Matrices are plain lists of rows of RatFunc.  `rank` and `solve_with_rank`
-take one route, `_solve`, which proves a full column rank at t0 mod P and
-eliminates exactly only what that leaves open.  Every exact elimination is
+A system handed to elimination is a plain list of rows of RatFunc; a
+matrix that is multiplied is a `Matrix`, a linear combination of matrix
+units.  `rank` and `solve_with_rank` take one route, `_solve`, which
+proves a full column rank at t0 mod P and eliminates exactly only what
+that leaves open.  Every exact elimination is
 `_eliminate`: sparse, on rows held as {column: nonzero entry}, with pivots
 chosen by the Markowitz rule (Markowitz, "The elimination form of the
 inverse", 1957), the entry that minimises (r-1)(c-1), r and c being the
@@ -10,43 +12,42 @@ nonzeros of its row and its column in the part not yet eliminated.  That
 bounds the fill-in.
 """
 
+from .algebra import LinComb
 from .scalars import ZERO, ONE, MOD_P, MOD_T0, clear_denominators, eval_mod
+
+
+class Matrix(LinComb):
+    """A matrix as {(i, j): nonzero entry}, multiplied by E_ij E_kl = delta_jk E_il.
+
+    The identity is no single unit, so scalars are not matrices (UNIT is
+    None); `identity(n)` builds it.  `m[i, j]` reads an entry, 0 when absent.
+    """
+
+    __slots__ = ()
+
+    UNIT = None
+
+    @staticmethod
+    def identity(n):
+        return Matrix({(i, i): ONE for i in range(n)})
+
+    def _mono_mul(self, m1, m2):
+        return {(m1[0], m2[1]): ONE} if m1[1] == m2[0] else {}
+
+    def _mono_str(self, m):
+        return "E_%d,%d" % m
+
+    def __getitem__(self, ij):
+        i, j = ij                   # a single index is an error, not a row
+        return self.terms.get((i, j), ZERO)
+
+    def rows(self, n):
+        """The n x n entries as a list of rows, for display."""
+        return [[self[i, j] for j in range(n)] for i in range(n)]
 
 
 def zeros(n, m):
     return [[ZERO] * m for _ in range(n)]
-
-
-def identity(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = ONE
-    return out
-
-
-def matmul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        for j in range(m):
-            s = ZERO
-            for p in range(k):
-                if ai[p] and b[p][j]:
-                    s = s + ai[p] * b[p][j]
-            out[i][j] = s
-    return out
-
-
-def matsub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def matadd(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def scalmul(c, a):
-    return [[c * x for x in row] for row in a]
 
 
 def transpose(a):
@@ -59,10 +60,6 @@ def coordinate_row(terms, index):
     for k, v in terms.items():
         row[index[k]] = v
     return row
-
-
-def is_zero_matrix(a):
-    return all(not x for row in a for x in row)
 
 
 def _entry_weight(x):

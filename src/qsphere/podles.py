@@ -14,32 +14,38 @@ table (e_i -> sum_j e_j (x) pi_{j,i}); the rest is read off the coaction
 (Podles, Lett. Math. Phys. 14, 1987; Klimyk-Schmuedgen, 11.6): the
 embedding into O_q(SL2) as (eps (x) id) Delta_B on the letters, and the left
 U_q(sl2)-action as X |> b = b(0) X(b(1)), X evaluated on the O_q(SL2) leg
-by `oqsl2.EVALUATOR`.  Also here: the representations mu_n at c = c(n),
-and the localization check onto the opposite Borel algebra.
+by `oqsl2.EVALUATOR`.  The rules are written once, in `sphere_rules`, and
+every relation check runs them through `_rule_failures`: the embedded
+generators, the representations mu_n at c = c(n) and the localization
+onto the opposite Borel algebra.
 """
+
+import functools
 
 from .algebra import LinComb, RewriteSystem, accumulate, tensor_terms
 from .scalars import (ZERO, ONE, Q, QHAT, RatFunc, qpow, CParam, cn_value)
 from . import oqsl2
 from .oqsl2 import SL2Element, pi_coeff
 from . import linalg
+from .linalg import Matrix
 
 LETTERS = ("m", "A", "p")
 _PRINT = {"m": "em1", "A": "A", "p": "e1"}
 
 
-def normal_words(max_degree):
-    """All normal-form words A^j x^i (x one of e_{-1}, e_1) of degree <= max_degree."""
-    out = []
-    for d in range(max_degree + 1):
-        for j in range(d + 1):
-            i = d - j
-            if i == 0:
-                out.append(("A",) * j)
-            else:
-                out.append(("A",) * j + ("m",) * i)
-                out.append(("A",) * j + ("p",) * i)
-    return out
+def sphere_rules(c):
+    """{(x, y): [(coeff, word)]}, the four rules at c in Q(t) (None: c = infinity):
+    e_{-1} A -> q^-2 A e_{-1}, e_1 A -> q^2 A e_1, e_{-1} e_1 -> A - A^2 + c
+    and e_1 e_{-1} -> q^2 A - q^4 A^2 + c (A -> 0, c -> 1 at infinity)."""
+    q2, q4 = Q * Q, qpow(8)
+    if c is None:
+        mp = [(-ONE, ("A", "A")), (ONE, ())]
+        pm = [(-q4, ("A", "A")), (ONE, ())]
+    else:
+        mp = [(ONE, ("A",)), (-ONE, ("A", "A")), (c, ())]
+        pm = [(q2, ("A",)), (-q4, ("A", "A")), (c, ())]
+    return {("m", "A"): [(qpow(-4), ("A", "m"))], ("p", "A"): [(q2, ("A", "p"))],
+            ("m", "p"): mp, ("p", "m"): pm}
 
 
 class PodlesAlgebra:
@@ -47,20 +53,7 @@ class PodlesAlgebra:
 
     def __init__(self, c: CParam):
         self.c = c
-        cv = c.c_value()
-        q2, q4 = Q * Q, qpow(8)
-        if c.is_infinity():
-            mp = [(-ONE, ("A", "A")), (ONE, ())]
-            pm = [(-q4, ("A", "A")), (ONE, ())]
-        else:
-            mp = [(ONE, ("A",)), (-ONE, ("A", "A")), (cv, ())]
-            pm = [(q2, ("A",)), (-q4, ("A", "A")), (cv, ())]
-        self.rewriting = RewriteSystem({
-            ("m", "A"): [(qpow(-4), ("A", "m"))],
-            ("p", "A"): [(q2, ("A", "p"))],
-            ("m", "p"): mp,
-            ("p", "m"): pm,
-        })
+        self.rewriting = RewriteSystem(sphere_rules(c.c_value()))
         self._embed_letter = None
         self._embed_cache = {}
         self._coact_letter = None
@@ -101,7 +94,17 @@ class PodlesAlgebra:
         return [self.em1(), self.e0(), self.e1()]
 
     def normal_monomials(self, max_degree):
-        return normal_words(max_degree)
+        """All normal-form words A^j x^i (x one of e_{-1}, e_1) of degree <= max_degree."""
+        out = []
+        for d in range(max_degree + 1):
+            for j in range(d + 1):
+                i = d - j
+                if i == 0:
+                    out.append(("A",) * j)
+                else:
+                    out.append(("A",) * j + ("m",) * i)
+                    out.append(("A",) * j + ("p",) * i)
+        return out
 
     # -- counit (the AlgebraBase normalization: eps(e_i) used to embed)
 
@@ -262,10 +265,10 @@ def confluence_report(c: CParam, max_len=3):
     return PodlesAlgebra(c).rewriting.confluence_report(LETTERS, max_len)
 
 
-def _rule_failures(alg, images, one):
-    """(rule, residual) of each rewriting rule of alg that fails on the letter images."""
+def _rule_failures(rules, images, one):
+    """(rule, residual) of each rewriting rule that fails on the letter images."""
     failures = []
-    for (x, y), rhs in alg.rewriting.rules.items():
+    for (x, y), rhs in rules.items():
         res = images[x] * images[y]
         for coeff, rep in rhs:
             term = one
@@ -281,7 +284,7 @@ def embedded_relations_report(c: CParam):
     """The four rewritten defining relations hold for the embedded generators."""
     alg = PodlesAlgebra(c)
     images = {g: alg.embed(alg.gen(g)) for g in LETTERS}
-    failures = _rule_failures(alg, images, SL2Element.unit())
+    failures = _rule_failures(alg.rewriting.rules, images, SL2Element.unit())
     return {"pass": not failures, "failures": failures}
 
 
@@ -332,73 +335,31 @@ def basis_independence(c: CParam, degree):
 # ---------------------------------------------------------------------------
 # the indecomposable representations mu_n at c = c(n)
 
-class MuRep:
-    """The n-dimensional representation with invertible A at c = c(n)."""
-
-    __slots__ = ("n", "matA", "matEm1", "matE1")
-
-    def __init__(self, n, matA, matEm1, matE1):
-        self.n = n
-        self.matA = matA
-        self.matEm1 = matEm1
-        self.matE1 = matE1
-
-    def matrices(self):
-        return {"A": self.matA, "em1": self.matEm1, "e1": self.matE1}
-
-
 def build_mu_n(n):
-    """Construct mu_n: A diagonal with spectrum q^(n-2k)/(q^n+q^-n), k=1..n;
-    e_1 the unit subdiagonal shift, e_{-1} the weighted superdiagonal shift."""
+    """mu_n as {"A", "em1", "e1"} matrices: A diagonal with spectrum
+    q^(n-2k)/(q^n+q^-n), k=1..n; e_1 the unit subdiagonal shift, e_{-1} the
+    weighted superdiagonal shift."""
     if n < 1:
         raise ValueError("n must be positive")
     denom = qpow(2 * n) + qpow(-2 * n)
     cn = cn_value(2 * n)
     eig = [qpow(2 * (n - 2 * (k + 1))) / denom for k in range(n)]
-    matA = linalg.zeros(n, n)
-    for k in range(n):
-        matA[k][k] = eig[k]
-    matE1 = linalg.zeros(n, n)
-    for k in range(n - 1):
-        matE1[k + 1][k] = ONE
-    matEm1 = linalg.zeros(n, n)
-    for k in range(n - 1):
-        matEm1[k][k + 1] = eig[k] - eig[k] * eig[k] + cn
-    return MuRep(n, matA, matEm1, matE1)
+    return {"A": Matrix({(k, k): eig[k] for k in range(n)}),
+            "em1": Matrix({(k, k + 1): eig[k] - eig[k] * eig[k] + cn for k in range(n - 1)}),
+            "e1": Matrix({(k + 1, k): ONE for k in range(n - 1)})}
 
 
 def mu_rep_report(n):
+    """mu_n satisfies `sphere_rules` at c = c(n), A is invertible and e_{±1} nilpotent."""
     rep = build_mu_n(n)
-    cn = cn_value(2 * n)
-    A, em1, e1 = rep.matA, rep.matEm1, rep.matE1
-    eye = linalg.identity(n)
-    q2, q4 = Q * Q, qpow(8)
-    AA = linalg.matmul(A, A)
-    checks = {
-        "e-e": linalg.matsub(linalg.matmul(em1, e1),
-                             linalg.matadd(linalg.matsub(A, AA), linalg.scalmul(cn, eye))),
-        "ee-": linalg.matsub(linalg.matmul(e1, em1),
-                             linalg.matadd(linalg.matsub(linalg.scalmul(q2, A),
-                                                         linalg.scalmul(q4, AA)),
-                                           linalg.scalmul(cn, eye))),
-        "eA": linalg.matsub(linalg.matmul(e1, A), linalg.scalmul(q2, linalg.matmul(A, e1))),
-        "e-A": linalg.matsub(linalg.matmul(em1, A),
-                             linalg.scalmul(qpow(-4), linalg.matmul(A, em1))),
-    }
-    failures = [name for name, resid in checks.items() if not linalg.is_zero_matrix(resid)]
-    # nilpotency and invertibility
-    pn = eye
-    for _ in range(n):
-        pn = linalg.matmul(pn, e1)
-    nilp_e1 = linalg.is_zero_matrix(pn)
-    pn = eye
-    for _ in range(n):
-        pn = linalg.matmul(pn, em1)
-    nilp_em1 = linalg.is_zero_matrix(pn)
-    a_invertible = all(A[k][k] for k in range(n))
-    ok = not failures and nilp_e1 and nilp_em1 and a_invertible
+    failures = _rule_failures(sphere_rules(cn_value(2 * n)),
+                              {g: rep[_PRINT[g]] for g in LETTERS}, Matrix.identity(n))
+    nilpotent = {name: functools.reduce(Matrix.__mul__, [rep[name]] * n).is_zero()
+                 for name in ("e1", "em1")}
+    a_invertible = all(rep["A"][k, k] for k in range(n))
+    ok = not failures and all(nilpotent.values()) and a_invertible
     return {"pass": ok, "relation_failures": failures, "n": n,
-            "e1_nilpotent": nilp_e1, "em1_nilpotent": nilp_em1,
+            "e1_nilpotent": nilpotent["e1"], "em1_nilpotent": nilpotent["em1"],
             "A_invertible": a_invertible, "rep": rep}
 
 
@@ -446,7 +407,7 @@ def verify_localization(c: CParam):
     e0 = s * (qpow(6) - qpow(-2)) * F + BorelOp.mono(0, 0)
     e1 = (-s * QHAT * QHAT) * (K * F * F) - QHAT * (K * F) + s * K
     Aim = (BorelOp.mono(0, 0) - e0) * (Q * Q + 1).inv()
-    failures = _rule_failures(PodlesAlgebra(c), {"m": em1, "A": Aim, "p": e1},
+    failures = _rule_failures(sphere_rules(c.c_value()), {"m": em1, "A": Aim, "p": e1},
                               BorelOp.mono(0, 0))
     counits = {"em1": em1.counit(), "e0": e0.counit(), "e1": e1.counit()}
     counit_ok = (counits["em1"] == s and counits["e0"] == ONE and counits["e1"] == s)

@@ -724,6 +724,12 @@ def check_admissible(c: CParam):
 
 _BINARY = {"Add": operator.add, "Sub": operator.sub, "Mult": operator.mul,
            "Div": operator.truediv}
+MAX_C_DEGREE = 400      # the largest t-degree of a c given on the command line
+
+
+def check_spec_degree(degree):
+    if degree > MAX_C_DEGREE:
+        raise ValueError("t-degree %d is above the cap %d of a c spec" % (degree, MAX_C_DEGREE))
 
 
 def parse_ratfunc(text):
@@ -732,8 +738,10 @@ def parse_ratfunc(text):
     The text is read as a Python expression with ^ for **, of integer
     literals, the name q, unary + and -, binary + - * / and powers.  Products
     need an explicit *.  An exponent is a constant integer or half-integer,
-    and a half-integer only on q itself (q^(3/2) = t^3).  Anything else
-    raises ValueError; the text is never evaluated as Python.
+    and a half-integer only on q itself (q^(3/2) = t^3).  A power whose
+    exponent times the t-degree of its base, or times the bit length less one
+    of the base's largest coefficient, exceeds MAX_C_DEGREE is not built.
+    Anything else raises ValueError; the text is never evaluated as Python.
     """
     import ast      # only CLI specs are parsed: bench's freeness_n2 and rform_eval never load it
     try:
@@ -761,9 +769,13 @@ def _ratfunc_of(node):
             raise ValueError("an exponent must be a constant integer or half-integer")
         k2 = k2.num[0] if k2.num else 0
         if type(node.left).__name__ == "Name" and node.left.id == "q":
-            return qpow(k2)
-        if k2 % 2:
+            base, e = qpow(1), k2
+        elif k2 % 2:
             raise ValueError("half-integer exponents only on q")
-        return _ratfunc_of(node.left) ** (k2 // 2)
+        else:
+            base, e = _ratfunc_of(node.left), k2 // 2
+        bits = max(abs(a).bit_length() for a in base.num + base.den)
+        check_spec_degree(abs(e) * (max(len(base.num), len(base.den), bits) - 1))
+        return base ** e
     what = repr(node.id) if kind == "Name" else repr(node.value) if kind == "Constant" else kind
     raise ValueError("a q-expression has integers, q, + - * / and ^ only, not %s" % what)

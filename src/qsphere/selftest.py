@@ -111,8 +111,7 @@ def ac5_spectra(lmax=6, kernel_lmax=8):
         bad = []
         for l in range(lmax + 1):
             for sign in (+1, -1):
-                _, verdict, _ = uqsl2rep.charpoly_check(l, c, sign)
-                if verdict != "equal":
+                if uqsl2rep.charpoly_check(l, c, sign)[2]:
                     bad.append((l, sign))
         verdicts[label] = bad
         ok = ok and not bad

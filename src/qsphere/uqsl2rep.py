@@ -18,6 +18,7 @@ Characteristic polynomials are XPoly, polynomials in an auxiliary x.
 
 from .scalars import ZERO, ONE, Q, QINV, QHAT, CParam, qint, qpow
 from . import linalg
+from .linalg import Matrix
 from .algebra import LinComb
 
 
@@ -50,62 +51,31 @@ def charpoly_tridiag(diag, sup, sub):
     return p
 
 
-class IrrepVl:
-    """Weight-basis matrices of the (l+1)-dimensional irreducible module."""
+def irrep(l, sign=+1):
+    """(E, F, K) of the (l+1)-dimensional irreducible module in the weight basis."""
+    if l < 0:
+        raise ValueError("l must be nonnegative")
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    E = Matrix({(k - 1, k): qint(l - k + 1) for k in range(1, l + 1)})
+    F = Matrix({(k + 1, k): sign * qint(k + 1) for k in range(l)})
+    K = Matrix({(k, k): sign * qpow(2 * (l - 2 * k)) for k in range(l + 1)})
+    return E, F, K
 
-    __slots__ = ("l", "sign", "matE", "matF", "matK")
 
-    def __init__(self, l, sign):
-        if l < 0:
-            raise ValueError("l must be nonnegative")
-        if sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-        n = l + 1
-        matK = linalg.zeros(n, n)
-        matE = linalg.zeros(n, n)
-        matF = linalg.zeros(n, n)
-        for k in range(n):
-            matK[k][k] = qpow(2 * (l - 2 * k))
-        for k in range(1, n):
-            matE[k - 1][k] = qint(l - k + 1)
-        for k in range(n - 1):
-            matF[k + 1][k] = qint(k + 1)
-        if sign == -1:
-            matK = linalg.scalmul(-ONE, matK)
-            matF = linalg.scalmul(-ONE, matF)
-        self.l = l
-        self.sign = sign
-        self.matE = matE
-        self.matF = matF
-        self.matK = matK
-
-    def matKinv(self):
-        n = self.l + 1
-        out = linalg.zeros(n, n)
-        for k in range(n):
-            out[k][k] = self.matK[k][k].inv()
-        return out
+def _diagonal_inverse(K):
+    """K^-1 for a diagonal invertible K."""
+    return Matrix({ij: v.inv() for ij, v in K.terms.items()})
 
 
 def relation_failures(E, F, K):
     """Names of the U_q(sl2) relations that matrices E, F and a diagonal K violate."""
-    n = len(K)
-    Kinv = linalg.zeros(n, n)
-    for k in range(n):
-        Kinv[k][k] = K[k][k].inv()
     checks = {
-        "EF-FE": linalg.matsub(linalg.matsub(linalg.matmul(E, F), linalg.matmul(F, E)),
-                               linalg.scalmul(QHAT.inv(), linalg.matsub(K, Kinv))),
-        "KE=q2EK": linalg.matsub(linalg.matmul(K, E),
-                                 linalg.scalmul(Q * Q, linalg.matmul(E, K))),
-        "KF=q-2FK": linalg.matsub(linalg.matmul(K, F),
-                                  linalg.scalmul(qpow(-4), linalg.matmul(F, K))),
+        "EF-FE": E * F - F * E - (K - _diagonal_inverse(K)) / QHAT,
+        "KE=q2EK": K * E - Q * Q * (E * K),
+        "KF=q-2FK": K * F - qpow(-4) * (F * K),
     }
-    return [name for name, m in checks.items() if not linalg.is_zero_matrix(m)]
-
-
-def irrep(l, sign=+1):
-    return IrrepVl(l, sign)
+    return [name for name, m in checks.items() if m]
 
 
 # X_c = alpha(c) (K^-1 - 1) + BETA K^-1 E + GAMMA F, the twisted primitive element
@@ -140,32 +110,11 @@ def xc_matrix(l, c: CParam, sign=+1):
 
 def xc_matrix_from_irrep(l, c: CParam, sign=+1):
     """The same matrix derived from the irrep: (±q^(l+1)) transpose(M(X_c))."""
-    v = irrep(l, sign)
-    m = linalg.matmul(v.matKinv(), v.matE)
-    m = linalg.scalmul(BETA, m)
-    m = linalg.matadd(m, linalg.scalmul(GAMMA, v.matF))
-    shift = linalg.matsub(v.matKinv(), linalg.identity(l + 1))
-    m = linalg.matadd(m, linalg.scalmul(xc_alpha(c), shift))
+    E, F, K = irrep(l, sign)
+    Kinv = _diagonal_inverse(K)
+    m = BETA * (Kinv * E) + GAMMA * F + xc_alpha(c) * (Kinv - Matrix.identity(l + 1))
     scale = qpow(2 * (l + 1)) if sign == +1 else -qpow(2 * (l + 1))
-    return linalg.scalmul(scale, linalg.transpose(m))
-
-
-class SpectralData:
-    """Eigenvalue pair data (sums and products) for the X_c matrix at level l.
-
-    `pairs` lists (sum_r, prod_r) for the positive half-integers r in I_l,
-    in the unscaled normalization; the matrix eigenvalues carry the overall
-    factor q^(l+1).
-    """
-
-    __slots__ = ("l", "c", "sign", "pairs", "zero_root_multiplicity")
-
-    def __init__(self, l, c, sign, pairs, zero_root_multiplicity):
-        self.l = l
-        self.c = c
-        self.sign = sign
-        self.pairs = pairs
-        self.zero_root_multiplicity = zero_root_multiplicity
+    return linalg.transpose((scale * m).rows(l + 1))
 
 
 def _pair_closed_forms(l, c, sign):
@@ -197,7 +146,13 @@ def _pair_closed_forms(l, c, sign):
 
 
 def charpoly_check(l, c: CParam, sign=+1):
-    """Exact det(xI - M) versus the closed-form quadratic factorization."""
+    """Exact det(xI - M) versus the closed-form quadratic factorization.
+
+    Returns (pairs, zero root multiplicity, difference): pairs lists
+    (sum_r, prod_r) for the positive r in I_l in the unscaled normalization
+    (the matrix eigenvalues carry the factor q^(l+1)), and the factorization
+    holds exactly when the difference is 0.
+    """
     m = xc_matrix(l, c, sign)
     n = l + 1
     diag = [m[k][k] for k in range(n)]
@@ -213,9 +168,7 @@ def charpoly_check(l, c: CParam, sign=+1):
     if zero_root is not None:
         expected = expected * (X - scale * zero_root)
 
-    diff = cp - expected
-    data = SpectralData(l, c, sign, [(s, p) for _, s, p in pairs], min(cp.terms))
-    return data, ("equal" if not diff else "unequal"), diff
+    return [(s, p) for _, s, p in pairs], min(cp.terms), cp - expected
 
 
 def kernel_dim(l, c: CParam, sign=+1):

@@ -2,6 +2,7 @@ import argparse
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,34 @@ def test_malformed_s_specs_are_usage_errors(capsys, expr):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--c", "s=q^1000000"], ["classify", "--c", "exc:1000000"],
+    ["classify", "--c", "s=10^10^10"], ["classify", "--c", "s=2^1000"],
+    ["classify", "--c", "s=(q+1)^300"], ["classify", "--c", "s=q^(201/2)"],
+    ["classify", "--c", "s=(q^90+1)*q^90*q^90"], ["eigenvalues", "--c", "exc:101", "--l", "1"],
+    ["mu-rep", "--c", "cn:1000000"], ["mu-rep", "--c", "cn:102"]],
+    ids=["q-power", "exc", "tower", "constant", "binomial", "s-degree", "product",
+         "exc-101", "cn", "cn-102"])
+def test_a_c_above_the_degree_cap_is_refused_before_it_is_built(capsys, argv):
+    # c of t-degree above 400: s=q^1000000 would build a 31 MB tuple, and
+    # s=10^10^10 would have raised 10 to the power 10^10
+    start = time.perf_counter()
+    code = main(["--format", "json"] + argv)
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: t-degree ") and "above the cap 400" in captured.err
+
+
+def test_specs_up_to_the_degree_cap_parse():
+    for spec, degree in (("s=q^100", 400), ("s=q^(199/2)*(q^(1/2)+1)", 400),
+                         ("s=2^400", 0), ("exc:100", 400)):
+        c = parse_param_spec(spec).c_value()
+        assert max(len(c.num), len(c.den)) - 1 == degree, spec
+    assert isinstance(parse_param_spec("cn:100"), CnSpec)
 
 
 @pytest.mark.parametrize("lmax", [0, 1])

@@ -1,7 +1,7 @@
 import pytest
 
 from qsphere.scalars import ZERO, ONE, Q, QHAT, RatFunc, CParam, qpow
-from qsphere import dualfunc, fodc, linalg, oqsl2, scalars, selftest, uqsl2rep
+from qsphere import dualfunc, fodc, oqsl2, scalars, selftest, uqsl2rep
 from qsphere.dualfunc import DualEngine, PsiVector, EPSILON
 from qsphere.uqsl2rep import BETA, GAMMA, xc_alpha
 
@@ -320,16 +320,16 @@ def test_build_module_trivial(eng):
     mod = eng.build_module(+1, 0)
     assert len(mod.basis) == 1
     assert mod.basis[0] == EPSILON
-    assert mod.matK == [[ONE]]
-    assert mod.matE == [[ZERO]] and mod.matF == [[ZERO]]
+    assert mod.matK.rows(1) == [[ONE]]
+    assert mod.matE.rows(1) == [[ZERO]] and mod.matF.rows(1) == [[ZERO]]
 
 
 def test_build_module_weights(eng):
     mod = eng.build_module(+1, 2)
-    assert [mod.matK[k][k] for k in range(3)] == [qpow(-4), ONE, qpow(4)]
+    assert [mod.matK[k, k] for k in range(3)] == [qpow(-4), ONE, qpow(4)]
     # E is the shift, nilpotent of order exactly 3
-    p = linalg.matmul(mod.matE, linalg.matmul(mod.matE, mod.matE))
-    assert linalg.is_zero_matrix(p)
+    p = mod.matE * (mod.matE * mod.matE)
+    assert p.is_zero()
 
 
 def test_build_module_exceptional():
@@ -337,7 +337,7 @@ def test_build_module_exceptional():
     mod = eng.build_module(-1, 1)
     assert len(mod.basis) == 2
     assert mod.lambda0 == -qpow(-2)
-    assert [mod.matK[k][k] for k in range(2)] == [-qpow(-2), -qpow(2)]
+    assert [mod.matK[k, k] for k in range(2)] == [-qpow(-2), -qpow(2)]
 
 
 def test_build_module_rejects_non_weights(eng):
@@ -356,7 +356,7 @@ def test_module_vectors_are_graded():
             for v, grade in zip(mod.basis, grades):
                 assert {lam for (_, _, lam) in v.terms} == {grade}, (c, sign, l)
             assert eng.varphi(mod.basis[0]).is_zero()
-            assert [mod.matK[k][k] for k in range(l + 1)] == grades
+            assert [mod.matK[k, k] for k in range(l + 1)] == grades
 
 
 def test_truncated_independence(eng):

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from qsphere.scalars import ZERO, ONE, Q, RatFunc, CParam, qpow
+from qsphere.scalars import ONE, Q, RatFunc, CParam, qpow
 from qsphere import dualfunc, fodc, linalg, oqsl2
 from qsphere.cli import main, parse_param_spec
 from qsphere.selftest import c_exc
 from qsphere.dualfunc import DualEngine, EPSILON, HWModule, PsiVector
+from qsphere.linalg import Matrix
 from qsphere.fodc import (chi_functionals, chibar_report, classify_de_generated,
                           build_rform_calculus, check_comodule_matrix,
                           comodule_matrix, irreducibility_report,
@@ -503,9 +504,9 @@ def test_editing_a_returned_report_changes_no_later_answer():
     want = copy.deepcopy((ts.certificate, fr, bi, irreducibility_report(ts)))
     ts.certificate["pass"] = False
     del ts.certificate["xc_closed"]
-    ts.modules[0].matF[1][2] = ZERO
+    del ts.modules[0].matF.terms[(1, 2)]
     ts.modules[0].basis.pop()
-    eng.build_module(1, 4).matF[2][3] = ZERO
+    del eng.build_module(1, 4).matF.terms[(2, 3)]
     fr["pass"] = False
     fr["ungenerated"].append(("m",))
     bi["failures"].append("planted")
@@ -753,9 +754,10 @@ def _planted_module(monkeypatch, plant):
 
     def planted(self, sign, l):
         mod = real(self, sign, l)
-        basis, matF = list(mod.basis), [list(row) for row in mod.matF]
-        plant(basis, matF)
-        return HWModule(mod.sign, mod.l, mod.lambda0, basis, mod.matE, matF, mod.matK)
+        basis, entriesF = list(mod.basis), dict(mod.matF.terms)
+        plant(basis, entriesF)
+        return HWModule(mod.sign, mod.l, mod.lambda0, basis, mod.matE, Matrix(entriesF),
+                        mod.matK)
 
     monkeypatch.setattr(DualEngine, "build_module", planted)
 
@@ -763,7 +765,7 @@ def _planted_module(monkeypatch, plant):
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_zero_superdiagonal_entry_of_F_fails_from_j_on(monkeypatch, j):
     # varphi v_j = 0 cuts v_j, ..., v_l off from v_0, ..., v_(j-1)
-    _planted_module(monkeypatch, lambda basis, F: F[j - 1].__setitem__(j, ZERO))
+    _planted_module(monkeypatch, lambda basis, F: F.pop((j - 1, j)))
     ts = tangent_space(GENERIC, [(1, 4)], engine=DualEngine(GENERIC))
     assert ts.certificate["pass"]
     assert irreducibility_report(ts) == {"pass": False, "failures": list(range(j, 5))}

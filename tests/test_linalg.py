@@ -4,7 +4,7 @@ import pytest
 
 from qsphere import linalg
 from qsphere.scalars import ZERO, ONE, Q, QINV, MOD_T0, RatFunc
-from qsphere.linalg import matmul, nullity, rank, solve_with_rank, transpose
+from qsphere.linalg import Matrix, nullity, rank, solve_with_rank, transpose
 from qsphere.uqsl2rep import X, charpoly_tridiag
 
 
@@ -156,8 +156,22 @@ def _random_laurent_matrix(rng, nr, nc):
     return rows
 
 
+def _dense_matmul(a, b):
+    """The product of two lists of rows, entry by entry: the oracle of `Matrix`."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            s = ZERO
+            for x, b_row in zip(row, b):
+                s = s + x * b_row[j]
+            out_row.append(s)
+        out.append(out_row)
+    return out
+
+
 def _times(a, x):
-    return [row[0] for row in matmul(a, [[v] for v in x])]
+    return [row[0] for row in _dense_matmul(a, [[v] for v in x])]
 
 
 def _agrees_with_the_oracle(a, targets, got):
@@ -334,3 +348,44 @@ def test_solve_with_rank_refuses_a_minor_that_contradicts_its_rank_mod_p(monkeyp
                         lambda a, b: (lambda r, sols: (r - 1, sols))(*real(a, b)))
     with pytest.raises(AssertionError, match="minor has rank 1"):
         solve_with_rank(mat([[1, 0], [0, 1], [1, 1]]), [[ONE, ONE, RatFunc.from_int(2)]])
+
+
+def _as_matrix(rows):
+    return Matrix({(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)})
+
+
+def test_matrix_arithmetic_matches_the_dense_oracle():
+    rng = random.Random(32)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        a = [[_random_laurent_entry(rng) for _ in range(n)] for _ in range(n)]
+        b = [[_random_laurent_entry(rng) for _ in range(n)] for _ in range(n)]
+        c = _random_laurent_entry(rng, density=0.8)
+        ma, mb = _as_matrix(a), _as_matrix(b)
+        assert (ma * mb).rows(n) == _dense_matmul(a, b)
+        assert (ma + mb).rows(n) == [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+        assert (ma - mb).rows(n) == [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+        assert (c * ma).rows(n) == [[c * x for x in r] for r in a]
+        assert (ma * Matrix.identity(n) == ma == Matrix.identity(n) * ma)
+
+
+def test_matrix_entries_equality_and_hash():
+    m = Matrix({(0, 1): Q, (1, 0): ZERO, (1, 1): -ONE})
+    assert m.terms == {(0, 1): Q, (1, 1): -ONE}          # zeros are dropped
+    assert m[0, 1] == Q and m[1, 0] == ZERO and m[7, 7] == ZERO
+    assert m.rows(2) == [[ZERO, Q], [ZERO, -ONE]]
+    same = Matrix({(1, 1): -ONE, (0, 1): Q})
+    assert m == same and hash(m) == hash(same)
+    assert m != Matrix({(0, 1): Q}) and not (m - same) and Matrix() == m - same
+    assert str(m) == "q*E_0,1 - E_1,1"
+    with pytest.raises(TypeError):
+        m[0]                                            # a row is not an entry
+
+
+def test_a_product_of_units_that_do_not_chain_multiplies_no_scalars(monkeypatch):
+    real, calls = RatFunc.__mul__, []
+    monkeypatch.setattr(RatFunc, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    e01, e10 = Matrix({(0, 1): Q}), Matrix({(1, 0): QINV})
+    assert (e01 * e01).is_zero() and (e10 * e10).is_zero()
+    assert calls == []
+    assert e01 * e10 == Matrix({(0, 0): ONE}) and calls          # the spy sees products

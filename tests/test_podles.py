@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc, CParam, parse_ratfunc, qpow
-from qsphere import linalg, oqsl2
+from qsphere import linalg, oqsl2, podles, selftest
+from qsphere.cli import main
+from qsphere.linalg import Matrix
 from qsphere.podles import (PodlesAlgebra, basis_independence, build_mu_n,
                             confluence_report, embedded_relations_report,
                             mu_rep_report,
@@ -226,8 +228,32 @@ def test_mu_reps():
         rep = mu_rep_report(n)
         assert rep["pass"], rep
     r1 = build_mu_n(1)
-    assert r1.matA[0][0] == qpow(-2) / (Q + QINV)
-    assert r1.matE1[0][0].is_zero() and r1.matEm1[0][0].is_zero()
+    assert r1["A"][0, 0] == qpow(-2) / (Q + QINV)
+    assert r1["e1"][0, 0].is_zero() and r1["em1"][0, 0].is_zero()
+
+
+def test_a_wrong_coefficient_in_one_rule_fails_ac1_and_ac9(monkeypatch, capsys):
+    # e_1 A -> q^4 A e_1 in place of q^2 A e_1: mu_n is checked against the
+    # same rules as the embedded generators, so both criteria see the plant
+    real = podles.sphere_rules
+
+    def planted(c):
+        rules = real(c)
+        rules[("p", "A")] = [(qpow(8), ("A", "p"))]
+        return rules
+
+    monkeypatch.setattr(podles, "sphere_rules", planted)
+    assert not selftest.ac1_embedded_relations()["pass"]
+    assert not selftest.ac9_mu_reps()["pass"]
+    assert mu_rep_report(1)["pass"]                     # e_1 = 0 in mu_1
+    for n in (2, 3, 4):
+        rep = mu_rep_report(n)
+        assert not rep["pass"]
+        (rule, residual), = rep["relation_failures"]
+        assert rule == "e1*A" and "E_1,0" in residual
+    assert main(["selftest", "--only", "AC-9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("AC-9 FAIL") and captured.err == ""
 
 
 def test_verify_localization():
@@ -243,10 +269,10 @@ def test_verify_localization():
 def test_nilpotency_of_embedded_mu_shifts():
     # e_1, e_-1 act nilpotently in mu_n (n-th power vanishes)
     rep = build_mu_n(3)
-    p = linalg.identity(3)
+    p = Matrix.identity(3)
     for _ in range(3):
-        p = linalg.matmul(p, rep.matE1)
-    assert linalg.is_zero_matrix(p)
+        p = p * rep["e1"]
+    assert p.is_zero()
 
 
 def test_elements_of_two_algebras_with_one_c_combine():

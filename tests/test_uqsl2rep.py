@@ -2,7 +2,7 @@ import pytest
 
 from qsphere.scalars import (ZERO, ONE, Q, QINV, QHAT, CParam, cn_value,
                              qint, qpow)
-from qsphere import linalg, uqsl2rep
+from qsphere import uqsl2rep
 from qsphere.cli import main
 from qsphere.uqsl2rep import (X, XPoly, charpoly_check, irrep, kernel_dim,
                               relation_failures, xc_alpha, xc_matrix,
@@ -14,36 +14,35 @@ EXC_HALF = CParam.generic((qpow(1) - qpow(-1)).inv())     # c = (q^(1/2)-q^(-1/2
 
 
 def test_irrep_l0():
-    v = irrep(0, +1)
-    assert v.matE == [[ZERO]] and v.matF == [[ZERO]] and v.matK == [[ONE]]
+    E, F, K = irrep(0, +1)
+    assert E.rows(1) == [[ZERO]] and F.rows(1) == [[ZERO]] and K.rows(1) == [[ONE]]
 
 
 def test_irrep_l1_commutator():
-    v = irrep(1, +1)
-    comm = linalg.matsub(linalg.matmul(v.matE, v.matF),
-                         linalg.matmul(v.matF, v.matE))
-    assert comm == [[ONE, ZERO], [ZERO, -ONE]]
+    E, F, _ = irrep(1, +1)
+    comm = E * F - F * E
+    assert comm.rows(2) == [[ONE, ZERO], [ZERO, -ONE]]
 
 
 def test_irrep_sign_minus_weights():
-    v = irrep(2, -1)
-    assert [v.matK[k][k] for k in range(3)] == [-Q * Q, -ONE, -qpow(-4)]
+    _, _, K = irrep(2, -1)
+    assert [K[k, k] for k in range(3)] == [-Q * Q, -ONE, -qpow(-4)]
 
 
 def test_irrep_relations():
     for l in range(0, 5):
         for sign in (+1, -1):
-            v = irrep(l, sign)
-            assert relation_failures(v.matE, v.matF, v.matK) == []
+            E, F, K = irrep(l, sign)
+            assert relation_failures(E, F, K) == []
 
 
 def test_irrep_highest_weight_structure():
     # E kills index 0 where K has eigenvalue ±q^l; F kills the last index
     for sign in (+1, -1):
-        v = irrep(3, sign)
-        assert all(not v.matE[i][0] for i in range(4))
-        assert all(not v.matF[i][3] for i in range(4))
-        assert v.matK[0][0] == sign * qpow(6)
+        E, F, K = irrep(3, sign)
+        assert all(not E[i, 0] for i in range(4))
+        assert all(not F[i, 3] for i in range(4))
+        assert K[0, 0] == sign * qpow(6)
 
 
 def test_xc_matrix_l0():
@@ -68,22 +67,22 @@ def test_xc_matrix_matches_irrep_route():
 
 
 def test_charpoly_l0_is_x():
-    data, verdict, diff = charpoly_check(0, GENERIC, +1)
-    assert verdict == "equal"
-    assert data.zero_root_multiplicity == 1
-    assert data.pairs == []
+    pairs, zero_mult, diff = charpoly_check(0, GENERIC, +1)
+    assert not diff
+    assert zero_mult == 1
+    assert pairs == []
 
 
 def test_charpoly_verdicts_and_zero_roots():
-    data, verdict, _ = charpoly_check(2, GENERIC, +1)
-    assert verdict == "equal" and data.zero_root_multiplicity == 1
-    data, verdict, _ = charpoly_check(1, GENERIC, +1)
-    assert verdict == "equal" and data.zero_root_multiplicity == 0
+    _, zero_mult, diff = charpoly_check(2, GENERIC, +1)
+    assert not diff and zero_mult == 1
+    _, zero_mult, diff = charpoly_check(1, GENERIC, +1)
+    assert not diff and zero_mult == 0
     for c in (GENERIC, CParam.generic(2), INF, EXC_HALF):
         for l in range(0, 5):
             for sign in (+1, -1):
-                _, verdict, _ = charpoly_check(l, c, sign)
-                assert verdict == "equal", (l, sign)
+                _, _, diff = charpoly_check(l, c, sign)
+                assert not diff, (l, sign)
 
 
 def test_xpoly_arithmetic():
@@ -110,8 +109,8 @@ def test_wrong_pair_product_is_unequal(monkeypatch, capsys):
         return [(r2, s, p + 1)] + rest, zero_root
 
     monkeypatch.setattr(uqsl2rep, "_pair_closed_forms", planted)
-    _, verdict, diff = charpoly_check(3, GENERIC, +1)
-    assert verdict == "unequal" and diff
+    _, _, diff = charpoly_check(3, GENERIC, +1)
+    assert diff
     assert main(["eigenvalues", "--c", "s=2", "--l", "3", "--sign", "+"]) == 1
     assert "[FAIL] charpoly factorization" in capsys.readouterr().out
 
