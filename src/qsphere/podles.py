@@ -7,7 +7,8 @@ defining relations (e_1 A -> q^2 A e_1, e_{-1} A -> q^-2 A e_{-1}, and the
 two e-e rules) moves A-letters to the front, so stored normal-form
 monomials are A^j e_{-1}^i and A^j e_1^k; no monomial contains both e_{-1}
 and e_1.  These equal the basis monomials e_{-1}^i A^j and A^j e_1^k up to
-an explicit q-power.
+an explicit q-power.  The rules terminate: each lowers (number of e_{±1}
+letters, A-letters right of them) lexicographically, in any context.
 
 Besides the rules, the data are the counit and the right coaction's letter
 table (e_i -> sum_j e_j (x) pi_{j,i}); the rest is read off the coaction
@@ -15,14 +16,14 @@ table (e_i -> sum_j e_j (x) pi_{j,i}); the rest is read off the coaction
 embedding into O_q(SL2) as (eps (x) id) Delta_B on the letters, and the left
 U_q(sl2)-action as X |> b = b(0) X(b(1)), X evaluated on the O_q(SL2) leg
 by `oqsl2.EVALUATOR`.  The rules are written once, in `sphere_rules`, and
-every relation check runs them through `_rule_failures`: the embedded
-generators, the representations mu_n at c = c(n) and the localization
-onto the opposite Borel algebra.
+every relation check runs them through `algebra.rule_failures`: the
+embedded generators, the representations mu_n at c = c(n) and the
+localization onto the opposite Borel algebra.
 """
 
-import functools
+import math
 
-from .algebra import LinComb, RewriteSystem, accumulate, tensor_terms
+from .algebra import LinComb, RewriteSystem, accumulate, rule_failures, tensor_terms
 from .scalars import (ZERO, ONE, Q, QHAT, RatFunc, qpow, CParam, cn_value)
 from . import oqsl2
 from .oqsl2 import SL2Element, pi_coeff
@@ -260,31 +261,20 @@ class PodlesElement(LinComb):
 # ---------------------------------------------------------------------------
 # structural reports
 
-def confluence_report(c: CParam, max_len=3):
-    """All first rewriting steps of short words lead to the same normal form."""
-    return PodlesAlgebra(c).rewriting.confluence_report(LETTERS, max_len)
+def confluence_report(c: CParam):
+    """The four overlaps of the rules resolve (see `RewriteSystem`)."""
+    return PodlesAlgebra(c).rewriting.confluence_report()
 
 
-def _rule_failures(rules, images, one):
-    """(rule, residual) of each rewriting rule that fails on the letter images."""
-    failures = []
-    for (x, y), rhs in rules.items():
-        res = images[x] * images[y]
-        for coeff, rep in rhs:
-            term = one
-            for g in rep:
-                term = term * images[g]
-            res = res - coeff * term
-        if not res.is_zero():
-            failures.append(("%s*%s" % (_PRINT[x], _PRINT[y]), str(res)))
-    return failures
+def _products(images, one):
+    """The multiplicative map of free words with these letter images."""
+    return lambda w: math.prod((images[g] for g in w), start=one)
 
 
 def embedded_relations_report(c: CParam):
     """The four rewritten defining relations hold for the embedded generators."""
     alg = PodlesAlgebra(c)
-    images = {g: alg.embed(alg.gen(g)) for g in LETTERS}
-    failures = _rule_failures(alg.rewriting.rules, images, SL2Element.unit())
+    failures = rule_failures(alg.rewriting.rules, alg._embed_mono, _PRINT.get)
     return {"pass": not failures, "failures": failures}
 
 
@@ -350,12 +340,17 @@ def build_mu_n(n):
 
 
 def mu_rep_report(n):
-    """mu_n satisfies `sphere_rules` at c = c(n), A is invertible and e_{±1} nilpotent."""
+    """mu_n satisfies `sphere_rules` at c = c(n), A is invertible and e_{±1} nilpotent.
+
+    Nilpotency is read off the support, e_1 strictly lower and e_{-1}
+    strictly upper triangular, which the rules force: A is diagonal with
+    pairwise distinct eigenvalues, and e_{±1} shift them by q^∓2.
+    """
     rep = build_mu_n(n)
-    failures = _rule_failures(sphere_rules(cn_value(2 * n)),
-                              {g: rep[_PRINT[g]] for g in LETTERS}, Matrix.identity(n))
-    nilpotent = {name: functools.reduce(Matrix.__mul__, [rep[name]] * n).is_zero()
-                 for name in ("e1", "em1")}
+    failures = rule_failures(sphere_rules(cn_value(2 * n)), _products(
+        {g: rep[_PRINT[g]] for g in LETTERS}, Matrix.identity(n)), _PRINT.get)
+    nilpotent = {"e1": all(i > j for i, j in rep["e1"].terms),
+                 "em1": all(i < j for i, j in rep["em1"].terms)}
     a_invertible = all(rep["A"][k, k] for k in range(n))
     ok = not failures and all(nilpotent.values()) and a_invertible
     return {"pass": ok, "relation_failures": failures, "n": n,
@@ -407,8 +402,8 @@ def verify_localization(c: CParam):
     e0 = s * (qpow(6) - qpow(-2)) * F + BorelOp.mono(0, 0)
     e1 = (-s * QHAT * QHAT) * (K * F * F) - QHAT * (K * F) + s * K
     Aim = (BorelOp.mono(0, 0) - e0) * (Q * Q + 1).inv()
-    failures = _rule_failures(sphere_rules(c.c_value()), {"m": em1, "A": Aim, "p": e1},
-                              BorelOp.mono(0, 0))
+    failures = rule_failures(sphere_rules(c.c_value()), _products(
+        {"m": em1, "A": Aim, "p": e1}, BorelOp.mono(0, 0)), _PRINT.get)
     counits = {"em1": em1.counit(), "e0": e0.counit(), "e1": e1.counit()}
     counit_ok = (counits["em1"] == s and counits["e0"] == ONE and counits["e1"] == s)
     return {"pass": not failures and counit_ok, "failures": failures,

@@ -3,12 +3,11 @@
 Each function returns {"criterion", "pass", "details"}; the CLI selftest
 command and the pytest acceptance module both run these.  Every check is
 exact over Q(t), on sampled ranges.  Truncations of one claim: AC-8's
-freeness at degree 2 (guessed coeff_degree = degree + 1); AC-10's
-confluence and Hopf axioms on words of length <= 3, r-form
-well-definedness on length <= 2, psi and normal-basis independence at
-degree 4.  Finite samples of a family: l <= lmax in AC-3 (6, nine lambda),
-AC-4 (6), AC-5 (6 at four c; kernel dichotomy 8) and AC-6 (8; the CLI's
---lmax); AC-7's Lmax 6; AC-8's n in (1, 2); AC-9's n <= 4.
+freeness at degree 2 (guessed coeff_degree = degree + 1); AC-10's psi
+and normal-basis independence at degree 4.  Finite samples of a family:
+l <= lmax in AC-3 (6, nine lambda), AC-4 (6), AC-5 (6 at four c; kernel
+dichotomy 8) and AC-6 (8; the CLI's --lmax); AC-7's Lmax 6; AC-8's n in
+(1, 2); AC-9's n <= 4.
 """
 
 from .scalars import ZERO, ONE, Q, QINV, QHAT, RatFunc, CParam, qpow
@@ -213,13 +212,13 @@ def ac10_structural():
     truncated psi-independence, independence of the embedded normal
     monomials, localization residuals."""
     details = {}
-    conf_sl2 = oqsl2.confluence_report(3)
+    conf_sl2 = oqsl2.confluence_report()
     details["sl2_confluent"] = conf_sl2["confluent"]
-    conf_pod = all(podles.confluence_report(c, 3)["confluent"]
+    conf_pod = all(podles.confluence_report(c)["confluent"]
                    for c in (CParam.generic(1), CParam.generic(2), CParam.infinity(),
                              CParam.zero()))
     details["podles_confluent"] = conf_pod
-    hopf = oqsl2.hopf_axioms_report(3)
+    hopf = oqsl2.hopf_axioms_report()
     details["hopf_axioms"] = hopf["pass"]
     rwd = oqsl2.rform_well_defined_report()
     details["rform_well_defined"] = rwd["pass"]

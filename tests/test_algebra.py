@@ -3,12 +3,20 @@ import random
 
 import pytest
 
+from qsphere import oqsl2
 from qsphere.algebra import LinComb, RewriteSystem, accumulate
 from qsphere.oqsl2 import A_, B_, D_, UNIT, SL2Element
-from qsphere.podles import BorelOp, PodlesAlgebra
+from qsphere.podles import LETTERS, BorelOp, PodlesAlgebra, sphere_rules
 from qsphere.dualfunc import PsiVector
 from qsphere.uqsl2rep import X, XPoly
-from qsphere.scalars import ZERO, ONE, Q, CParam, RatFunc
+from qsphere.scalars import ZERO, ONE, Q, CParam, RatFunc, qpow
+
+# the q-plane yx -> q xy; with y^2 = 1 the overlap yyx resolves to x
+# through yy and to q^2 x through yx, so that table is confluent for
+# q -> -1 (the Clifford table) but not for q
+PLANE = {("y", "x"): [(Q, ("x", "y"))]}
+CLIFFORD = {("y", "y"): [(ONE, ())], ("y", "x"): [(-ONE, ("x", "y"))]}
+BAD = {("y", "y"): [(ONE, ())], ("y", "x"): [(Q, ("x", "y"))]}
 
 
 def test_accumulate_drops_zero_sums():
@@ -63,18 +71,45 @@ def test_borel_product_is_associative_and_printed():
 
 
 def test_rewrite_system_normal_forms_and_confluence():
-    # the q-plane yx -> q xy is confluent; its normal words are x^i y^j
-    plane = RewriteSystem({("y", "x"): [(Q, ("x", "y"))]})
+    # the q-plane is confluent; its normal words are x^i y^j
+    plane = RewriteSystem(PLANE)
     assert plane.reduce_word(("y", "y", "x")) == {("x", "y", "y"): Q * Q}
-    rep = plane.confluence_report("xy", 4)
-    assert rep["confluent"] and rep["checked"] > 0
-    # with y^2 = 1 the overlap yyx resolves to x through yy and to q^2 x
-    # through yx, so the table is confluent for q -> -1 but not for q
-    clifford = RewriteSystem({("y", "y"): [(ONE, ())], ("y", "x"): [(-ONE, ("x", "y"))]})
-    assert clifford.confluence_report("xy", 4)["confluent"]
-    bad = RewriteSystem({("y", "y"): [(ONE, ())], ("y", "x"): [(Q, ("x", "y"))]})
-    rep = bad.confluence_report("xy", 4)
+    rep = plane.confluence_report()
+    # no rule starts with x, so yx overlaps nothing: confluent by the
+    # diamond lemma with nothing to check
+    assert rep["confluent"] and rep["checked"] == 0
+    assert RewriteSystem(CLIFFORD).confluence_report()["confluent"]
+    rep = RewriteSystem(BAD).confluence_report()
     assert not rep["confluent"] and rep["witness"] == ("y", "y", "x")
+
+
+def _enumerated_confluence(system, letters, max_len=4):
+    """The reference check: every first step of every word of <= max_len
+    letters, taken in word order, reaches one normal form."""
+    for n in range(max_len + 1):
+        for word in itertools.product(sorted(letters), repeat=n):
+            base = system.reduce_word(word)
+            if any(system._step(word, i) != base
+                   for i in range(n - 1) if word[i:i + 2] in system.rules):
+                return {"confluent": False, "witness": word}
+    return {"confluent": True, "witness": None}
+
+
+def test_the_overlaps_decide_confluence_as_every_short_word_does():
+    planted = sphere_rules(CParam.generic(1).c_value())
+    planted[("p", "A")] = [(qpow(8), ("A", "p"))]        # e_1 A -> q^4 A e_1
+    cases = [(RewriteSystem(PLANE), "xy"), (RewriteSystem(CLIFFORD), "xy"),
+             (RewriteSystem(BAD), "xy"), (RewriteSystem(oqsl2.RULES), oqsl2.GENS),
+             (RewriteSystem(planted), LETTERS)]
+    cases += [(PodlesAlgebra(c).rewriting, LETTERS) for c in (
+        CParam.generic(1), CParam.generic(2), CParam.infinity(), CParam.zero())]
+    verdicts = []
+    for system, letters in cases:
+        rep = system.confluence_report()
+        want = _enumerated_confluence(RewriteSystem(system.rules), letters)
+        assert (rep["confluent"], rep["witness"]) == (want["confluent"], want["witness"])
+        verdicts.append(rep["confluent"])
+    assert verdicts == [True, True, False, True, False, True, True, True, True]
 
 
 def test_lincomb_needs_a_product():

@@ -2,13 +2,19 @@ import itertools
 
 import pytest
 
-from qsphere import oqsl2
+from qsphere import dualfunc, oqsl2, selftest
+from qsphere.cli import main
 from qsphere.scalars import ZERO, ONE, Q, QINV, QHAT, RatFunc, parse_ratfunc, qpow
 from qsphere.oqsl2 import (A_, B_, C_, D_, UNIT, SL2Element,
                            antipode, coproduct, confluence_report,
                            hopf_axioms_report,
                            pi_coeff, rform, rform_well_defined_report,
-                           reduce_word, all_words, Evaluator, word_counit, GENS)
+                           reduce_word, Evaluator, word_counit, GENS)
+
+
+def all_words(max_len):
+    for n in range(max_len + 1):
+        yield from itertools.product(GENS, repeat=n)
 
 
 def test_unit_law_and_off_diagonal_commute():
@@ -32,8 +38,9 @@ def test_row_column_commutations():
 
 
 def test_confluence_all_degree3_words():
-    rep = confluence_report(3)
+    rep = confluence_report()
     assert rep["confluent"], rep
+    assert rep["checked"] == 8          # dab dac dad adb adc ada acb dcb
 
 
 def test_associativity_on_generators():
@@ -66,8 +73,50 @@ def test_coproduct_examples():
 
 
 def test_hopf_axioms():
-    rep = hopf_axioms_report(3)
+    rep = hopf_axioms_report()
     assert rep["pass"], rep["failures"]
+
+
+# -- planted faults: AC-10 must fail where the fault is, as a verdict
+
+
+@pytest.fixture
+def fresh(monkeypatch):
+    """Empty process-wide caches, so a planted fault is seen; all restored after."""
+    monkeypatch.setattr(oqsl2, "_COPROD_CACHE", {})
+    monkeypatch.setattr(oqsl2._REWRITING, "_nf", {})
+    monkeypatch.setattr(oqsl2.EVALUATOR, "_memo", {})
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
+    return monkeypatch
+
+
+def _ac10_fails_in(capsys, failing):
+    details = selftest.ac10_structural()["details"]
+    assert {k for k, v in details.items() if v is False} == failing
+    assert main(["selftest", "--only", "AC-10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("AC-10 FAIL") and captured.err == ""
+
+
+def test_a_wrong_rule_coefficient_fails_confluence_and_the_hopf_axioms(fresh, capsys):
+    fresh.setitem(oqsl2.RULES, ("a", "b"), [(Q * Q, ("b", "a"))])     # ab -> q^2 ba
+    _ac10_fails_in(capsys, {"sl2_confluent", "hopf_axioms", "rform_well_defined"})
+
+
+def test_a_wrong_antipode_sign_fails_only_the_hopf_axioms(fresh, capsys):
+    fresh.setitem(oqsl2._S_LETTER, "b", ("b", QINV))                 # S(b) = +q^-1 b
+    failures = hopf_axioms_report()["failures"]
+    assert ("antipode", "a*d", "(2*q)*b*c") in failures
+    assert ("left antipode", "a", "1 + (2*q^-1)*b*c") in failures
+    _ac10_fails_in(capsys, {"hopf_axioms"})
+
+
+def test_a_wrong_coproduct_leg_fails_the_hopf_axioms_with_a_tensor_residual(fresh, capsys):
+    fresh.setitem(oqsl2._GEN_COPROD, "b", [("a", "b"), ("b", "a")])   # b (x) d -> b (x) a
+    failures = hopf_axioms_report()["failures"]
+    name, rule, residual = failures[0]
+    assert (name, rule) == ("coproduct", "a*b") and " (x) " in residual
+    _ac10_fails_in(capsys, {"hopf_axioms"})
 
 
 def test_antipode_examples():

@@ -50,8 +50,9 @@ def test_associativity_all_degree3(alg):
 
 def test_confluence():
     for c in (GENERIC, CParam.generic(2), INF, CParam.zero()):
-        rep = confluence_report(c, 3)
+        rep = confluence_report(c)
         assert rep["confluent"], (c, rep)
+        assert rep["checked"] == 4          # m p A, m p m, p m A, p m p
 
 
 def test_embed_is_algebra_map(alg):
@@ -230,6 +231,20 @@ def test_mu_reps():
     r1 = build_mu_n(1)
     assert r1["A"][0, 0] == qpow(-2) / (Q + QINV)
     assert r1["e1"][0, 0].is_zero() and r1["em1"][0, 0].is_zero()
+
+
+def test_a_non_triangular_entry_in_em1_is_not_read_as_nilpotent(monkeypatch):
+    # mu_n's nilpotency verdicts are read off the support of e_{±1}
+    real = podles.build_mu_n
+
+    def planted(n):
+        rep = real(n)
+        rep["em1"] = rep["em1"] + Matrix({(1, 0): ONE})
+        return rep
+
+    monkeypatch.setattr(podles, "build_mu_n", planted)
+    rep = mu_rep_report(3)
+    assert not rep["em1_nilpotent"] and rep["e1_nilpotent"] and not rep["pass"]
 
 
 def test_a_wrong_coefficient_in_one_rule_fails_ac1_and_ac9(monkeypatch, capsys):
