@@ -164,13 +164,15 @@ def cmd_eigenvalues(args):
 
 
 def _parse_components(text):
-    """A comma list of components, each one optional sign and digits: +2,4,-0."""
+    """A nonempty comma list of components, each one optional sign and digits: +2,4,-0."""
     out = []
     for part in filter(None, (p.strip() for p in text.split(","))):
         m = re.fullmatch(r"([+-]?)([0-9]+)", part)
         if m is None:
             raise ValueError("cannot parse component %r, expected e.g. +2 or -1" % part)
         out.append((-1 if m.group(1) == "-" else +1, int(m.group(2))))
+    if not out:                         # C eps alone would certify nothing
+        raise ValueError("components must name at least one weight, e.g. +2")
     return out
 
 
@@ -236,6 +238,8 @@ def cmd_de_generated(args):
 def cmd_mu_rep(args):
     n = args.n
     if args.c is not None:
+        if n is not None:
+            raise ValueError("mu-rep takes --n or --c cn:<n2>, not both")
         spec = parse_param_spec(args.c)
         if not isinstance(spec, CnSpec):
             raise ValueError("mu-rep takes cn:<n2> or --n")

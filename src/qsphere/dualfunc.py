@@ -23,6 +23,9 @@ psi X_c = q^-1 phi(psi) + lam varphi(psi) + alpha (1 - lam^-1) kappa(psi).
 Each engine keeps these coefficients in one table, filled per (l, lam)
 when phi or varphi is applied; the weight scan reads phi's coefficients
 at t0 mod P from rows built by the same formula where it meets them.
+There lam is always ±q^e, carried as the integers (sign, e): which
+coefficients vanish is decided by comparing integers, and their values
+are powers of t0 mod P.
 
 The weight scan proves a weight (±, l) outside J^c by a nonzero value of
 phi^(l+1) psi^0_{±q^(-l)} at t = t0 = 1234567891011 over GF(P), P = 2^61 - 1.
@@ -128,7 +131,11 @@ class DualEngine:
         self.c = c
         self.alpha = uqsl2rep.xc_alpha(c)
         self._alpha_q = self.alpha * Q
+        # alpha q, q^-1 and (q - q^-1)^-2 at _T0 mod _P for `_mod_row`; None: no value
         self._alpha_q_mod = eval_mod(self._alpha_q, _T0, _P)
+        self._qinv_mod = pow(_T0, -2, _P)
+        hat = (pow(_T0, 2, _P) - self._qinv_mod) % _P
+        self._hat2_inv_mod = pow(hat, -2, _P) if hat else None
         self.alg = podles.PodlesAlgebra(c)
         self._orbits = {}               # (sign, l) -> phi-orbit or None
         self._table = {}                # l -> `_per_l`; (l, lam) -> `_constants` row
@@ -143,13 +150,11 @@ class DualEngine:
     # -- the three operators, read off one table of structure constants
 
     def _per_l(self, l):
-        """a_l = -q^l [l]/(q-q^-1), q^(1-l) [l]/(q-q^-1) and a_l at _T0 mod _P."""
+        """a_l = -q^l [l]/(q-q^-1) and q^(1-l) [l]/(q-q^-1)."""
         per_l = self._table.get(l)
         if per_l is None:
             hat = qint(l) / QHAT
-            a_l = -qpow(2 * l) * hat
-            per_l = self._table[l] = (a_l, qpow(2 * (1 - l)) * hat,
-                                      eval_mod(a_l, _T0, _P))
+            per_l = self._table[l] = (-qpow(2 * l) * hat, qpow(2 * (1 - l)) * hat)
         return per_l
 
     def _constants(self, l, lam):
@@ -160,7 +165,7 @@ class DualEngine:
         """
         row = self._table.get((l, lam))
         if row is None:
-            a_l, lower, _ = self._per_l(l)
+            a_l, lower = self._per_l(l)
             grade = qpow(4) * lam
             coeffs = _phi_coefficients(a_l, self._alpha_q, qpow(4), qpow(4 * l), lam)
             phi = {(0, k, grade): x for k, x in enumerate(coeffs, l - 1) if x}
@@ -168,23 +173,23 @@ class DualEngine:
             row = self._table[(l, lam)] = (phi, varphi)
         return row
 
-    def _mod_row(self, l, lam):
-        """The phi row of psi^l_lam at _T0 mod _P: [(l', coefficient)], or None.
+    def _mod_row(self, l, sign, e):
+        """The phi row of psi^l_lam, lam = sign q^e, at _T0 mod _P: [(l', value)] or None.
 
-        It has a term exactly where the exact row has one: a_0 = 0, the
-        psi^l coefficient vanishes when alpha = 0 or lam = q^(2l), and the
-        psi^(l+1) coefficient when lam^2 = q^(2l).  Its values come from the
-        same `_phi_coefficients`, applied to a_l, alpha q, q^2, q^(2l) and
-        lam at _T0; None when one of them has no value there.
+        It has a term exactly where the exact row has one: a_l = 0 only at
+        l = 0, the psi^l coefficient vanishes when alpha = 0 or lam = q^(2l),
+        and the psi^(l+1) coefficient when lam^2 = q^(2l), i.e. e = l.  Its
+        values come from the same `_phi_coefficients`, applied to the values
+        at _T0 of a_l = -(q^(2l) - 1)/(q - q^-1)^2, alpha q, q^2, q^(2l) and
+        lam; None when alpha q, or a_l for l > 0, has no value there.
         """
-        a_l, _, a_mod = self._per_l(l)
-        lam_mod = eval_mod(lam, _T0, _P)
-        if None in (a_mod, self._alpha_q_mod, lam_mod):
+        if self._alpha_q_mod is None or (l and self._hat2_inv_mod is None):
             return None
-        q2l = qpow(4 * l)
-        coeffs = _phi_coefficients(a_mod, self._alpha_q_mod, pow(_T0, 4, _P),
-                                   pow(_T0, 4 * l, _P), lam_mod)
-        nonzero = (bool(a_l), bool(self.alpha) and lam != q2l, lam * lam != q2l)
+        q2l = pow(_T0, 4 * l, _P)
+        a_mod = (1 - q2l) * self._hat2_inv_mod if l else 0
+        q_e = pow(_T0, 2 * e, _P) if e >= 0 else pow(self._qinv_mod, -e, _P)
+        coeffs = _phi_coefficients(a_mod, self._alpha_q_mod, pow(_T0, 4, _P), q2l, sign * q_e)
+        nonzero = (l != 0, bool(self.alpha) and (sign, e) != (+1, 2 * l), e != l)
         return [(k, x % _P) for k, (x, nz) in enumerate(zip(coeffs, nonzero), l - 1) if nz]
 
     def phi(self, v):
@@ -260,7 +265,7 @@ class DualEngine:
         if key not in self._orbits:
             lam0 = _lambda0(sign, l)
             orbit = None
-            if not self._nonzero_mod_p(lam0, l):
+            if not self._nonzero_mod_p(sign, l):
                 orbit = [PsiVector.symbol(0, lam0)]
                 for _ in range(l + 1):
                     v = self.phi(orbit[-1])
@@ -275,8 +280,8 @@ class DualEngine:
             self._orbits[key] = orbit
         return self._orbits[key] is not None
 
-    def _nonzero_mod_p(self, lam0, l):
-        """phi^(l+1) psi^0_lam0 has a nonzero coordinate at _T0 mod _P.
+    def _nonzero_mod_p(self, sign, l):
+        """phi^(l+1) psi^0_{sign q^(-l)} has a nonzero coordinate at _T0 mod _P.
 
         False when it vanishes there, or when some coefficient met on the
         way has a denominator vanishing at _T0.  A coordinate that is 0 mod
@@ -285,17 +290,16 @@ class DualEngine:
         too ((q^2 - 1) a_1 = -q^2 is -1 at t = 1, where a_1 = -q^2/(q^2 - 1)
         has no value).
         """
-        vec, lam = {0: 1}, lam0
-        for _ in range(l + 1):
+        vec = {0: 1}
+        for e in range(-l, l + 2, 2):       # phi takes lam = sign q^e to sign q^(e+2)
             out = {}
             for k, x in vec.items():
-                mod = self._mod_row(k, lam)
+                mod = self._mod_row(k, sign, e)
                 if mod is None:
                     return False
                 for k2, y in mod:
                     out[k2] = (out.get(k2, 0) + x * y) % _P
             vec = out
-            lam = qpow(4) * lam
         return any(vec.values())
 
     def scan_weights(self, Lmax):
@@ -373,7 +377,7 @@ class DualEngine:
                 out[i][j] = scal[i].inv() * m[i][j] * scal[j]
         return out
 
-    # -- truncated independence (dual coalgebra basis at desk scale)
+    # -- independence of a finite set of symbols (a sample of the dual coalgebra basis)
 
     def truncated_independence(self, degree=4):
         """Evaluation rows of {psi^{ml}_lam} against monomials up to `degree`.

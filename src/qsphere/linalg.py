@@ -150,10 +150,6 @@ def rank(rows):
     return _solve(rows, [])[0]
 
 
-def nullity(rows):
-    return len(rows[0]) - rank(rows) if rows else 0
-
-
 def solve_with_rank(a_rows, b_cols):
     """(rank of A, per-column solution of A x = b or None), by `_solve`; a
     solution is the unique one when the rank is the number of columns."""

@@ -13,10 +13,25 @@ dual-coalgebra basis.  For the plus sign it equals q^(l+1) times the
 transpose of the X_c-action on the irrep; for the minus sign the twisted
 module realizes the negative of it, so the cross-check uses -q^(l+1).
 
+The entries are written once, in `_xc_entries`, with + and x on alpha
+and on the values of q^e and [n] in a ring: `xc_tridiagonal` reads them
+in Q(t), `xc_tridiagonal_mod` at t = MOD_T0 over GF(MOD_P).
+
+The nullity of X_c is at most 1.  Its superdiagonal entries q^(l+1)[k+1]
+are nonzero, so deleting the first column and the last row leaves a
+triangular l x l minor with a nonzero diagonal: the rank is at least l,
+and the nullity is 1 when det X_c = 0 and 0 otherwise.  `kernel_dim`
+checks that superdiagonal and takes det X_c by the three-term recurrence,
+first at t0 mod P (evaluation there is a ring map on the fractions whose
+denominators do not vanish at t0, as in `linalg._solve`, so a nonzero
+value proves det X_c != 0) and in Q(t) only when that value vanishes or
+alpha(c) has no value at t0.
+
 Characteristic polynomials are XPoly, polynomials in an auxiliary x.
 """
 
-from .scalars import ZERO, ONE, Q, QINV, QHAT, CParam, qint, qpow
+from .scalars import (ZERO, ONE, Q, QINV, QHAT, MOD_P, MOD_T0, CParam,
+                      eval_mod, qint, qpow)
 from . import linalg
 from .linalg import Matrix
 from .algebra import LinComb
@@ -43,20 +58,30 @@ class XPoly(LinComb):
 X = XPoly({1: ONE})
 
 
+def _det_tridiagonal(diag, sup, sub):
+    """det of a tridiagonal matrix by the three-term recurrence (+ and x only)."""
+    prev, det = 1, 1
+    for d, bc in zip(diag, [0] + [b * c for b, c in zip(sup, sub)]):
+        prev, det = det, d * det - bc * prev
+    return det
+
+
 def charpoly_tridiag(diag, sup, sub):
-    """det(x I - M) for a tridiagonal matrix via the three-term recurrence."""
-    prev, p = XPoly(), X ** 0
-    for d, bc in zip(diag, [ZERO] + [b * c for b, c in zip(sup, sub)]):
-        prev, p = p, (X - d) * p - bc * prev
-    return p
+    """det(x I - M) for a tridiagonal matrix M; negating both off-diagonals
+    leaves their products, all the recurrence reads of them, unchanged."""
+    return _det_tridiagonal([X - d for d in diag], sup, sub)
 
 
-def irrep(l, sign=+1):
-    """(E, F, K) of the (l+1)-dimensional irreducible module in the weight basis."""
+def _check_weight(l, sign):
     if l < 0:
         raise ValueError("l must be nonnegative")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+
+
+def irrep(l, sign=+1):
+    """(E, F, K) of the (l+1)-dimensional irreducible module in the weight basis."""
+    _check_weight(l, sign)
     E = Matrix({(k - 1, k): qint(l - k + 1) for k in range(1, l + 1)})
     F = Matrix({(k + 1, k): sign * qint(k + 1) for k in range(l)})
     K = Matrix({(k, k): sign * qpow(2 * (l - 2 * k)) for k in range(l + 1)})
@@ -89,22 +114,61 @@ def xc_alpha(c: CParam):
     return ZERO if c.is_infinity() else -ONE / (c.s * QHAT)
 
 
+def _xc_entries(l, sign, alpha, beta, gamma, qp, qi):
+    """(diagonal, superdiagonal, subdiagonal) of X_c at weight ±q^(-l).
+
+    Only + and x of one ring, on alpha, beta, gamma and qp(e) = q^e,
+    qi(n) = [n] there, so that the same formula serves Q(t) and GF(P).
+    """
+    scale = qp(l + 1)
+    diag = [scale * (qp(2 * k - l) - sign) * alpha for k in range(l + 1)]
+    sup = [scale * qi(k + 1) * gamma for k in range(l)]
+    sub = [scale * qp(2 * k - l) * qi(l - k) * beta for k in range(l)]
+    return diag, sup, sub
+
+
+def xc_tridiagonal(l, c: CParam, sign=+1):
+    """The three diagonals of X_c at weight ±q^(-l), exactly in Q(t)."""
+    _check_weight(l, sign)
+    return _xc_entries(l, sign, xc_alpha(c), BETA, GAMMA,
+                       lambda e: qpow(2 * e), qint)
+
+
+def xc_tridiagonal_mod(l, c: CParam, sign=+1):
+    """The images of `xc_tridiagonal` at t = MOD_T0 over GF(MOD_P).
+
+    None when alpha(c) has no value there; q^e and the Laurent
+    polynomials [n] = q^(n-1) + q^(n-3) + ... + q^(1-n) always have one.
+    """
+    _check_weight(l, sign)
+    alpha = eval_mod(xc_alpha(c), MOD_T0, MOD_P)
+    if alpha is None:
+        return None
+
+    q = pow(MOD_T0, 2, MOD_P)
+    qinv = pow(q, -1, MOD_P)
+    powers = {0: 1}                     # e -> q^e for |e| <= l + 1
+    for e in range(1, l + 2):
+        powers[e] = powers[e - 1] * q % MOD_P
+        powers[-e] = powers[1 - e] * qinv % MOD_P
+    qints = [0]                         # [n + 1] = q [n] + q^-n
+    for n in range(l):
+        qints.append((q * qints[n] + powers[-n]) % MOD_P)
+    beta, gamma = eval_mod(BETA, MOD_T0, MOD_P), eval_mod(GAMMA, MOD_T0, MOD_P)
+    return tuple([x % MOD_P for x in part]
+                 for part in _xc_entries(l, sign, alpha, beta, gamma,
+                                         powers.__getitem__, qints.__getitem__))
+
+
 def xc_matrix(l, c: CParam, sign=+1):
     """The displayed (l+1)x(l+1) tridiagonal matrix for weight ±q^(-l)."""
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    alpha = xc_alpha(c)
-    n = l + 1
-    scale = qpow(2 * (l + 1))
-    out = linalg.zeros(n, n)
-    sgn = ONE if sign == +1 else -ONE
-    for k in range(n):
-        out[k][k] = scale * (qpow(2 * (2 * k - l)) - sgn) * alpha
-        if k + 1 < n:
-            out[k][k + 1] = scale * qint(k + 1) * GAMMA
-            out[k + 1][k] = scale * qpow(2 * (2 * k - l)) * qint(l - k) * BETA
+    diag, sup, sub = xc_tridiagonal(l, c, sign)
+    out = linalg.zeros(l + 1, l + 1)
+    for k, d in enumerate(diag):
+        out[k][k] = d
+    for k, (up, down) in enumerate(zip(sup, sub)):
+        out[k][k + 1] = up
+        out[k + 1][k] = down
     return out
 
 
@@ -153,12 +217,7 @@ def charpoly_check(l, c: CParam, sign=+1):
     (the matrix eigenvalues carry the factor q^(l+1)), and the factorization
     holds exactly when the difference is 0.
     """
-    m = xc_matrix(l, c, sign)
-    n = l + 1
-    diag = [m[k][k] for k in range(n)]
-    sup = [m[k][k + 1] for k in range(n - 1)]
-    sub = [m[k + 1][k] for k in range(n - 1)]
-    cp = charpoly_tridiag(diag, sup, sub)
+    cp = charpoly_tridiag(*xc_tridiagonal(l, c, sign))
 
     scale = qpow(2 * (l + 1))
     pairs, zero_root = _pair_closed_forms(l, c, sign)
@@ -172,5 +231,18 @@ def charpoly_check(l, c: CParam, sign=+1):
 
 
 def kernel_dim(l, c: CParam, sign=+1):
-    """Exact nullity of the X_c matrix over Q(t)."""
-    return linalg.nullity(xc_matrix(l, c, sign))
+    """Exact nullity of the X_c matrix over Q(t): 1 when det X_c = 0, else 0.
+
+    The superdiagonal is checked first, then det X_c: at t0 mod P, where
+    nonzero values are images of nonzero exact ones (module docstring), and
+    exactly when a value there vanishes or is missing.  A zero on the exact
+    superdiagonal voids the nullity <= 1 argument and raises AssertionError.
+    """
+    mod = xc_tridiagonal_mod(l, c, sign)
+    if mod is not None and all(mod[1]) and _det_tridiagonal(*mod) % MOD_P:
+        return 0
+    diag, sup, sub = xc_tridiagonal(l, c, sign)
+    if not all(sup):
+        raise AssertionError("X_c has a zero on its superdiagonal at sign=%+d l=%d"
+                             % (sign, l))
+    return 0 if _det_tridiagonal(diag, sup, sub) else 1

@@ -94,6 +94,15 @@ def test_mu_rep(capsys):
     assert json.loads(out)["params"]["n"] == 2
 
 
+def test_mu_rep_refuses_both_n_and_c(capsys):
+    # the two ways of naming n must not silently disagree
+    code = main(["--format", "json", "mu-rep", "--n", "2", "--c", "cn:6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "not both" in captured.err
+
+
 def test_build_fodc(capsys):
     code, out = run_cli(capsys, "--format", "json", "build-fodc", "--n", "1")
     assert code == 0
@@ -109,7 +118,8 @@ def test_build_fodc(capsys):
     (["mu-rep", "--c", "cn:0"], "n must be positive"),
     (["eigenvalues", "--c", "s=1", "--l", "-1"], "l must be nonnegative"),
     (["classify", "--c", "s=1", "--lmax", "-1"], "lmax must be nonnegative"),
-    (["de-generated", "--c", "inf", "--lmax", "-1"], "lmax must be nonnegative")])
+    (["de-generated", "--c", "inf", "--lmax", "-1"], "lmax must be nonnegative"),
+    (["tangent-space", "--c", "s=2", "--components="], "at least one weight")])
 def test_empty_checks_are_usage_errors(capsys, argv, message):
     # a bound that leaves nothing to check exits 2 instead of passing
     code = main(["--format", "json"] + argv)

@@ -227,9 +227,10 @@ def test_mod_p_rows_carry_the_exact_rows_terms(c):
     eng = DualEngine(c)
     for l in range(6):
         for k in range(-8, 9):
-            for lam in (qpow(2 * k), -qpow(2 * k)):
+            for sign in (+1, -1):
+                lam = sign * qpow(2 * k)
                 exact = eng._constants(l, lam)[0]
-                mod = eng._mod_row(l, lam)
+                mod = eng._mod_row(l, sign, k)
                 want = [(sym[1], scalars.eval_mod(x, dualfunc._T0, dualfunc._P))
                         for sym, x in exact.items()]
                 if mod is None:
@@ -245,7 +246,8 @@ def test_scan_builds_exact_rows_for_members_only(monkeypatch):
     eng = DualEngine(CParam.generic(2))
     built = set()
     real = eng._mod_row
-    monkeypatch.setattr(eng, "_mod_row", lambda l, lam: built.add((l, lam)) or real(l, lam))
+    monkeypatch.setattr(eng, "_mod_row",
+                        lambda l, sign, e: built.add((l, sign, e)) or real(l, sign, e))
     members = eng.scan_weights(6)
     rows = {key for key in eng._table if isinstance(key, tuple)}
     assert rows == {(l, lam) for sl in members for v in eng._orbits[sl]
@@ -280,9 +282,10 @@ def test_sign_outside_plus_minus_one_is_refused():
     assert eng._orbits == {}
     with pytest.raises(ValueError, match="sign"):
         fodc.tangent_space(CParam.infinity(), [(7, 2)])
-    for f in (uqsl2rep.xc_matrix, uqsl2rep.kernel_dim):
-        with pytest.raises(ValueError, match="sign"):
-            f(1, GENERIC, 7)
+    for f in (uqsl2rep.xc_matrix, uqsl2rep.kernel_dim, uqsl2rep.xc_tridiagonal_mod):
+        for sign in (0, 7):
+            with pytest.raises(ValueError, match="sign"):
+                f(1, GENERIC, sign)
 
 
 def test_build_module_reads_the_scanned_orbits(monkeypatch):

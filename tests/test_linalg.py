@@ -4,7 +4,7 @@ import pytest
 
 from qsphere import linalg
 from qsphere.scalars import ZERO, ONE, Q, QINV, MOD_T0, RatFunc
-from qsphere.linalg import Matrix, nullity, rank, solve_with_rank, transpose
+from qsphere.linalg import Matrix, rank, solve_with_rank, transpose
 from qsphere.uqsl2rep import X, charpoly_tridiag
 
 
@@ -15,7 +15,7 @@ def mat(rows):
 def test_rank_and_nullity():
     m = mat([[1, 2], [2, 4]])
     assert rank(m) == 1
-    assert nullity(m) == 1
+    assert len(m[0]) - rank(m) == 1
     m = mat([[1, 0, 1], [0, 1, 1]])
     assert rank(m) == 2
 

@@ -1,12 +1,14 @@
 import pytest
 
-from qsphere.scalars import (ZERO, ONE, Q, QINV, QHAT, CParam, cn_value,
-                             qint, qpow)
-from qsphere import uqsl2rep
+from qsphere.scalars import (ZERO, ONE, Q, QINV, QHAT, MOD_P, MOD_T0, CParam,
+                             RatFunc, cn_value, eval_mod, qint, qpow)
+from qsphere import linalg, selftest, uqsl2rep
 from qsphere.cli import main
+from qsphere.dualfunc import DualEngine
 from qsphere.uqsl2rep import (X, XPoly, charpoly_check, irrep, kernel_dim,
                               relation_failures, xc_alpha, xc_matrix,
-                              xc_matrix_from_irrep, _pair_closed_forms)
+                              xc_matrix_from_irrep, xc_tridiagonal,
+                              xc_tridiagonal_mod, _pair_closed_forms)
 
 GENERIC = CParam.generic(1)
 INF = CParam.infinity()
@@ -123,6 +125,80 @@ def test_kernel_dims():
         assert kernel_dim(l, GENERIC, +1) == (1 if l % 2 == 0 else 0)
 
 
+# s=1, s=2, s=q, s=q+1, s=1/2, s=-1, inf and exc:1..6
+ORACLE_CS = ([CParam.generic(s) for s in (1, 2, Q, Q + 1, RatFunc.from_fraction("1/2"), -1)]
+             + [INF] + [selftest.c_exc(r2) for r2 in range(1, 7)])
+
+
+def _elimination_nullity(rows):
+    """The nullity of a square matrix by one exact elimination, with no modular pass."""
+    pivots, _ = linalg._eliminate(rows, len(rows))
+    return len(rows) - len(pivots)
+
+
+@pytest.mark.parametrize("c", ORACLE_CS, ids=str)
+def test_kernel_dim_is_the_elimination_nullity(c):
+    for l in range(13):
+        for sign in (+1, -1):
+            assert kernel_dim(l, c, sign) == _elimination_nullity(xc_matrix(l, c, sign)), \
+                (l, sign)
+
+
+@pytest.mark.parametrize("c", ORACLE_CS, ids=str)
+def test_modular_entries_are_the_images_of_the_exact_ones(c):
+    for l in range(9):
+        for sign in (+1, -1):
+            exact = xc_tridiagonal(l, c, sign)
+            assert xc_tridiagonal_mod(l, c, sign) == tuple(
+                [eval_mod(x, MOD_T0, MOD_P) for x in part] for part in exact), (l, sign)
+
+
+def test_alpha_without_a_value_at_t0_takes_the_exact_route(monkeypatch):
+    # s(t0) = 0 mod P, so alpha = -1/(s (q - q^-1)) has no value there
+    c = CParam.generic(Q - (MOD_T0 ** 2 % MOD_P))
+    assert eval_mod(xc_alpha(c), MOD_T0, MOD_P) is None
+    exact = []
+    real = uqsl2rep.xc_tridiagonal
+    monkeypatch.setattr(uqsl2rep, "xc_tridiagonal",
+                        lambda l, c, sign: exact.append((sign, l)) or real(l, c, sign))
+    for l in range(5):
+        for sign in (+1, -1):
+            assert xc_tridiagonal_mod(l, c, sign) is None
+            want = _elimination_nullity(xc_matrix(l, c, sign))
+            exact.clear()
+            assert kernel_dim(l, c, sign) == want
+            assert exact == [(sign, l)]
+    # the operator route cannot evaluate alpha q either, and agrees
+    assert DualEngine(c).scan_weights(4) == DualEngine(GENERIC).scan_weights(4)
+
+
+def test_a_zero_on_the_superdiagonal_is_an_internal_error(monkeypatch, capsys):
+    real = uqsl2rep._xc_entries
+
+    def planted(*args):
+        diag, sup, sub = real(*args)
+        return diag, [0 * sup[0]] + sup[1:], sub
+
+    monkeypatch.setattr(uqsl2rep, "_xc_entries", planted)
+    for sign in (+1, -1):
+        with pytest.raises(AssertionError, match="superdiagonal"):
+            kernel_dim(3, GENERIC, sign)
+    assert main(["eigenvalues", "--c", "s=2", "--l", "3", "--sign", "-"]) == 3
+    assert "superdiagonal" in capsys.readouterr().err
+
+
+def test_a_non_member_scan_takes_no_exact_matrix(monkeypatch):
+    # only the members' det X_c = 0 is taken in Q(t)
+    calls = []
+    for name in ("xc_matrix", "xc_tridiagonal"):
+        real = getattr(uqsl2rep, name)
+        monkeypatch.setattr(uqsl2rep, name, lambda l, c, sign, name=name, real=real:
+                            calls.append((name, sign, l)) or real(l, c, sign))
+    members = DualEngine(CParam.generic(2)).scan_weights(6)
+    assert members == [(1, 0), (1, 2), (1, 4), (1, 6)]
+    assert calls == [("xc_tridiagonal", sign, l) for sign, l in members]
+
+
 def test_pair_product_vanishes_exactly_at_cn():
     # P_r = 0 iff c = c(n) with n = r (sign +), substituting the c-value
     # into the closed form through alpha^2 = 1/(c (q-q^-1)^2)
@@ -151,6 +227,6 @@ def test_rejects_zero_parameter():
 
 
 def test_rejects_negative_level():
-    for f in (xc_matrix, charpoly_check, kernel_dim):
+    for f in (xc_matrix, charpoly_check, kernel_dim, xc_tridiagonal_mod):
         with pytest.raises(ValueError):
             f(-1, GENERIC, +1)
