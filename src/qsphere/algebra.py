@@ -18,10 +18,13 @@ from .scalars import ZERO, ONE, RatFunc
 def accumulate(out, terms, coeff=None):
     """Add coeff * terms (or terms) into the dict `out`, dropping zero sums; returns out."""
     for m, c in terms.items():
-        v = out.get(m, ZERO) + (c if coeff is None else coeff * c)
+        if coeff is not None:
+            c = coeff * c
+        old = out.get(m)
+        v = c if old is None else old + c   # ZERO + c would copy an element entry
         if v:
             out[m] = v
-        elif m in out:
+        elif old is not None:
             del out[m]
     return out
 
@@ -59,7 +62,11 @@ def word_str(word):
 
 
 class LinComb:
-    """A linear combination {monomial: nonzero RatFunc coefficient}.
+    """A linear combination {monomial: nonzero coefficient}.
+
+    Coefficients are RatFuncs, except in a `linalg.Matrix` over a ring
+    such as the sphere, whose entries are that ring's elements; sums,
+    products and equality use only their +, * and ==.
 
     A subclass sets UNIT, the monomial that scalars are identified with
     (None when scalars are not elements), and overrides `_mono_mul`,

@@ -358,24 +358,16 @@ class DualEngine:
         """
         mu = qpow(4 * l) * _lambda0(sign, l)
         n = l + 1
-        cols = []
-        target_syms = [(0, k, qpow(4) * mu) for k in range(n)]
-        for k in range(n):
-            img = self.phi(PsiVector.symbol(k, mu))
-            col = []
-            for sym in target_syms:
-                col.append(img.terms.get(sym, ZERO))
-            leftover = set(img.terms) - set(target_syms)
-            if leftover:
-                raise AssertionError("phi image leaves the expected span")
-            cols.append(col)
-        m = [[cols[j][i] for j in range(n)] for i in range(n)]
+        row_of = {(0, k, qpow(4) * mu): k for k in range(n)}
         scal = [(-QHAT) ** k * qpow(-(l - k) * (l - k + 1)) for k in range(n)]
-        out = linalg.zeros(n, n)
-        for i in range(n):
-            for j in range(n):
-                out[i][j] = scal[i].inv() * m[i][j] * scal[j]
-        return out
+        out = {}
+        for j in range(n):
+            for sym, x in self.phi(PsiVector.symbol(j, mu)).terms.items():
+                if sym not in row_of:
+                    raise AssertionError("phi image leaves the expected span")
+                i = row_of[sym]
+                out[i, j] = scal[i].inv() * x * scal[j]
+        return Matrix(out)
 
     # -- independence of a finite set of symbols (a sample of the dual coalgebra basis)
 

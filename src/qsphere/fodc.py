@@ -4,16 +4,22 @@ Quantum tangent spaces are spans of dual-coalgebra vectors containing the
 counit, closed under the coproduct (left comodule condition) and under the
 right action of the twisted primitive element; the three conditions are
 certified exactly.  Calculi themselves are realized on the free right
-module over the dual basis of an SL2-subcomodule W of the sphere, with the
-left action twisted by the universal r-form; the differential is the
-commutator with the canonical invariant one-form.
+module Gamma = sum_i gamma^i B over the dual basis of an SL2-subcomodule W
+of the sphere B, held as columns over B.  The left action is twisted by
+the universal r-form: a letter g acts by its letter matrix M_g in M_N(B),
+a `linalg.Matrix` with sphere entries, and a monomial by the product of
+its letter matrices.  The differential is the commutator with the
+canonical invariant one-form omega.  So Leibniz holds in every degree
+once the letter matrices satisfy the sphere's four rules, which
+`algebra.rule_failures` checks as it checks every representation of B.
 """
 
 import itertools
 
-from .algebra import accumulate, tensor_terms
+from .algebra import accumulate, rule_failures, tensor_terms
 from .scalars import ZERO, ONE, CParam, content, qpow
 from . import linalg, oqsl2, podles
+from .linalg import Matrix
 from .dualfunc import PsiVector, EPSILON, engine_of
 
 
@@ -244,8 +250,19 @@ def nu_apply(kind, x):
 # ---------------------------------------------------------------------------
 # the r-form calculus on W' (x) B
 
+def _column(values):
+    """The list [x_0, ..., x_(n-1)] as the n x 1 Matrix {(i, 0): x_i}."""
+    return Matrix({(i, 0): x for i, x in enumerate(values)})
+
+
 class CalculusPresentation:
-    """A free right-module calculus, with the twisted left action and d = [omega, .]."""
+    """A free right-module calculus, with the twisted left action and d = [omega, .].
+
+    Gamma is held as columns over B: the list [x_1, ..., x_N] is sum_i
+    gamma^i x_i.  A letter g acts by its letter matrix M_g in M_N(B), a
+    monomial by the product of its letter matrices; right multiplication
+    acts on the entries from the right and commutes with that.
+    """
 
     def __init__(self, n, nu, c, alg, W_basis, sinv_psi):
         self.n = n
@@ -261,60 +278,58 @@ class CalculusPresentation:
         self._bimodule = None           # `bimodule_report`, once it has run
         self._tables = None             # the printed tables of `to_json_dict`
 
-    # Gamma elements are coordinate lists xi = [x_1, ..., x_N] meaning
-    # sum_i gamma^i x_i
-
-    def zero(self):
-        return [self.alg.element() for _ in range(self.N)]
-
     def rmult(self, coords, b):
         return [x * b for x in coords]
 
     def _twist(self, g):
-        """T_g[i][j] in B with g . gamma^i = sum_j gamma^j T_g[i][j], for a letter g.
+        """The letter matrix M_g, with g . gamma^j = sum_k gamma^k M_g[k, j].
 
-        The twisted rule T_g[i][j] = sum nu(g(0)) r(g(1), S^-1 psi_ij) over
+        The twisted rule M_g[k, j] = sum nu(g(0)) r(g(1), S^-1 psi_jk) over
         the coaction of g, one `oqsl2.rform` per SL2 leg (of degree <= 2)
         and entry; kept per letter.
         """
-        t = self._twist_cache.get(g)
-        if t is not None:
-            return t
-        N, alg = self.N, self.alg
-        t = [[alg.element() for _ in range(N)] for _ in range(N)]
-        legs = {}
+        m = self._twist_cache.get(g)
+        if m is not None:
+            return m
+        alg, terms, legs = self.alg, {}, {}
         for (pm, am), cc in alg.coact(alg.gen(g)).items():
             legs[am] = legs.get(am, alg.element()) + alg.element({pm: cc})
         for am, left in legs.items():
             leg, left = oqsl2.SL2Element({am: ONE}), nu_apply(self.nu, left)
-            for i in range(N):
-                for j in range(N):
-                    r = oqsl2.rform(leg, self.sinv_psi[i][j])
+            for j in range(self.N):
+                for k in range(self.N):
+                    r = oqsl2.rform(leg, self.sinv_psi[j][k])
                     if r:
-                        t[i][j] = t[i][j] + r * left
-        self._twist_cache[g] = t
-        return t
+                        accumulate(terms, {(k, j): left}, r)
+        m = self._twist_cache[g] = Matrix(terms)
+        return m
+
+    def _word(self, word, m):
+        """M_w1 ... M_wk m for the Matrix m, the last letter applied first."""
+        for g in reversed(word):
+            m = self._twist(g) * m
+        return m
+
+    def _act(self, a, m):
+        """The image of a in M_N(B) times the Matrix m, one `_word` per monomial."""
+        out = Matrix()
+        for mono, cc in a.terms.items():
+            out = out + cc * self._word(mono, m)
+        return out
 
     def lmult(self, a, coords):
-        """a . (sum_i gamma^i x_i) via the r-form twisted bimodule rule.
+        """a . (sum_i gamma^i x_i): each monomial of a is the product of its
+        letter matrices, applied to the coordinate column."""
+        col = self._act(a, _column(coords))
+        return [self._entry(col, k, 0) for k in range(len(coords))]
 
-        A monomial acts as the composition of its letter operators, the
-        last letter first: g . (sum_j gamma^j y_j) = sum_k gamma^k sum_j
-        T_g[j][k] y_j.
-        """
-        out = self.zero()
-        for mono, cc in a.terms.items():
-            v = coords
-            for g in reversed(mono):
-                t = self._twist(g)
-                v = [sum((t[j][k] * y for j, y in enumerate(v) if y and t[j][k]),
-                         self.alg.element()) for k in range(self.N)]
-            out = [x + cc * y if y else x for x, y in zip(out, v)]
-        return out
+    def _entry(self, m, i, j):
+        """m[i, j] as a sphere element (an absent entry reads as the scalar ZERO)."""
+        return m.terms.get((i, j)) or self.alg.element()
 
     def d(self, x):
         """The differential omega x - x omega, linear in x: d(m) is kept per monomial."""
-        out = self.zero()
+        out = [self.alg.element() for _ in range(self.N)]
         for mono, cc in x.terms.items():
             dm = self._d_cache.get(mono)
             if dm is None:
@@ -325,16 +340,9 @@ class CalculusPresentation:
             out = [u + v * cc for u, v in zip(out, dm)]
         return out
 
-    def coords_eq(self, u, v):
-        return all(x == y for x, y in zip(u, v))
-
     def is_zero_coords(self, u):
         """Every coordinate is zero (the benchmark worker checks d(1) = 0 with it)."""
         return all(x.is_zero() for x in u)
-
-    def gamma(self, i):
-        """The coordinates of gamma^i."""
-        return [self.alg.unit() if k == i else self.alg.element() for k in range(self.N)]
 
     def _generators(self):
         alg = self.alg
@@ -344,9 +352,12 @@ class CalculusPresentation:
         return {name: self.d(x) for name, x in self._generators().items()}
 
     def left_action_table(self):
-        """Row i of a generator's table is its action on gamma^i."""
-        return {name: [self.lmult(a, self.gamma(i)) for i in range(self.N)]
-                for name, a in self._generators().items()}
+        """Row i of a generator's table is its action on gamma^i, column i of its matrix."""
+        N = self.N
+        unit = Matrix({(i, i): self.alg.unit() for i in range(N)})
+        images = {name: self._act(a, unit) for name, a in self._generators().items()}
+        return {name: [[self._entry(m, k, i) for k in range(N)] for i in range(N)]
+                for name, m in images.items()}
 
     def leibniz_report(self, max_total_degree=4):
         """d(xy) = x d(y) + d(x) y on all monomial pairs up to a degree bound.
@@ -369,37 +380,29 @@ class CalculusPresentation:
                 lhs = self.d(x * y)
                 rhs = [u + v for u, v in
                        zip(self.lmult(x, self.d(y)), self.rmult(self.d(x), y))]
-                if not self.coords_eq(lhs, rhs):
+                if lhs != rhs:
                     failures.append((m1, m2))
         return {"pass": not failures, "failures": failures,
                 "bound": max_total_degree}
 
     def bimodule_report(self):
-        """lmult(x y) = lmult(x) lmult(y) on each gamma^i for the four rules x y -> rhs.
+        """The letter matrices satisfy the four rules x y -> rhs in M_N(B).
 
-        This proves Leibniz in every degree.  `lmult` applies a monomial as
-        the composition of its letter operators, so the left action is an
-        algebra map B -> End(Gamma_B) exactly when those operators satisfy
-        the rules that present B.  Right multiplication commutes with it, so
-        Gamma is a bimodule, and d = [omega, .] is inner: d(xy) = omega x y -
-        x y omega = d(x) y + x d(y) for all x and y.  The report is kept on
-        the calculus; each call gets a copy.
+        This proves Leibniz in every degree.  `algebra.rule_failures` checks
+        M_x M_y against the rule's right side with () going to the identity,
+        so the free words act through an algebra map B -> M_N(B) exactly
+        when there is no failure: the rules present B.  That map is the left
+        action, which commutes with right multiplication, so Gamma is a
+        bimodule, and d = [omega, .] is inner: d(xy) = omega x y - x y omega
+        = d(x) y + x d(y) for all x and y.  Failures are (rule, residual)
+        pairs.  The report is kept on the calculus; each call gets a copy.
         """
         if self._bimodule is None:
-            self._bimodule = self._bimodule_report()
+            failures = rule_failures(
+                self.alg.rewriting.rules, lambda w: self._word(w, Matrix.identity(self.N)),
+                lambda g: str(self.alg.gen(g)))
+            self._bimodule = {"pass": not failures, "failures": failures}
         return dict(self._bimodule, failures=list(self._bimodule["failures"]))
-
-    def _bimodule_report(self):
-        failures = []
-        for x, y in self.alg.rewriting.rules:
-            a, b = self.alg.gen(x), self.alg.gen(y)
-            for i in range(self.N):
-                gamma = self.gamma(i)
-                if not self.coords_eq(self.lmult(a * b, gamma),
-                                      self.lmult(a, self.lmult(b, gamma))):
-                    failures.append("%s*%s" % (a, b))
-                    break
-        return {"pass": not failures, "failures": failures}
 
     def to_json_dict(self):
         """The presentation as JSON; its tables are printed once and kept as strings."""
@@ -511,34 +514,31 @@ def build_rform_calculus(n, nu, c: CParam, engine=None):
 # tangent functionals of the r-form calculus
 
 def _chi_letters(pres):
-    """G(g)[i][j] = eps(T_g[j][i]) for the three letters, and R(()) = [eps(b_j)]."""
-    alg, N = pres.alg, pres.N
-    twists = {g: pres._twist(g) for g in podles.LETTERS}
-    return ({g: [[alg.counit(t[j][i]) for j in range(N)] for i in range(N)]
-             for g, t in twists.items()}, [alg.counit(b) for b in pres.W_basis])
+    """G(g) = eps(M_g), entry by entry, for the three letters, and R(()) = [eps(b_j)]."""
+    alg = pres.alg
+    return ({g: Matrix({ij: alg.counit(x) for ij, x in pres._twist(g).terms.items()})
+             for g in podles.LETTERS}, [alg.counit(b) for b in pres.W_basis])
 
 
 def _module_letters(engine, basis):
-    """M(g) with v_i(g x) = sum_s s(g) v_(i,s)(x) = sum_k M(g)[i][k] v_k(x)."""
-    letters = {g: linalg.zeros(len(basis), len(basis)) for g in podles.LETTERS}
+    """M(g) with v_i(g x) = sum_s s(g) v_(i,s)(x) = sum_k M(g)[i, k] v_k(x)."""
+    letters = {g: {} for g in podles.LETTERS}
     legs = _coproduct_legs(engine, basis)
     _, sols = _span_solve(basis, [rv for _, _, rv in legs])
     for (i, left, _), coeffs in zip(legs, sols):
         if coeffs is None:
             raise AssertionError("a coproduct leg of T^eps leaves T^eps")
         for g in podles.LETTERS:
-            value = engine.psi_eval(left, engine.alg.gen(g))
-            letters[g][i] = [x + value * a for x, a in zip(letters[g][i], coeffs)]
-    return letters
+            accumulate(letters[g], {(i, k): a for k, a in enumerate(coeffs)},
+                       engine.psi_eval(left, engine.alg.gen(g)))
+    return {g: Matrix(terms) for g, terms in letters.items()}
 
 
 def _walk(letters, values, monos):
-    """values[g m'] = letters[g] values[m'], monos shortest first (m' is normal)."""
+    """values[g m'] = letters[g] values[m'] on columns, monos shortest first (m' is normal)."""
     for m in monos:
         if m not in values:
-            rest = values[m[1:]]
-            values[m] = [sum((x * y for x, y in zip(row, rest) if x and y), ZERO)
-                         for row in letters[m[0]]]
+            values[m] = letters[m[0]] * values[m[1:]]
 
 
 def chi_functionals(n, nu, c: CParam, engine=None):
@@ -546,8 +546,8 @@ def chi_functionals(n, nu, c: CParam, engine=None):
 
     T^eps = C eps + the module of weight ±q^(-2n).  Bimultiplicativity of r
     and Delta(S^-1 b_i) = sum_j S^-1 psi_ji (x) S^-1 b_j give R(g m') =
-    G(g) R(m') for R(m)_i = r(nu(m), S^-1 b_i), with G(g)[i][j] =
-    r(nu(g), S^-1 psi_ji) = eps(T_g[j][i]); the legs v(g m') = sum v_(1)(g)
+    G(g) R(m') for R(m)_i = r(nu(m), S^-1 b_i), with G(g)[i, j] =
+    r(nu(g), S^-1 psi_ji) = eps(M_g[i, j]); the legs v(g m') = sum v_(1)(g)
     v_(2)(m') give M(g) on T^eps.  So both sides are closed under f -> f(g .).
     The identification holds in every degree by Schützenberger's equivalence
     test (Inf. Control 4, 1961; Tzeng, SIAM J. Comput. 21, 1992): let K_d be
@@ -566,15 +566,15 @@ def chi_functionals(n, nu, c: CParam, engine=None):
     basis = [EPSILON] + engine.build_module(-1 if nu == "flip" else +1, 2 * n).basis
     mod_letters = _module_letters(engine, basis)
     at_unit = [v.value_at_unit() for v in basis]
-    chi_values, mod_values, ranks = {(): eps_W}, {(): at_unit}, []
+    chi_values, mod_values, ranks = {(): _column(eps_W)}, {(): _column(at_unit)}, []
     for d in itertools.count():
         monos = engine.alg.normal_monomials(d)
         _walk(chi_letters, chi_values, monos)
         _walk(mod_letters, mod_values, monos)
-        eps_m = [mod_values[m][0] for m in monos]           # basis[0] is eps
-        chi_rows = [[chi_values[m][i] - e_b * e for m, e in zip(monos, eps_m)]
+        eps_m = [mod_values[m][0, 0] for m in monos]        # basis[0] is eps
+        chi_rows = [[chi_values[m][i, 0] - e_b * e for m, e in zip(monos, eps_m)]
                     for i, e_b in enumerate(eps_W)]
-        mod_rows = [[mod_values[m][k] - v_1 * e for m, e in zip(monos, eps_m)]
+        mod_rows = [[mod_values[m][k, 0] - v_1 * e for m, e in zip(monos, eps_m)]
                     for k, v_1 in enumerate(at_unit) if k]
         ranks.append(linalg.rank(chi_rows + mod_rows))
         if d and ranks[-1] == ranks[-2]:
@@ -590,15 +590,15 @@ def chibar_report(n, c: CParam, engine=None):
     """chibar(a) = eps(e1)^-n r(a, S^-1(e1^n)) is the character psi^0_{q^(-4n)}.
 
     chibar = R_0 / eps(b_0) for the id calculus, b_0 = e1^n.  If row 0 of each
-    G(g) is supported on column 0, R_0(g x) = G(g)[0][0] R_0(x) for all x, so
-    chibar is the character with chibar(g) = G(g)[0][0].  psi^0_lam is a
+    G(g) is supported on column 0, R_0(g x) = G(g)[0, 0] R_0(x) for all x, so
+    chibar is the character with chibar(g) = G(g)[0, 0].  psi^0_lam is a
     character too, and characters that agree on the letters m, A, p are equal.
     """
     engine = engine or engine_of(c)
     alg = engine.alg
     letters, _ = _chi_letters(build_rform_calculus(n, "id", c, engine))
-    char_ok = not any(x for g in podles.LETTERS for x in letters[g][0][1:])
-    value = {g: letters[g][0][0] for g in podles.LETTERS}
+    char_ok = not any(i == 0 < j for g in podles.LETTERS for i, j in letters[g].terms)
+    value = {g: letters[g][0, 0] for g in podles.LETTERS}
     psi_ok = all(value[g] == engine.psi_eval((0, 0, qpow(-4 * n)), alg.gen(g))
                  for g in podles.LETTERS)
     gen_ok = all(alg.character(value, e) == qpow(-4 * n * i) * alg.counit(e)

@@ -21,6 +21,9 @@ class Matrix(LinComb):
 
     The identity is no single unit, so scalars are not matrices (UNIT is
     None); `identity(n)` builds it.  `m[i, j]` reads an entry, 0 when absent.
+    Entries are RatFuncs or elements of a ring over Q(t), such as the
+    sphere: the calculus's letter matrices lie in M_N(B).  An absent entry
+    still reads as the scalar ZERO.
     """
 
     __slots__ = ()
@@ -44,10 +47,6 @@ class Matrix(LinComb):
     def rows(self, n):
         """The n x n entries as a list of rows, for display."""
         return [[self[i, j] for j in range(n)] for i in range(n)]
-
-
-def zeros(n, m):
-    return [[ZERO] * m for _ in range(n)]
 
 
 def transpose(a):

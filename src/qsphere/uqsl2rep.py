@@ -32,7 +32,6 @@ Characteristic polynomials are XPoly, polynomials in an auxiliary x.
 
 from .scalars import (ZERO, ONE, Q, QINV, QHAT, MOD_P, MOD_T0, CParam,
                       eval_mod, qint, qpow)
-from . import linalg
 from .linalg import Matrix
 from .algebra import LinComb
 
@@ -163,13 +162,10 @@ def xc_tridiagonal_mod(l, c: CParam, sign=+1):
 def xc_matrix(l, c: CParam, sign=+1):
     """The displayed (l+1)x(l+1) tridiagonal matrix for weight ±q^(-l)."""
     diag, sup, sub = xc_tridiagonal(l, c, sign)
-    out = linalg.zeros(l + 1, l + 1)
-    for k, d in enumerate(diag):
-        out[k][k] = d
+    entries = {(k, k): d for k, d in enumerate(diag)}
     for k, (up, down) in enumerate(zip(sup, sub)):
-        out[k][k + 1] = up
-        out[k + 1][k] = down
-    return out
+        entries[k, k + 1], entries[k + 1, k] = up, down
+    return Matrix(entries)
 
 
 def xc_matrix_from_irrep(l, c: CParam, sign=+1):
@@ -178,7 +174,7 @@ def xc_matrix_from_irrep(l, c: CParam, sign=+1):
     Kinv = _diagonal_inverse(K)
     m = BETA * (Kinv * E) + GAMMA * F + xc_alpha(c) * (Kinv - Matrix.identity(l + 1))
     scale = qpow(2 * (l + 1)) if sign == +1 else -qpow(2 * (l + 1))
-    return linalg.transpose((scale * m).rows(l + 1))
+    return Matrix({(j, i): x for (i, j), x in (scale * m).terms.items()})
 
 
 def _pair_closed_forms(l, c, sign):

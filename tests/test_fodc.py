@@ -10,6 +10,7 @@ from qsphere.cli import main, parse_param_spec
 from qsphere.selftest import c_exc
 from qsphere.dualfunc import DualEngine, EPSILON, HWModule, PsiVector
 from qsphere.linalg import Matrix
+from qsphere.podles import PodlesElement
 from qsphere.fodc import (chi_functionals, chibar_report, classify_de_generated,
                           build_rform_calculus, check_comodule_matrix,
                           comodule_matrix, irreducibility_report,
@@ -141,6 +142,8 @@ def test_left_action_table_shape(eng):
     table = pres.left_action_table()
     assert set(table) == {"em1", "e0", "e1", "A"}
     assert len(table["A"]) == 3 and len(table["A"][0]) == 3
+    # absent matrix entries come out as sphere elements too, not as scalar zeros
+    assert all(isinstance(x, PodlesElement) for v in table.values() for row in v for x in row)
 
 
 def test_freeness_n1(eng):
@@ -318,10 +321,10 @@ def _element_level_chi_rows(n, nu, c, alg, monos):
 
 
 def _walked(letters, start, monos):
-    """[[values[m][i] for m in monos] for each i] from the letter walk of fodc."""
-    values = {(): start}
+    """[[values[m][i, 0] for m in monos] for each i] from the letter walk of fodc."""
+    values = {(): fodc._column(start)}
     fodc._walk(letters, values, monos)
-    return [[values[m][i] for m in monos] for i in range(len(start))]
+    return [[values[m][i, 0] for m in monos] for i in range(len(start))]
 
 
 ORACLE_CASES = [("id", GENERIC, 1), ("id", GENERIC, 2), ("id", CParam.generic(2), 2),
@@ -410,7 +413,8 @@ def test_module_leg_outside_the_tangent_space_is_a_check_failure(monkeypatch, ca
 
 
 def _whole_monomial_twist(pres, mono):
-    """T[i][j] = sum nu(m(0)) r(m(1), S^-1 psi_ij) over the coaction of the whole monomial."""
+    """T[i][j] = sum nu(m(0)) r(m(1), S^-1 psi_ij) over the coaction of the whole
+    monomial: row i is the action on gamma^i."""
     alg, N = pres.alg, pres.N
     t = [[alg.element() for _ in range(N)] for _ in range(N)]
     for (pm, am), cc in alg.coact(alg.element({mono: ONE})).items():
@@ -433,7 +437,8 @@ def test_twist_equals_the_whole_monomial_rule(n, nu, c, degree):
     for m in alg.normal_monomials(degree):
         whole = _whole_monomial_twist(pres, m)
         for i in range(pres.N):
-            assert pres.lmult(alg.element({m: ONE}), pres.gamma(i)) == whole[i], (m, i)
+            gamma = [alg.unit() if k == i else alg.element() for k in range(pres.N)]
+            assert pres.lmult(alg.element({m: ONE}), gamma) == whole[i], (m, i)
     assert pres.bimodule_report() == {"pass": True, "failures": []}
 
 
@@ -445,8 +450,26 @@ def test_swapped_letter_twists_fail_all_four_rules(monkeypatch, capsys):
                         lambda self, g: real(self, swap.get(g, g)))
     for n in (1, 2):
         pres = build_rform_calculus(n, "id", GENERIC, engine=DualEngine(GENERIC))
-        assert pres.bimodule_report()["failures"] == [
+        assert [rule for rule, _ in pres.bimodule_report()["failures"]] == [
             "em1*A", "e1*A", "em1*e1", "e1*em1"]
+    assert main(["--format", "json", "build-fodc", "--n", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certificates"][0]["pass"] is False
+
+
+def test_a_twist_entry_times_q_fails_three_rules(monkeypatch, capsys):
+    # T_A[0][0] = M_A[0, 0] of the n=1 id calculus at s=1, multiplied by q
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
+    real = fodc.CalculusPresentation._twist
+
+    def planted(self, g):
+        m = real(self, g)
+        return Matrix({**m.terms, (0, 0): m[0, 0] * Q}) if g == "A" else m
+
+    monkeypatch.setattr(fodc.CalculusPresentation, "_twist", planted)
+    pres = build_rform_calculus(1, "id", GENERIC, engine=DualEngine(GENERIC))
+    assert [rule for rule, _ in pres.bimodule_report()["failures"]] == [
+        "e1*A", "em1*e1", "e1*em1"]
     assert main(["--format", "json", "build-fodc", "--n", "1"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["certificates"][0]["pass"] is False
@@ -492,7 +515,7 @@ def test_an_engine_certifies_each_result_once(monkeypatch):
     # the bimodule report is kept on its calculus
     pres = build_rform_calculus(1, "id", GENERIC, engine=eng)
     rep = pres.bimodule_report()
-    monkeypatch.setattr(pres, "_bimodule_report", None)     # a second run would raise
+    monkeypatch.setattr(fodc, "rule_failures", None)        # a second run would raise
     assert pres.bimodule_report() == rep and rep["pass"]
 
 
@@ -628,7 +651,7 @@ def test_chibar_planted_entry_in_row_zero_fails(monkeypatch, letter, j, failed):
 
     def planted(pres):
         letters, eps_W = real(pres)
-        letters[letter][0][j] = letters[letter][0][j] + ONE
+        letters[letter] = letters[letter] + Matrix({(0, j): ONE})
         return letters, eps_W
 
     monkeypatch.setattr(fodc, "_chi_letters", planted)
@@ -665,8 +688,8 @@ def test_memoized_differential_is_the_commutator(n, nu, c):
                          for m in picked})
         direct = [u - v for u, v in zip(pres.rmult(pres.omega, x),
                                         pres.lmult(x, pres.omega))]
-        assert pres.coords_eq(pres.d(x), direct)
-        assert pres.coords_eq(pres.d(x), direct)
+        assert pres.d(x) == direct
+        assert pres.d(x) == direct
     # the cached d(m) is never handed out: editing a result changes nothing
     m = alg.element({monos[0]: ONE})
     first = pres.d(m)
@@ -674,7 +697,7 @@ def test_memoized_differential_is_the_commutator(n, nu, c):
     first[0] = alg.unit()
     for u in first[1:]:
         u.terms.clear()
-    assert pres.coords_eq(pres.d(m), want)
+    assert pres.d(m) == want
     assert not pres.is_zero_coords(want)
 
 
