@@ -120,9 +120,6 @@ class LinComb:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, LinComb):
             o = self._coerce(other)

@@ -265,11 +265,9 @@ def cmd_mu_rep(args):
 def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, set):
-        return [_jsonable(v) for v in sorted(x, key=str)]
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, (bool, int, str)) or x is None:
+    if isinstance(x, (bool, int)) or x is None:
         return x
     return str(x)
 

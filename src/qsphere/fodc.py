@@ -17,7 +17,7 @@ once the letter matrices satisfy the sphere's four rules, which
 import itertools
 
 from .algebra import accumulate, rule_failures, tensor_terms
-from .scalars import ZERO, ONE, CParam, content, qpow
+from .scalars import ONE, CParam, content, qpow
 from . import linalg, oqsl2, podles
 from .linalg import Matrix
 from .dualfunc import PsiVector, EPSILON, engine_of
@@ -460,31 +460,21 @@ def comodule_matrix(alg, W):
 
 
 def check_comodule_matrix(alg, W, psi):
-    """Raise AssertionError unless psi is the comodule matrix of W in O_q(SL2).
+    """Raise AssertionError unless Delta(embed b_i) = sum_j embed(b_j) (x) psi_ji.
 
-    Checked exactly: Delta(embed b_i) = sum_j embed(b_j) (x) psi_ji (the
-    sphere coaction is the SL2 coproduct of the embedding), Delta psi_ij =
-    sum_k psi_ik (x) psi_kj (psi is a corepresentation) and eps(psi_ij) =
-    delta_ij.
+    Then psi is a corepresentation, Delta psi_ij = sum_k psi_ik (x) psi_kj and
+    eps(psi_ij) = delta_ij: apply Delta (x) id, id (x) Delta and id (x) eps to
+    the identity.  Delta is coassociative and counital (AC-10), and the
+    embed(b_j) are independent: the b_j have distinct K-weights, and the
+    embedding is injective (`podles.normal_basis_report`).
     """
-    N = len(W)
     images = [alg.embed(b) for b in W]
-    for i in range(N):
+    for i, image in enumerate(images):
         rhs = {}
-        for j in range(N):
-            accumulate(rhs, tensor_terms(images[j].terms, psi[j][i].terms))
-        if oqsl2.coproduct(images[i]) != rhs:
+        for j, other in enumerate(images):
+            accumulate(rhs, tensor_terms(other.terms, psi[j][i].terms))
+        if oqsl2.coproduct(image) != rhs:
             raise AssertionError("Delta(b_%d) is not sum_j b_j (x) psi_j%d" % (i, i))
-    for i in range(N):
-        for j in range(N):
-            rhs = {}
-            for k in range(N):
-                accumulate(rhs, tensor_terms(psi[i][k].terms, psi[k][j].terms))
-            if oqsl2.coproduct(psi[i][j]) != rhs:
-                raise AssertionError("Delta psi_%d%d is not sum_k psi_%dk (x) psi_k%d"
-                                     % (i, j, i, j))
-            if psi[i][j].counit() != (ONE if i == j else ZERO):
-                raise AssertionError("comodule matrix has wrong counit")
 
 
 def build_rform_calculus(n, nu, c: CParam, engine=None):

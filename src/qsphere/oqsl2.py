@@ -106,6 +106,16 @@ def word_coproduct(word):
     return out
 
 
+def coassociative(terms, coact):
+    """(coact (x) id) t == (id (x) Delta) t for t = {(u, a): coeff} in M (x) O_q(SL2),
+    coact(u) the right coaction of a word u of M as {(u', a'): coeff}."""
+    left, right = {}, {}
+    for (u, a), c in terms.items():
+        accumulate(left, {k + (a,): v for k, v in coact(u).items()}, c)
+        accumulate(right, {(u,) + k: v for k, v in word_coproduct(a).items()}, c)
+    return left == right
+
+
 def coproduct(x):
     """Coproduct of an element as {(mono, mono): coeff}."""
     out = {}
@@ -372,7 +382,7 @@ def confluence_report():
 
 def hopf_axioms_report():
     """Delta and eps respect the rules on free words, S does as an anti-map,
-    and the counit and antipode axioms hold on a, b, c, d, on both sides.
+    and coassociativity and both sides' counit and antipode axioms hold on a, b, c, d.
 
     So the axioms hold in every degree: with Delta and eps algebra maps and
     S an anti-algebra map, the elements satisfying an axiom form a subalgebra
@@ -384,6 +394,8 @@ def hopf_axioms_report():
         ("antipode", lambda w: antipode(SL2Element({w: ONE}))))
         for f in rule_failures(RULES, image)]
     for g in GENS:
+        if not coassociative(word_coproduct((g,)), word_coproduct):
+            failures.append(("coassociativity", g, ""))
         x = SL2Element.gen(g)
         legs = [(SL2Element({m1: c}), SL2Element({m2: ONE}))
                 for (m1, m2), c in word_coproduct((g,)).items()]

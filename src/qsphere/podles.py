@@ -17,8 +17,8 @@ embedding into O_q(SL2) as (eps (x) id) Delta_B on the letters, and the left
 U_q(sl2)-action as X |> b = b(0) X(b(1)), X evaluated on the O_q(SL2) leg
 by `oqsl2.EVALUATOR`.  The rules are written once, in `sphere_rules`, and
 every relation check runs them through `algebra.rule_failures`: the
-embedded generators, the representations mu_n at c = c(n) and the
-localization onto the opposite Borel algebra.
+embedded generators, the coaction and the counit (`normal_basis_report`),
+mu_n at c = c(n) and the localization onto the opposite Borel algebra.
 """
 
 import math
@@ -27,7 +27,6 @@ from .algebra import LinComb, RewriteSystem, accumulate, rule_failures, tensor_t
 from .scalars import (ZERO, ONE, Q, QHAT, RatFunc, qpow, CParam, cn_value)
 from . import oqsl2
 from .oqsl2 import SL2Element, pi_coeff
-from . import linalg
 from .linalg import Matrix
 
 LETTERS = ("m", "A", "p")
@@ -299,27 +298,66 @@ def original_relations_report(c: CParam):
     return {"pass": not failures, "failures": failures}
 
 
-def basis_independence(c: CParam, degree):
-    """Rank certificate: embedded normal-form monomials are linearly independent."""
+def normal_basis_report(c: CParam):
+    """iota: B -> O_q(SL2) is injective, so the normal monomials stay
+    independent in O_q(SL2), in every degree.
+
+    Let F_n be the span of the normal monomials of degree <= n.  The
+    argument, over Q(t) where q = t^2 is not a root of unity:
+    1. The normal monomials are a basis of B (Bergman's diamond lemma,
+       Adv. Math. 29, 1978; `confluence_report`), and no rule raises the
+       degree, so dim F_n = (n+1)^2.
+    2. The coaction respects the four rules, so it is an algebra map
+       B -> B (x) O_q(SL2); each letter's coaction is linear in e_{-1},
+       A, e_1 and 1, so it maps F_n into F_n (x) O_q(SL2).  It is
+       coassociative and counital on the letters, hence on B: both sides
+       of each identity are algebra maps, since Delta is one
+       (`oqsl2.hopf_axioms_report`).  So X |> b = b(0) X(b(1)) makes B a
+       U_q(sl2)-module algebra, and each F_n a finite-dimensional
+       submodule.
+    3. eps_B is a character, so (eps_B (x) id) coact is an algebra map;
+       it agrees with iota on the letters, hence everywhere.
+       Coassociativity then gives Delta iota = (iota (x) id) coact, so
+       iota is U_q(sl2)-linear and ker iota is a submodule; the counit
+       axiom gives eps(iota(x)) = eps_B(x).
+    4. K acts on e_{-1}, A and e_1 by q^2, 1 and q^-2, and by an algebra
+       map, so the normal monomials of degree exactly n carry the weights
+       q^(2w), w = -n..n, once each.  Finite-dimensional modules of this
+       type are completely reducible (Jantzen, Lectures on Quantum
+       Groups, ch. 5; Kassel, Quantum Groups, GTM 155, ch. VII), and the
+       weight q^(2n) occurs once, so F_n/F_(n-1) = V(n), irreducible.
+    5. Induct on n, from iota(1) = 1.  If iota is injective on F_(n-1),
+       then ker iota meets F_n in a submodule that embeds in V(n): 0 or
+       a copy of V(n).  A copy holds a vector of weight q^(2n) in F_n,
+       that is a multiple of e_{-1}^n, the only normal monomial of that
+       weight and of degree <= n.
+    6. But eps(iota(e_{-1}^n)) = eps_B(e_{-1})^n, which is not zero.
+
+    Only the finite inputs of steps 2-6 are computed here, on the letters;
+    no linear algebra runs.
+    """
     alg = PodlesAlgebra(c)
-    monos = alg.normal_monomials(degree)
-    images = [alg.embed(alg.element({m: ONE})) for m in monos]
-    cols = sorted({w for img in images for w in img.terms}, key=lambda w: (len(w), w))
-    colidx = {w: i for i, w in enumerate(cols)}
-    rows = [linalg.coordinate_row(img.terms, colidx) for img in images]
-    r = linalg.rank(rows)
-    witness = None
-    if r < len(rows):
-        # the first monomial dependent on those before it
-        r = 0
-        for k, mono in enumerate(monos):
-            r2 = linalg.rank(rows[:k + 1])
-            if r2 == r:
-                witness = mono
-                break
-            r = r2
-    return {"independent": witness is None, "rank": r, "count": len(monos),
-            "witness": witness, "degree": degree}
+    rules, letters = alg.rewriting.rules, alg._coact_letters()
+
+    def coact_word(w):
+        return alg.coact(alg.element({w: ONE}))
+
+    def comodule(g, t):
+        """g's coaction t is linear in the letters, coassociative and counital."""
+        counit = sum((x * oqsl2.word_counit(am) * alg.element({pm: ONE})
+                      for (pm, am), x in t.items()), alg.element())
+        return (all(len(pm) <= 1 for pm, _ in t) and oqsl2.coassociative(t, coact_word)
+                and counit == alg.gen(g))
+
+    eps = {g: alg.counit(alg.gen(g)) for g in LETTERS}
+    failures = rule_failures(rules, lambda w: LinComb(coact_word(w)), _PRINT.get)
+    checks = {"comodule": all(comodule(g, t) for g, t in letters.items()),
+              "K_weights": all(alg.act("K", alg.gen(g)) == w * alg.gen(g)
+                               for g, w in zip(LETTERS, (Q * Q, ONE, qpow(-4)))),
+              "counit_character": not rule_failures(rules, _products(eps, ONE)),
+              "counit_em1_nonzero": bool(eps["m"])}
+    return dict(checks, independent=not failures and all(checks.values()),
+                rule_failures=failures)
 
 
 # ---------------------------------------------------------------------------

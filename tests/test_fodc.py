@@ -829,3 +829,50 @@ def test_tangent_space_report_names_a_coproduct_witness(monkeypatch, capsys):
     assert doc["certificate"]["coproduct_witness"] == [
         str(PsiVector({(0, 1, qpow(6)): ONE})), str(PsiVector({STRAY: ONE}))]
     assert doc["certificate"]["first_failure"] == "coproduct_closed"
+
+
+def _w_with_a_non_comodule_vector(monkeypatch):
+    # b_0 = e_1 replaced by A^2, whose coaction has legs outside V(1)
+    real = fodc.submodule_Vn
+    monkeypatch.setattr(fodc, "submodule_Vn",
+                        lambda n, alg: [alg.A() * alg.A()] + real(n, alg)[1:])
+
+
+def _psi_entry_times_q(monkeypatch):
+    real = fodc.check_comodule_matrix
+    monkeypatch.setattr(fodc, "check_comodule_matrix", lambda alg, W, psi: real(
+        alg, W, [[Q * psi[0][0]] + psi[0][1:]] + psi[1:]))
+
+
+def _varphi_coefficient_times_q(monkeypatch):
+    # the psi^2 -> psi^1 coefficient of varphi, met in v_2 of the +2 module
+    real = DualEngine._per_l
+    monkeypatch.setattr(DualEngine, "_per_l", lambda self, l: (
+        real(self, l) if l != 2 else (real(self, l)[0], Q * real(self, l)[1])))
+
+
+def _phi_top_coefficient_without_the_square(monkeypatch):
+    # q^2 (q^(2l) - lam) for q^2 (q^(2l) - lam^2): phi of the top vector at
+    # lam = -1 gains a psi^1 term outside span{psi^0}
+    monkeypatch.setattr(dualfunc, "_phi_coefficients", lambda a_l, alpha_q, q2, q2l, lam: (
+        a_l, alpha_q * (q2l - lam), q2 * (q2l - lam)))
+
+
+@pytest.mark.parametrize("plant, argv, message", [
+    (_w_with_a_non_comodule_vector, ["build-fodc", "--n", "1"],
+     "coaction leg leaves the W-span"),
+    (_psi_entry_times_q, ["build-fodc", "--n", "1"],
+     "Delta(b_0) is not sum_j b_j (x) psi_j0"),
+    (_varphi_coefficient_times_q, ["tangent-space", "--c", "s=1", "--components=+2"],
+     "varphi does not stay on the orbit line"),
+    (_phi_top_coefficient_without_the_square, ["selftest", "--only", "AC-4"],
+     "phi image leaves the expected span"),
+], ids=["W-leg", "psi-entry", "varphi", "phi-span"])
+def test_a_planted_fault_reaches_its_internal_check(monkeypatch, capsys, plant, argv,
+                                                    message):
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
+    plant(monkeypatch)
+    code = main(["--format", "json"] + argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "internal check failed: %s\n" % message

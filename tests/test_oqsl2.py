@@ -100,7 +100,9 @@ def _ac10_fails_in(capsys, failing):
 
 def test_a_wrong_rule_coefficient_fails_confluence_and_the_hopf_axioms(fresh, capsys):
     fresh.setitem(oqsl2.RULES, ("a", "b"), [(Q * Q, ("b", "a"))])     # ab -> q^2 ba
-    _ac10_fails_in(capsys, {"sl2_confluent", "hopf_axioms", "rform_well_defined"})
+    # the normal-basis proof multiplies the sphere's coaction in B (x) O_q(SL2)
+    _ac10_fails_in(capsys, {"sl2_confluent", "hopf_axioms", "rform_well_defined",
+                            "normal_basis_independent"})
 
 
 def test_a_wrong_antipode_sign_fails_only_the_hopf_axioms(fresh, capsys):
@@ -116,7 +118,9 @@ def test_a_wrong_coproduct_leg_fails_the_hopf_axioms_with_a_tensor_residual(fres
     failures = hopf_axioms_report()["failures"]
     name, rule, residual = failures[0]
     assert (name, rule) == ("coproduct", "a*b") and " (x) " in residual
-    _ac10_fails_in(capsys, {"hopf_axioms"})
+    assert ("coassociativity", "b", "") in failures
+    # the sphere's coaction is no longer coassociative against this Delta
+    _ac10_fails_in(capsys, {"hopf_axioms", "normal_basis_independent"})
 
 
 def test_antipode_examples():

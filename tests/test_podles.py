@@ -3,13 +3,13 @@ import itertools
 import pytest
 
 from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc, CParam, parse_ratfunc, qpow
-from qsphere import linalg, oqsl2, podles, selftest
+from qsphere import dualfunc, linalg, oqsl2, podles, selftest
 from qsphere.cli import main
 from qsphere.linalg import Matrix
-from qsphere.podles import (PodlesAlgebra, basis_independence, build_mu_n,
-                            confluence_report, embedded_relations_report,
-                            mu_rep_report,
-                            original_relations_report, verify_localization)
+from qsphere.podles import (PodlesAlgebra, build_mu_n, confluence_report,
+                            embedded_relations_report, mu_rep_report,
+                            normal_basis_report, original_relations_report,
+                            verify_localization)
 from qsphere.fodc import build_rform_calculus, submodule_Vn
 from qsphere.selftest import c_exc
 
@@ -145,6 +145,30 @@ def test_embed_counit_compatible(alg):
         assert alg.embed(x).counit() == alg.counit(x)
 
 
+def basis_independence(c, degree):
+    """The oracle of `normal_basis_report`: the exact rank of the embedded
+    normal monomials of degree <= degree, and the first one dependent on
+    those before it."""
+    alg = PodlesAlgebra(c)
+    monos = alg.normal_monomials(degree)
+    images = [alg.embed(alg.element({m: ONE})) for m in monos]
+    cols = sorted({w for img in images for w in img.terms}, key=lambda w: (len(w), w))
+    colidx = {w: i for i, w in enumerate(cols)}
+    rows = [linalg.coordinate_row(img.terms, colidx) for img in images]
+    r = linalg.rank(rows)
+    witness = None
+    if r < len(rows):
+        r = 0
+        for k, mono in enumerate(monos):
+            r2 = linalg.rank(rows[:k + 1])
+            if r2 == r:
+                witness = mono
+                break
+            r = r2
+    return {"independent": witness is None, "rank": r, "count": len(monos),
+            "witness": witness, "degree": degree}
+
+
 def test_basis_independence():
     rep = basis_independence(GENERIC, 1)
     assert rep["independent"] and rep["rank"] == 4
@@ -183,6 +207,25 @@ def test_basis_independence_ranks_once_and_finds_a_witness(monkeypatch):
     rep = basis_independence(GENERIC, 2)
     assert not rep["independent"]
     assert rep["witness"] == monos[2] and rep["rank"] == 2
+
+
+@pytest.mark.parametrize("c", [GENERIC, CParam.generic(2), INF, CParam.zero()])
+def test_the_rank_oracle_and_the_proof_agree_up_to_degree_6(c):
+    # independence at degree 6 holds at every lower degree: the monomials
+    # of degree <= 5 are among those of degree <= 6
+    rep = basis_independence(c, 6)
+    assert rep["independent"] and rep["rank"] == rep["count"] == 49
+    assert normal_basis_report(c)["independent"]
+
+
+def test_the_proof_needs_no_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("normal_basis_report solved a linear system")
+
+    monkeypatch.setattr(linalg, "_solve", refuse)
+    for c in (GENERIC, CParam.generic(2), INF, CParam.zero()):
+        rep = normal_basis_report(c)
+        assert rep["independent"], (c, rep)
 
 
 def test_parser_e0_sugar(alg):
@@ -303,3 +346,47 @@ def test_elements_of_two_algebras_with_one_c_combine():
     for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
         with pytest.raises(ValueError, match="different c"):
             op(mine, other)
+
+
+# -- planted faults in the normal-basis proof's inputs: a defined AC-10 FAIL
+
+def _scaled_term(letter, k, factor):
+    """_coact_letters with the k-th term (in printed order) of letter's coaction times factor."""
+    real = PodlesAlgebra._coact_letters
+
+    def planted(self):
+        letters = dict(real(self))
+        terms = dict(letters[letter])
+        key = sorted(terms, key=str)[k]
+        terms[key] = factor * terms[key]
+        letters[letter] = terms
+        return letters
+
+    return planted
+
+
+_REAL_ACT = PodlesAlgebra.act
+
+
+def _wrong_a_weight(self, kind, x, power=1):
+    """act with K weighing A by q in place of 1."""
+    out = _REAL_ACT(self, kind, x, power)
+    return Q * out if kind == "K" and x == self.A() else out
+
+
+@pytest.mark.parametrize("attr, value, broken", [
+    ("_coact_letters", _scaled_term("p", 0, Q), lambda rep: len(rep["rule_failures"]) == 3),
+    ("act", _wrong_a_weight, lambda rep: rep["K_weights"] is False),
+    ("eps_weights", lambda self: (ZERO, ONE, ONE),
+     lambda rep: rep["counit_em1_nonzero"] is False),
+], ids=["e1-coaction-term", "A-weight", "eps-em1-zero"])
+def test_a_planted_fault_fails_the_normal_basis_proof(monkeypatch, capsys, attr, value,
+                                                      broken):
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
+    monkeypatch.setattr(PodlesAlgebra, attr, value)
+    rep = normal_basis_report(GENERIC)
+    assert not rep["independent"] and broken(rep)
+    assert selftest.ac10_structural()["details"]["normal_basis_independent"] is False
+    assert main(["selftest", "--only", "AC-10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("AC-10 FAIL") and captured.err == ""

@@ -108,6 +108,19 @@ def test_field_axioms_randomized():
             assert a / b * b == a
 
 
+def test_a_number_divided_by_a_ratfunc_is_its_product_with_the_inverse():
+    # int / RatFunc reaches RatFunc.__rtruediv__, which the tracer counts
+    # among the scalar operations
+    x = Q + 1
+    assert 2 / x == RatFunc.from_int(2) * x.inv()
+    assert (2 / x) * x == 2
+    assert 1 / Q == QINV and Fraction(1, 2) / QINV == Q / 2
+    with pytest.raises(ZeroDivisionError):
+        2 / ZERO
+    with pytest.raises(TypeError):
+        "2" / x
+
+
 def test_canonical_roundtrip_randomized():
     rng = random.Random(411)
     for _ in range(80):
