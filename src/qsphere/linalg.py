@@ -170,7 +170,10 @@ def _solve(a_rows, b_cols):
        With delta the lcm of the denominators of x (a polynomial, so
        central), every row outside R is checked as A[i] (delta x) =
        delta b[i]; on Laurent entries no product or sum there needs a gcd.
-       A failed row puts the target outside the column span: None.
+       A row that misses the support of x is decided by b[i] = 0 alone
+       (delta is nonzero), so delta is taken only for a target that has a
+       row meeting its support.  A failed row puts the target outside the
+       column span: None.
     4. When fewer than nc rows with every entry defined at MOD_T0 are
        independent there, the whole system is eliminated exactly.  Only
        this path reports a rank below nc, so a rank that drops at t0 alone
@@ -191,8 +194,15 @@ def _solve(a_rows, b_cols):
     in_r = set(kept)
     others = [i for i in range(len(a_rows)) if i not in in_r]
     for k, (x, col) in enumerate(zip(sols, b_cols) if others else ()):
-        delta, y = clear_denominators(x)
+        y = None
         for i in others:
+            if not any(x[j] for j, _ in sparse[i]):
+                if col[i]:              # A[i] x = 0 there
+                    sols[k] = None
+                    break
+                continue
+            if y is None:
+                delta, y = clear_denominators(x)
             s = ZERO
             for j, a in sparse[i]:
                 if y[j]:

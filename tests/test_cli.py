@@ -471,10 +471,10 @@ def test_a_repeated_tangent_space_request_eliminates_nothing(capsys, monkeypatch
 def test_a_repeated_build_fodc_request_applies_no_left_action(capsys, monkeypatch):
     monkeypatch.setattr(dualfunc, "_ENGINES", {})
     argv = ("--format", "json", "build-fodc", "--c", "s=1", "--n", "1")
-    calls = []
-    real = fodc.CalculusPresentation.lmult
-    monkeypatch.setattr(fodc.CalculusPresentation, "lmult",
-                        lambda self, a, coords: calls.append(a) or real(self, a, coords))
+    calls = []                          # the letter-matrix products made
+    real = linalg.Matrix.__mul__
+    monkeypatch.setattr(linalg.Matrix, "__mul__", lambda self, other: (
+        isinstance(other, linalg.Matrix) and calls.append(other)) or real(self, other))
     cold = run_cli(capsys, *argv)
     assert cold[0] == 0 and calls
     calls.clear()

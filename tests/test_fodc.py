@@ -481,6 +481,58 @@ def test_leibniz_to_degree_four_at_n2(eng):
     assert rep == {"pass": True, "failures": [], "bound": 4}
 
 
+def _direct_d(pres, x):
+    """omega x - x omega, the left action applied letter by letter (`lmult`)."""
+    return [u - v for u, v in zip(pres.rmult(pres.omega, x), pres.lmult(x, pres.omega))]
+
+
+def _direct_leibniz_failures(pres, bound):
+    """The monomial pairs failing d(xy) = x d(y) + d(x) y, each pair recomputed
+    through `lmult` alone."""
+    alg = pres.alg
+    monos = [m for m in alg.normal_monomials(bound) if m]
+    failures = []
+    for m1 in monos:
+        for m2 in monos:
+            if len(m1) + len(m2) <= bound:
+                x, y = alg.element({m1: ONE}), alg.element({m2: ONE})
+                rhs = [u + v for u, v in zip(pres.lmult(x, _direct_d(pres, y)),
+                                             pres.rmult(_direct_d(pres, x), y))]
+                if _direct_d(pres, x * y) != rhs:
+                    failures.append((m1, m2))
+    return failures
+
+
+@pytest.mark.parametrize("n, nu, c, bound", [(1, "id", GENERIC, 4), (2, "id", GENERIC, 4),
+                                             (1, "flip", INF, 3)])
+def test_the_suffix_walk_gives_the_direct_d_and_leibniz(n, nu, c, bound):
+    # a fresh calculus, so that d and Leibniz start from empty tables
+    pres = build_rform_calculus(n, nu, c, engine=DualEngine(c))
+    rep = pres.leibniz_report(bound)
+    assert rep == {"pass": True, "failures": _direct_leibniz_failures(pres, bound),
+                   "bound": bound}
+    alg = pres.alg
+    for m in alg.normal_monomials(bound):
+        assert pres.d(alg.element({m: ONE})) == _direct_d(pres, alg.element({m: ONE}))
+    x = alg.e0() * alg.e1() - Q * alg.A() + 2
+    assert pres.d(x) == _direct_d(pres, x)
+
+
+def test_a_twist_entry_times_q_fails_the_walked_leibniz_on_the_direct_pairs(monkeypatch):
+    # the plant of test_a_twist_entry_times_q_fails_three_rules: M_A[0, 0] times q
+    real = fodc.CalculusPresentation._twist
+
+    def planted(self, g):
+        m = real(self, g)
+        return Matrix({**m.terms, (0, 0): m[0, 0] * Q}) if g == "A" else m
+
+    monkeypatch.setattr(fodc.CalculusPresentation, "_twist", planted)
+    pres = build_rform_calculus(1, "id", GENERIC, engine=DualEngine(GENERIC))
+    rep = pres.leibniz_report(3)
+    assert rep["pass"] is False and rep["bound"] == 3
+    assert rep["failures"] == _direct_leibniz_failures(pres, 3) != []
+
+
 @pytest.mark.parametrize("bound", [1, 0, -1])
 def test_leibniz_report_refuses_bounds_below_two(eng, bound):
     pres = build_rform_calculus(1, "id", GENERIC, engine=eng)

@@ -313,6 +313,45 @@ def test_solve_with_rank_targets_out_of_the_span_on_and_off_the_pivot_rows(monke
         _agrees_with_the_oracle(a, [b, moved], got)
 
 
+def test_the_row_check_clears_denominators_only_where_a_row_meets_the_support(monkeypatch):
+    calls = []
+    real = linalg.clear_denominators
+    monkeypatch.setattr(linalg, "clear_denominators", lambda x: calls.append(x) or real(x))
+    # rows 0 and 1 are the pivot rows; row 2 is zero and row 3 misses x_0
+    a = mat([[1, 0], [0, 1], [0, 0], [0, 1]])
+    assert solve_with_rank(a, [[ONE, ZERO, ZERO, ZERO], [ONE, ZERO, ONE, ZERO]]) == (
+        2, [[ONE, ZERO], None])
+    assert calls == []
+    assert solve_with_rank(a, [[ONE, QINV, ZERO, QINV]]) == (2, [[ONE, QINV]])
+    assert calls == [[ONE, QINV]]
+    # seeded tall systems with zero rows and solutions of small support, and
+    # a target nonzero on a zero row: the whole system's rank and solutions
+    rng = random.Random(4303)
+    seen = {"solved": 0, "refused": 0, "no denominator": 0}
+    for _ in range(60):
+        nc = rng.randint(1, 5)
+        nr = nc + rng.randint(1, 4)
+        a = _random_laurent_matrix(rng, nr, nc)
+        zero = rng.randrange(nr)
+        a[zero] = [ZERO] * nc
+        support = rng.sample(range(nc), rng.randint(1, nc))
+        b = _times(a, [_random_laurent_entry(rng, 1.0) if j in support else ZERO
+                       for j in range(nc)])
+        off = list(b)
+        off[zero] = off[zero] + ONE
+        targets = [b, off, [_random_laurent_entry(rng) for _ in range(nr)]]
+        calls.clear()
+        got = solve_with_rank(a, targets)
+        assert got == linalg._solve_by_elimination(a, targets)
+        _agrees_with_the_oracle(a, targets, got)
+        assert got[1][1] is None
+        assert len(calls) <= len(targets)
+        seen["solved"] += sum(x is not None for x in got[1])
+        seen["refused"] += sum(x is None for x in got[1])
+        seen["no denominator"] += got[0] == nc and len(calls) < len(targets)
+    assert min(seen.values()) >= 10, seen
+
+
 def test_solve_with_rank_passes_over_rows_undefined_at_t0(monkeypatch):
     # 1/(t - t0) has no value at t0: its row cannot be a pivot row mod P
     pole = RatFunc((1,), (-MOD_T0, 1))
