@@ -15,7 +15,8 @@ module realizes the negative of it, so the cross-check uses -q^(l+1).
 
 The entries are written once, in `_xc_entries`, with + and x on alpha
 and on the values of q^e and [n] in a ring: `xc_tridiagonal` reads them
-in Q(t), `xc_tridiagonal_mod` at t = MOD_T0 over GF(MOD_P).
+in Q(t), and `xc_tridiagonal_mod` reads the `eval_mod` images of the same
+exact values at t = MOD_T0 over GF(MOD_P).
 
 The nullity of X_c is at most 1.  Its superdiagonal entries q^(l+1)[k+1]
 are nonzero, so deleting the first column and the last row leaves a
@@ -136,27 +137,22 @@ def xc_tridiagonal(l, c: CParam, sign=+1):
 def xc_tridiagonal_mod(l, c: CParam, sign=+1):
     """The images of `xc_tridiagonal` at t = MOD_T0 over GF(MOD_P).
 
-    None when alpha(c) has no value there; q^e and the Laurent
-    polynomials [n] = q^(n-1) + q^(n-3) + ... + q^(1-n) always have one.
+    `_xc_entries` reads the `eval_mod` images of alpha(c), BETA, GAMMA,
+    q^e and [n].  None when alpha(c) has no value there; the others are
+    Laurent polynomials and always have one.
     """
     _check_weight(l, sign)
-    alpha = eval_mod(xc_alpha(c), MOD_T0, MOD_P)
+
+    def image(x):
+        return eval_mod(x, MOD_T0, MOD_P)
+
+    alpha = image(xc_alpha(c))
     if alpha is None:
         return None
-
-    q = pow(MOD_T0, 2, MOD_P)
-    qinv = pow(q, -1, MOD_P)
-    powers = {0: 1}                     # e -> q^e for |e| <= l + 1
-    for e in range(1, l + 2):
-        powers[e] = powers[e - 1] * q % MOD_P
-        powers[-e] = powers[1 - e] * qinv % MOD_P
-    qints = [0]                         # [n + 1] = q [n] + q^-n
-    for n in range(l):
-        qints.append((q * qints[n] + powers[-n]) % MOD_P)
-    beta, gamma = eval_mod(BETA, MOD_T0, MOD_P), eval_mod(GAMMA, MOD_T0, MOD_P)
     return tuple([x % MOD_P for x in part]
-                 for part in _xc_entries(l, sign, alpha, beta, gamma,
-                                         powers.__getitem__, qints.__getitem__))
+                 for part in _xc_entries(l, sign, alpha, image(BETA), image(GAMMA),
+                                         lambda e: image(qpow(2 * e)),
+                                         lambda n: image(qint(n))))
 
 
 def xc_matrix(l, c: CParam, sign=+1):

@@ -98,12 +98,44 @@ def test_submodule_v1(eng):
     assert basis[1] == alg.e0()
     assert basis[2] == -(Q * Q + 1) * alg.em1()
     rep = submodule_report(build_rform_calculus(1, "id", GENERIC, eng))
-    assert rep["pass"] and rep["rank"] == 3
+    assert rep["pass"] and rep["K_weights"] and rep["dim"] == 3
 
 
 def test_submodule_v2(eng):
     rep = submodule_report(build_rform_calculus(2, "id", GENERIC, eng))
-    assert rep["pass"] and rep["rank"] == 5
+    assert rep["pass"] and rep["K_weights"] and rep["dim"] == 5
+
+
+def test_submodule_report_solves_no_linear_system(eng, monkeypatch):
+    # the comodule solve that built the calculus proved independence and F-closure
+    calculi = [build_rform_calculus(n, "id", GENERIC, eng) for n in (1, 2)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("submodule_report solved a linear system")
+
+    monkeypatch.setattr(linalg, "_solve", refuse)
+    for pres in calculi:
+        assert submodule_report(pres)["pass"]
+
+
+def test_a_cold_calculus_build_solves_once_in_comodule_matrix(monkeypatch):
+    inside, calls = [], []
+    real_solve, real_comodule = linalg.solve_with_rank, fodc.comodule_matrix
+
+    def comodule(alg, W):
+        inside.append(W)
+        try:
+            return real_comodule(alg, W)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(fodc, "comodule_matrix", comodule)
+    monkeypatch.setattr(linalg, "solve_with_rank",
+                        lambda a, b: calls.append(bool(inside)) or real_solve(a, b))
+    for n, nu, c in ((1, "id", GENERIC), (2, "id", GENERIC), (1, "flip", INF)):
+        calls.clear()
+        build_rform_calculus(n, nu, c, engine=DualEngine(c))
+        assert calls == [True], (n, nu)
 
 
 def test_nu_admissibility():
@@ -783,7 +815,8 @@ def test_closure_witnesses(monkeypatch, where):
     if where != "coproduct":
         want["xc_witness"] = str(basis[-1])
     if where != "xc":
-        want["coproduct_witness"] = ((0, 1, qpow(6)), str(PsiVector({STRAY: ONE})))
+        want["coproduct_witness"] = (str(PsiVector({(0, 1, qpow(6)): ONE})),
+                                     str(PsiVector({STRAY: ONE})))
     assert cert == want
 
 
