@@ -29,14 +29,15 @@ def accumulate(out, terms, coeff=None):
     return out
 
 
-def tensor_terms(left, right):
-    """{(l, r): a * b} for left = {l: a} and right = {r: b}."""
-    return {(l, r): a * b for l, a in left.items() for r, b in right.items()}
-
-
 def term_str(coeff, name):
-    """coeff*name, the coefficient bracketed if it is a sum or quotient (name None: the unit)."""
+    """coeff*name, the coefficient bracketed if it is a sum or quotient (name None: the unit).
+
+    An element coefficient x is the left leg of a tensor, x (x) name, and
+    bracketed if it has more than one term.
+    """
     cs = str(coeff)
+    if isinstance(coeff, LinComb):
+        return "%s (x) %s" % ("(%s)" % cs if len(coeff.terms) > 1 else cs, name or "1")
     if name is None:
         return cs
     if cs == "1":
@@ -49,11 +50,9 @@ def term_str(coeff, name):
 
 
 def word_str(word):
-    """a*b^2*c for the word (a, b, b, c), u (x) v for a pair of words; None for ()."""
+    """a*b^2*c for the word (a, b, b, c); None for ()."""
     if not word:
         return None
-    if isinstance(word[0], tuple):
-        return "%s (x) %s" % tuple(word_str(w) or "1" for w in word)
     parts = []
     for g, run in itertools.groupby(word):
         n = len(list(run))
@@ -64,9 +63,11 @@ def word_str(word):
 class LinComb:
     """A linear combination {monomial: nonzero coefficient}.
 
-    Coefficients are RatFuncs, except in a `linalg.Matrix` over a ring
-    such as the sphere, whose entries are that ring's elements; sums,
-    products and equality use only their +, * and ==.
+    Coefficients are RatFuncs, or elements of a ring over Q(t) such as the
+    sphere: a `linalg.Matrix` over B is M_N(B), and an `oqsl2.SL2Element`
+    {a: x} over B is the tensor sum x (x) a in B (x) O_q(SL2), multiplied
+    by (x1 (x) a1)(x2 (x) a2) = x1 x2 (x) a1 a2.  Sums, products and
+    equality use only the coefficients' +, * and ==.
 
     A subclass sets UNIT, the monomial that scalars are identified with
     (None when scalars are not elements), and overrides `_mono_mul`,

@@ -131,11 +131,8 @@ class DualEngine:
         self.c = c
         self.alpha = uqsl2rep.xc_alpha(c)
         self._alpha_q = self.alpha * Q
-        # alpha q, q^-1 and (q - q^-1)^-2 at _T0 mod _P for `_mod_row`; None: no value
+        # alpha q at _T0 mod _P for `_mod_row`; None: no value
         self._alpha_q_mod = eval_mod(self._alpha_q, _T0, _P)
-        self._qinv_mod = pow(_T0, -2, _P)
-        hat = (pow(_T0, 2, _P) - self._qinv_mod) % _P
-        self._hat2_inv_mod = pow(hat, -2, _P) if hat else None
         self.alg = podles.PodlesAlgebra(c)
         self._orbits = {}               # (sign, l) -> phi-orbit or None
         self._table = {}                # l -> `_per_l`; (l, lam) -> `_constants` row
@@ -180,15 +177,14 @@ class DualEngine:
         l = 0, the psi^l coefficient vanishes when alpha = 0 or lam = q^(2l),
         and the psi^(l+1) coefficient when lam^2 = q^(2l), i.e. e = l.  Its
         values come from the same `_phi_coefficients`, applied to the values
-        at _T0 of a_l = -(q^(2l) - 1)/(q - q^-1)^2, alpha q, q^2, q^(2l) and
-        lam; None when alpha q, or a_l for l > 0, has no value there.
+        at _T0 of `_per_l`'s a_l, alpha q, q^2, q^(2l) and lam; None when
+        alpha q or a_l has no value there.
         """
-        if self._alpha_q_mod is None or (l and self._hat2_inv_mod is None):
+        a_mod = eval_mod(self._per_l(l)[0], _T0, _P)
+        if self._alpha_q_mod is None or a_mod is None:
             return None
-        q2l = pow(_T0, 4 * l, _P)
-        a_mod = (1 - q2l) * self._hat2_inv_mod if l else 0
-        q_e = pow(_T0, 2 * e, _P) if e >= 0 else pow(self._qinv_mod, -e, _P)
-        coeffs = _phi_coefficients(a_mod, self._alpha_q_mod, pow(_T0, 4, _P), q2l, sign * q_e)
+        coeffs = _phi_coefficients(a_mod, self._alpha_q_mod, pow(_T0, 4, _P),
+                                   pow(_T0, 4 * l, _P), sign * pow(_T0, 2 * e, _P))
         nonzero = (l != 0, bool(self.alpha) and (sign, e) != (+1, 2 * l), e != l)
         return [(k, x % _P) for k, (x, nz) in enumerate(zip(coeffs, nonzero), l - 1) if nz]
 

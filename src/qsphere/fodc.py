@@ -16,7 +16,7 @@ once the letter matrices satisfy the sphere's four rules, which
 
 import itertools
 
-from .algebra import accumulate, rule_failures, tensor_terms
+from .algebra import accumulate, rule_failures
 from .scalars import ONE, CParam, content, qpow
 from . import linalg, oqsl2, podles
 from .linalg import Matrix
@@ -292,10 +292,8 @@ class CalculusPresentation:
         m = self._twist_cache.get(g)
         if m is not None:
             return m
-        alg, terms, legs = self.alg, {}, {}
-        for (pm, am), cc in alg.coact(alg.gen(g)).items():
-            legs[am] = legs.get(am, alg.element()) + alg.element({pm: cc})
-        for am, left in legs.items():
+        alg, terms = self.alg, {}
+        for am, left in alg.coact(alg.gen(g)).terms.items():
             leg, left = oqsl2.SL2Element({am: ONE}), nu_apply(self.nu, left)
             for j in range(self.N):
                 for k in range(self.N):
@@ -465,12 +463,8 @@ def comodule_matrix(alg, W):
     and the letter twists rest on.
     """
     N = len(W)
-    legs = []                           # (i, SL2 monomial, sphere coefficient)
-    for i in range(N):
-        by_amono = {}
-        for (pm, am), cc in alg.coact(W[i]).items():
-            by_amono.setdefault(am, {})[pm] = cc
-        legs.extend((i, am, alg.element(pvec)) for am, pvec in by_amono.items())
+    legs = [(i, am, pvec)               # (i, SL2 monomial, sphere coefficient)
+            for i in range(N) for am, pvec in alg.coact(W[i]).terms.items()]
     rank, sols = _span_solve(W, [pvec for _, _, pvec in legs])
     if rank < N:
         raise AssertionError("W is dependent: rank %d < %d" % (rank, N))
@@ -500,8 +494,8 @@ def check_comodule_matrix(alg, W, psi):
     for i, image in enumerate(images):
         rhs = {}
         for j, other in enumerate(images):
-            accumulate(rhs, tensor_terms(other.terms, psi[j][i].terms))
-        if oqsl2.coproduct(image) != rhs:
+            accumulate(rhs, (oqsl2.SL2Element.unit(other) * psi[j][i]).terms)
+        if oqsl2.coproduct(image) != oqsl2.SL2Element(rhs):
             raise AssertionError("Delta(b_%d) is not sum_j b_j (x) psi_j%d" % (i, i))
 
 

@@ -23,7 +23,7 @@ mu_n at c = c(n) and the localization onto the opposite Borel algebra.
 
 import math
 
-from .algebra import LinComb, RewriteSystem, accumulate, rule_failures, tensor_terms
+from .algebra import LinComb, RewriteSystem, accumulate, rule_failures
 from .scalars import (ZERO, ONE, Q, QHAT, RatFunc, qpow, CParam, cn_value)
 from . import oqsl2
 from .oqsl2 import SL2Element, pi_coeff
@@ -142,11 +142,9 @@ class PodlesAlgebra:
         """iota(g) = eps(g(0)) g(1) for each letter g, read off its coaction."""
         if self._embed_letter is None:
             self._embed_letter = {}
-            for g, terms in self._coact_letters().items():
-                img = {}
-                for (pm, am), coeff in terms.items():
-                    accumulate(img, {am: self.counit(self.element({pm: coeff}))})
-                self._embed_letter[g] = SL2Element(img)
+            for g, t in self._coact_letters().items():
+                self._embed_letter[g] = SL2Element({am: self.counit(x)
+                                                    for am, x in t.terms.items()})
         return self._embed_letter
 
     def embed(self, x):
@@ -172,51 +170,46 @@ class PodlesAlgebra:
         """Left action X |> x = x(0) X(x(1)) of X = E, F or K^power."""
         word = ((kind, power),) if kind == "K" else ((kind,),)
         out = {}
-        for (pm, am), coeff in self.coact(x).items():
+        for am, y in self.coact(x).terms.items():
             v = oqsl2.EVALUATOR.eval_word(word, am)
             if v:
-                out[pm] = out.get(pm, ZERO) + coeff * v
+                accumulate(out, y.terms, v)
         return self.element(out)
 
     # -- right coaction B -> B (x) O_q(SL2)
 
     def _coact_letters(self):
+        """Each letter's coaction, e_i -> sum_j e_j (x) pi_(j,i)."""
         if self._coact_letter is None:
             ee = {-1: self.em1(), 0: self.e0(), 1: self.e1()}
             def coact_ei(i):
-                t = {}
+                out = {}
                 for j in (-1, 0, 1):
-                    accumulate(t, tensor_terms(ee[j].terms, pi_coeff(j, i).terms))
-                return t
+                    accumulate(out, (SL2Element.unit(ee[j]) * pi_coeff(j, i)).terms)
+                return SL2Element(out)
             # A = (kappa - e_0)/(1+q^2), and kappa is grouplike
             scale = (Q * Q + 1).inv()
-            tA = accumulate({}, coact_ei(0), -scale)
-            accumulate(tA, {((), ()): self.eps_weights()[1] * scale})
+            tA = (coact_ei(0) - SL2Element.unit(self.unit(self.eps_weights()[1]))) * -scale
             self._coact_letter = {"m": coact_ei(-1), "p": coact_ei(1), "A": tA}
         return self._coact_letter
 
     def coact(self, x):
-        """Right coaction as {(sphere monomial, SL2 monomial): coeff}."""
-        letters = self._coact_letters()
+        """Right coaction sum x(0) (x) x(1), as the SL2Element {x(1): x(0)} over B."""
         out = {}
         for mono, coeff in x.terms.items():
-            t = self._coact_cache.get(mono)
-            if t is None:
-                t = {((), ()): ONE}
-                for g in mono:
-                    t = self._tens_mul(t, letters[g])
-                self._coact_cache[mono] = t
-            accumulate(out, t, coeff)
-        return out
+            accumulate(out, self._coact_mono(mono).terms, coeff)
+        return SL2Element(out)
 
-    def _tens_mul(self, t1, t2):
-        """Product in B (x) O_q(SL2) of {(sphere word, SL2 word): coeff} dicts."""
-        out = {}
-        for (p1, a1), c1 in t1.items():
-            for (p2, a2), c2 in t2.items():
-                accumulate(out, tensor_terms(self.reduce_word(p1 + p2),
-                                             oqsl2.reduce_word(a1 + a2)), c1 * c2)
-        return out
+    def _coact_mono(self, mono):
+        """The coaction of a word, one product in B (x) O_q(SL2) on that of its prefix."""
+        t = self._coact_cache.get(mono)
+        if t is None:
+            if mono:
+                t = self._coact_mono(mono[:-1]) * self._coact_letters()[mono[-1]]
+            else:
+                t = SL2Element.unit(self.unit())
+            self._coact_cache[mono] = t
+        return t
 
 
 class PodlesElement(LinComb):
@@ -339,18 +332,13 @@ def normal_basis_report(c: CParam):
     alg = PodlesAlgebra(c)
     rules, letters = alg.rewriting.rules, alg._coact_letters()
 
-    def coact_word(w):
-        return alg.coact(alg.element({w: ONE}))
-
     def comodule(g, t):
         """g's coaction t is linear in the letters, coassociative and counital."""
-        counit = sum((x * oqsl2.word_counit(am) * alg.element({pm: ONE})
-                      for (pm, am), x in t.items()), alg.element())
-        return (all(len(pm) <= 1 for pm, _ in t) and oqsl2.coassociative(t, coact_word)
-                and counit == alg.gen(g))
+        return (all(x.degree() <= 1 for x in t.terms.values())
+                and oqsl2.coassociative(t, alg.coact) and t.counit() == alg.gen(g))
 
     eps = {g: alg.counit(alg.gen(g)) for g in LETTERS}
-    failures = rule_failures(rules, lambda w: LinComb(coact_word(w)), _PRINT.get)
+    failures = rule_failures(rules, alg._coact_mono, _PRINT.get)
     checks = {"comodule": all(comodule(g, t) for g, t in letters.items()),
               "K_weights": all(alg.act("K", alg.gen(g)) == w * alg.gen(g)
                                for g, w in zip(LETTERS, (Q * Q, ONE, qpow(-4)))),

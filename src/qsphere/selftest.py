@@ -149,7 +149,8 @@ def ac6_jc_sets(lmax=8):
 
 
 def ac7_corollary_counts(lmax=6):
-    """The de_i-generated classification: 1 / 3 / 2 calculi with stated dims."""
+    """The de_i-generated classification: 1 / 3 / 2 calculi with stated dims,
+    every candidate tangent space certified."""
     cases = (
         ("s=1", CParam.generic(1), 1, [3]),
         ("inf", CParam.infinity(), 3, [1, 3, 3]),
@@ -160,8 +161,10 @@ def ac7_corollary_counts(lmax=6):
     for label, c, want_count, want_dims in cases:
         r = fodc.classify_de_generated(c, Lmax=lmax)
         dims = sorted(e["dim"] for e in r["calculi"])
-        details[label] = {"count": r["count"], "dims": dims}
-        if r["count"] != want_count or dims != sorted(want_dims):
+        details[label] = {"count": r["count"], "dims": dims,
+                          "candidates_closed": r["candidates_closed"]}
+        if (r["count"] != want_count or dims != sorted(want_dims)
+                or not r["candidates_closed"]):
             ok = False
     return {"criterion": "AC-7", "pass": ok, "details": details}
 

@@ -449,8 +449,8 @@ def _whole_monomial_twist(pres, mono):
     monomial: row i is the action on gamma^i."""
     alg, N = pres.alg, pres.N
     t = [[alg.element() for _ in range(N)] for _ in range(N)]
-    for (pm, am), cc in alg.coact(alg.element({mono: ONE})).items():
-        left = nu_apply(pres.nu, alg.element({pm: cc}))
+    for am, x in alg.coact(alg.element({mono: ONE})).terms.items():
+        left = nu_apply(pres.nu, x)
         leg = oqsl2.SL2Element({am: ONE})
         for i in range(N):
             for j in range(N):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from qsphere import dualfunc, oqsl2, selftest
+from qsphere.algebra import accumulate
 from qsphere.cli import main
 from qsphere.scalars import ZERO, ONE, Q, QINV, QHAT, RatFunc, parse_ratfunc, qpow
 from qsphere.oqsl2 import (A_, B_, C_, D_, UNIT, SL2Element,
@@ -15,6 +16,11 @@ from qsphere.oqsl2 import (A_, B_, C_, D_, UNIT, SL2Element,
 def all_words(max_len):
     for n in range(max_len + 1):
         yield from itertools.product(GENS, repeat=n)
+
+
+def _pairs(t):
+    """The tensor {a2: a1} = sum a1 (x) a2 as {(mono1, mono2): coeff}."""
+    return {(m1, m2): c for m2, left in t.terms.items() for m1, c in left.terms.items()}
 
 
 def test_unit_law_and_off_diagonal_commute():
@@ -50,15 +56,15 @@ def test_associativity_on_generators():
 
 
 def test_coproduct_examples():
-    assert coproduct(UNIT) == {((), ()): ONE}
-    cop = coproduct(A_)
+    assert _pairs(coproduct(UNIT)) == {((), ()): ONE}
+    cop = _pairs(coproduct(A_))
     assert cop == {(("a",), ("a",)): ONE, (("b",), ("c",)): ONE}
     # algebra map on a product, against the 4-term expansion
     ab = A_ * B_
-    lhs = coproduct(ab)
+    lhs = _pairs(coproduct(ab))
     rhs = {}
-    for (x1, y1), c1 in coproduct(A_).items():
-        for (x2, y2), c2 in coproduct(B_).items():
+    for (x1, y1), c1 in _pairs(coproduct(A_)).items():
+        for (x2, y2), c2 in _pairs(coproduct(B_)).items():
             prod1 = SL2Element({x1: ONE}) * SL2Element({x2: ONE})
             prod2 = SL2Element({y1: ONE}) * SL2Element({y2: ONE})
             for m1, v1 in prod1.terms.items():
@@ -70,6 +76,33 @@ def test_coproduct_examples():
                     elif k in rhs:
                         del rhs[k]
     assert lhs == rhs
+
+
+def _pair_word_coproduct(word):
+    """Delta of a word as {(mono1, mono2): coeff}: every choice of letter legs as a
+    pair of free words, both reduced, and the products of their terms summed."""
+    pairs = {((), ()): ONE}
+    for g in word:
+        nxt = {}
+        for (u, v), c in pairs.items():
+            for x, y in oqsl2._GEN_COPROD[g]:
+                key = (u + (x,), v + (y,))
+                nxt[key] = nxt.get(key, ZERO) + c
+        pairs = nxt
+    out = {}
+    for (u, v), c in pairs.items():
+        accumulate(out, {(m1, m2): c1 * c2 for m1, c1 in reduce_word(u).items()
+                         for m2, c2 in reduce_word(v).items()}, c)
+    return out
+
+
+def test_word_coproduct_matches_the_pair_construction():
+    monos = sorted({m for w in all_words(4) for m in reduce_word(w)}, key=lambda m: (len(m), m))
+    assert len(monos) == sum((n + 1) ** 2 for n in range(5))   # the PBW monomials, length <= 4
+    for mono in monos:
+        cop = oqsl2.word_coproduct(mono)
+        assert all(type(x) is SL2Element for x in cop.terms.values())
+        assert _pairs(cop) == _pair_word_coproduct(mono), mono
 
 
 def test_hopf_axioms():
@@ -134,7 +167,7 @@ def test_antipode_examples():
         assert antipode(antipode(m, inverse=True)) == m == antipode(antipode(m), inverse=True)
     # m(S (x) id) Delta(a) = eps(a) 1
     total = SL2Element()
-    for (m1, m2), c in coproduct(A_).items():
+    for (m1, m2), c in _pairs(coproduct(A_)).items():
         total = total + antipode(SL2Element({m1: c})) * SL2Element({m2: ONE})
     assert total == UNIT
 
@@ -166,7 +199,7 @@ def test_functional_product_respects_coproduct():
         x = SL2Element({mono: ONE})
         lhs = ev_fg.eval(word_fg, x)
         rhs = ZERO
-        for (m1, m2), c in coproduct(x).items():
+        for (m1, m2), c in _pairs(coproduct(x)).items():
             rhs = rhs + c * ev.eval_word((("f", lam),), m1) * ev.eval_word((("g",),), m2)
         assert lhs == rhs
 

@@ -5,8 +5,8 @@ CLI request in a fresh engine registry, and requires a defined outcome:
 a FAIL (exit 1, nothing on stderr, the named report field flipped) or an
 internal check failure (exit 3, nothing on stdout).  Never a pass, and
 never a traceback.  The rows reach the failure branches of AC-2, AC-4
-(both routes), AC-5 (both checks), AC-6, AC-7 and AC-8's submodule, and
-`comodule_matrix`'s rank check.
+(both routes), AC-5 (both checks), AC-6, AC-7 (counts and closure) and
+AC-8's submodule, and `comodule_matrix`'s rank check.
 """
 
 import json
@@ -103,6 +103,17 @@ def _generators_e_dependent(monkeypatch):
                         lambda self: [self.em1(), self.e0(), self.e0()])
 
 
+def _psi_coproduct_times_q(monkeypatch):
+    # every coefficient of Delta psi^l_lam, l >= 1, times q: the counts and
+    # dimensions stay those of AC-7, but the candidate tangent spaces do not close
+    real = DualEngine.psi_coproduct
+
+    def planted(self, sym):
+        return [(Q * c if sym[1] else c, s1, s2) for c, s1, s2 in real(self, sym)]
+
+    monkeypatch.setattr(DualEngine, "psi_coproduct", planted)
+
+
 def _routes(details):
     return {route for *_, route in details["mismatches"]}
 
@@ -124,12 +135,15 @@ PLANTS = [
      lambda d: [-1, 1] not in d["scans"]["exc:1"] and [-1, 2] not in d["scans"]["exc:2"]),
     (_generators_e_dependent, ["selftest", "--only", "AC-7"], 1,
      lambda d: d["s=1"]["count"] == 0),
+    (_psi_coproduct_times_q, ["selftest", "--only", "AC-7"], 1,
+     lambda d: d["s=1"]["candidates_closed"] is False),
 ]
 
 
 @pytest.mark.parametrize("plant, argv, code, expected", PLANTS, ids=[
     "W-repeated-vector", "AC-8-K-weight", "AC-2-F-letter", "AC-4-irrep-E", "AC-4-phi-a_l",
-    "AC-5-pair-sign", "AC-5-BETA-singular", "AC-6-alpha", "AC-7-generators"])
+    "AC-5-pair-sign", "AC-5-BETA-singular", "AC-6-alpha", "AC-7-generators",
+    "AC-7-psi-coproduct"])
 def test_a_planted_datum_fails_its_check(monkeypatch, capsys, plant, argv, code, expected):
     monkeypatch.setattr(dualfunc, "_ENGINES", {})
     plant(monkeypatch)

@@ -4,6 +4,7 @@ import pytest
 
 from qsphere.scalars import ZERO, ONE, Q, QINV, RatFunc, CParam, parse_ratfunc, qpow
 from qsphere import dualfunc, linalg, oqsl2, podles, selftest
+from qsphere.algebra import accumulate
 from qsphere.cli import main
 from qsphere.linalg import Matrix
 from qsphere.podles import (PodlesAlgebra, build_mu_n, confluence_report,
@@ -92,6 +93,49 @@ def test_letter_images_match_the_spin1_formula(c):
         assert alg.embed(alg.gen(g)) == img, g
 
 
+def _pairs(t):
+    """The tensor {a: x} = sum x (x) a as {(sphere monomial, SL2 monomial): coeff}."""
+    return {(pm, am): c for am, x in t.terms.items() for pm, c in x.terms.items()}
+
+
+def _pair_coact(alg, word):
+    """The coaction of a word as {(sphere monomial, SL2 monomial): coeff}: the
+    letter table e_i -> sum_j e_j (x) pi_(j,i) as pair dicts, multiplied out
+    by reducing both legs of each pair of terms."""
+    def tens(x, a):
+        return {(pm, am): c * v for pm, c in x.terms.items() for am, v in a.terms.items()}
+
+    ee = {-1: alg.em1(), 0: alg.e0(), 1: alg.e1()}
+    coact_e = {i: {} for i in ee}
+    for i, j in itertools.product(ee, repeat=2):
+        accumulate(coact_e[i], tens(ee[j], oqsl2.pi_coeff(j, i)))
+    kappa = alg.eps_weights()[1]
+    scale = (Q * Q + 1).inv()
+    letters = {"m": coact_e[-1], "p": coact_e[1],
+               "A": accumulate({((), ()): kappa * scale}, coact_e[0], -scale)}
+    out = {((), ()): ONE}
+    for g in word:
+        prod = {}
+        for (p1, a1), c1 in out.items():
+            for (p2, a2), c2 in letters[g].items():
+                accumulate(prod, {(pm, am): c * v
+                                  for pm, c in alg.reduce_word(p1 + p2).items()
+                                  for am, v in oqsl2.reduce_word(a1 + a2).items()}, c1 * c2)
+        out = prod
+    return out
+
+
+@pytest.mark.parametrize("c", [GENERIC, CParam.generic(2), INF, CParam.zero()])
+def test_coact_matches_the_pair_construction(c):
+    alg = PodlesAlgebra(c)
+    monos = alg.normal_monomials(3)
+    assert len(monos) == sum(2 * d + 1 for d in range(4))
+    for mono in monos:
+        t = alg.coact(alg.element({mono: ONE}))
+        assert all(x.alg is alg for x in t.terms.values())
+        assert _pairs(t) == _pair_coact(alg, mono), mono
+
+
 def test_a_fault_in_the_coaction_letters_reaches_the_embedding(monkeypatch):
     # the embedding is read off the coaction letter table: doubling e_1's
     # coaction doubles its image and breaks the embedded relations
@@ -99,7 +143,7 @@ def test_a_fault_in_the_coaction_letters_reaches_the_embedding(monkeypatch):
 
     def doubled(self):
         letters = dict(real(self))
-        letters["p"] = {k: 2 * v for k, v in letters["p"].items()}
+        letters["p"] = 2 * letters["p"]
         return letters
 
     clean = PodlesAlgebra(GENERIC)
@@ -115,7 +159,8 @@ def test_a_planted_eps_e0_reaches_e0_and_the_coaction_of_A(monkeypatch):
     # moves e_0's constant and doubles the part of A's coaction with an
     # empty sphere leg, and the embedded relations then fail
     def sphere_constant(alg):
-        return {am: v for (pm, am), v in alg._coact_letters()["A"].items() if pm == ()}
+        return {am: x.terms[()] for am, x in alg._coact_letters()["A"].terms.items()
+                if () in x.terms}
 
     clean = sphere_constant(PodlesAlgebra(GENERIC))
     wm, _, wp = PodlesAlgebra(GENERIC).eps_weights()
@@ -356,10 +401,13 @@ def _scaled_term(letter, k, factor):
 
     def planted(self):
         letters = dict(real(self))
-        terms = dict(letters[letter])
+        terms = _pairs(letters[letter])
         key = sorted(terms, key=str)[k]
         terms[key] = factor * terms[key]
-        letters[letter] = terms
+        legs = {}
+        for (pm, am), v in terms.items():
+            legs.setdefault(am, {})[pm] = v
+        letters[letter] = oqsl2.SL2Element({am: self.element(x) for am, x in legs.items()})
         return letters
 
     return planted
