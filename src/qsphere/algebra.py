@@ -8,6 +8,8 @@ a subclass names its unit monomial and supplies the product of two
 monomials.  `RewriteSystem` computes normal forms of words from a table of
 two-letter rules and checks the table's overlaps (Bergman's diamond lemma),
 and `rule_failures` checks that a map of free words respects the rules.
+`word_image` is the one multiplicative map of words that keeps its images:
+Delta, the sphere's coaction and its embedding into O_q(SL2).
 """
 
 import itertools
@@ -27,6 +29,19 @@ def accumulate(out, terms, coeff=None):
         elif old is not None:
             del out[m]
     return out
+
+
+def word_image(word, letter, kept):
+    """letter(w_1) ... letter(w_k), one product on the kept image of the word's prefix.
+
+    kept maps words to their images and holds () -> the unit; every image
+    built is stored there.  letter is called when a letter is reached, so it
+    reads the letter table as it is then.
+    """
+    v = kept.get(word)
+    if v is None:
+        v = kept[word] = word_image(word[:-1], letter, kept) * letter(word[-1])
+    return v
 
 
 def term_str(coeff, name):

@@ -27,11 +27,16 @@ from .dualfunc import PsiVector, EPSILON, engine_of
 # quantum tangent spaces
 
 class TangentSpace:
-    """Certified tangent space T^eps = C eps + sum of weight components."""
+    """Certified tangent space T^eps = C eps + sum of weight components.
 
-    __slots__ = ("c", "components", "modules", "basis", "dim", "engine", "certificate")
+    L is its coproduct matrix, Delta basis[i] = sum_k L[i, k] (x) basis[k],
+    with PsiVector entries; a leg outside the span is left out of L and
+    fails `coproduct_closed`.
+    """
 
-    def __init__(self, c, components, modules, basis, dim, engine, certificate):
+    __slots__ = ("c", "components", "modules", "basis", "dim", "engine", "certificate", "L")
+
+    def __init__(self, c, components, modules, basis, dim, engine, certificate, L):
         self.c = c
         self.components = components
         self.modules = modules          # the HWModule of each component
@@ -39,6 +44,7 @@ class TangentSpace:
         self.dim = dim
         self.engine = engine
         self.certificate = certificate
+        self.L = L
 
     def t_basis(self):
         """Basis of T = (T^eps)^+, the vectors killed at 1."""
@@ -75,16 +81,16 @@ def tangent_space(c: CParam, components, engine=None):
     """Build and certify the tangent space for a list of (sign, l) components.
 
     The rank of the basis, the coefficients of every right coproduct leg
-    and those of every X_c image come from one elimination.  It is kept on
-    the engine per component set; each call gets its own lists, modules and
-    certificate.
+    (the matrix L) and those of every X_c image come from one elimination.
+    It is kept on the engine per component set; each call gets its own
+    lists, modules, certificate and L.
     """
     engine = engine or engine_of(c)
     components = sorted(set(components), key=lambda sl: (sl[1], -sl[0]))
     ts = engine.keep(("tangent space", tuple(components)),
                      lambda: _certified_space(c, components, engine))
     return TangentSpace(c, components, [m.copy() for m in ts.modules], list(ts.basis),
-                        ts.dim, engine, dict(ts.certificate))
+                        ts.dim, engine, dict(ts.certificate), Matrix(ts.L.terms))
 
 
 def _certified_space(c, components, engine):
@@ -98,6 +104,10 @@ def _certified_space(c, components, engine):
     dim, sols = _span_solve(basis, [rv for _, _, rv in legs]
                             + [engine.xc_right_action(v) for v in basis])
     cert = {"dim_matches": dim == len(basis)}
+    L = {}
+    for (i, left, _), coeffs in zip(legs, sols):
+        if coeffs is not None:
+            accumulate(L, {(i, k): PsiVector({left: a}) for k, a in enumerate(coeffs) if a})
 
     # coproduct closure: the right legs must stay in the span
     cop_witness = next(((str(PsiVector({left: ONE})), str(rv)) for (_, left, rv), coeffs
@@ -117,7 +127,7 @@ def _certified_space(c, components, engine):
         first = next(k for k in ("dim_matches", "coproduct_closed", "xc_closed")
                      if not cert[k])
         cert["first_failure"] = first
-    return TangentSpace(c, components, modules, basis, dim, engine, cert)
+    return TangentSpace(c, components, modules, basis, dim, engine, cert, Matrix(L))
 
 
 def irreducibility_report(ts: TangentSpace):
@@ -271,7 +281,7 @@ class CalculusPresentation:
         self.c = c
         self.alg = alg
         self.W_basis = W_basis
-        self.sinv_psi = sinv_psi        # S^-1(psi[i][j]) of the comodule matrix psi
+        self.sinv_psi = sinv_psi        # the Matrix S^-1(psi) of the comodule matrix psi
         self.N = len(W_basis)
         self.omega = list(W_basis)      # coords of omega = sum gamma^i b_i
         self._twist_cache = {}
@@ -287,7 +297,7 @@ class CalculusPresentation:
 
         The twisted rule M_g[k, j] = sum nu(g(0)) r(g(1), S^-1 psi_jk) over
         the coaction of g, one `oqsl2.rform` per SL2 leg (of degree <= 2)
-        and entry; kept per letter.
+        and nonzero entry of S^-1(psi); kept per letter.
         """
         m = self._twist_cache.get(g)
         if m is not None:
@@ -295,11 +305,10 @@ class CalculusPresentation:
         alg, terms = self.alg, {}
         for am, left in alg.coact(alg.gen(g)).terms.items():
             leg, left = oqsl2.SL2Element({am: ONE}), nu_apply(self.nu, left)
-            for j in range(self.N):
-                for k in range(self.N):
-                    r = oqsl2.rform(leg, self.sinv_psi[j][k])
-                    if r:
-                        accumulate(terms, {(k, j): left}, r)
+            for (j, k), x in self.sinv_psi.terms.items():
+                r = oqsl2.rform(leg, x)
+                if r:
+                    accumulate(terms, {(k, j): left}, r)
         m = self._twist_cache[g] = Matrix(terms)
         return m
 
@@ -452,15 +461,15 @@ class CalculusPresentation:
 
 
 def comodule_matrix(alg, W):
-    """The matrix psi with Delta_B b_i = sum_j b_j (x) psi[j][i], and S^-1(psi).
+    """The Matrix psi over O_q(SL2) with Delta_B b_i = sum_j b_j (x) psi[j, i], and S^-1(psi).
 
     One `_span_solve` writes every coaction leg over W: a leg of b_i is the
     sphere coefficient of one SL2 monomial in its coaction.  Its rank must
     be N, so W is independent and psi is unique, and every leg must lie in
-    the span, so W is a subcomodule.  Returns (psi, sinv_psi) with
-    sinv_psi[i][j] = S^-1(psi[i][j]), after `check_comodule_matrix` has
-    certified the identities that the r-form recursion of `chi_functionals`
-    and the letter twists rest on.
+    the span, so W is a subcomodule.  psi accumulates the legs' solutions.
+    Returns (psi, sinv_psi), sinv_psi[i, j] = S^-1(psi[i, j]), after
+    `check_comodule_matrix` has certified the embedded identity that the
+    r-form recursion of `chi_functionals` rests on.
     """
     N = len(W)
     legs = [(i, am, pvec)               # (i, SL2 monomial, sphere coefficient)
@@ -468,34 +477,34 @@ def comodule_matrix(alg, W):
     rank, sols = _span_solve(W, [pvec for _, _, pvec in legs])
     if rank < N:
         raise AssertionError("W is dependent: rank %d < %d" % (rank, N))
-    psi = [[oqsl2.SL2Element() for _ in range(N)] for _ in range(N)]
+    psi = {}
     for (i, am, _), coeffs in zip(legs, sols):
         if coeffs is None:
             raise AssertionError("coaction leg leaves the W-span")
-        for j in range(N):
-            if coeffs[j]:
-                psi[j][i] = psi[j][i] + coeffs[j] * oqsl2.SL2Element({am: ONE})
+        accumulate(psi, {(j, i): oqsl2.SL2Element({am: a}) for j, a in enumerate(coeffs) if a})
+    psi = Matrix(psi)
     check_comodule_matrix(alg, W, psi)
-    sinv_psi = [[oqsl2.antipode(psi[i][j], inverse=True) for j in range(N)]
-                for i in range(N)]
-    return psi, sinv_psi
+    return psi, Matrix({ij: oqsl2.antipode(x, inverse=True) for ij, x in psi.terms.items()})
 
 
 def check_comodule_matrix(alg, W, psi):
-    """Raise AssertionError unless Delta(embed b_i) = sum_j embed(b_j) (x) psi_ji.
+    """Raise AssertionError unless Delta(iota b_i) = sum_j iota(b_j) (x) psi[j, i] for each i.
 
-    Then psi is a corepresentation, Delta psi_ij = sum_k psi_ik (x) psi_kj and
-    eps(psi_ij) = delta_ij: apply Delta (x) id, id (x) Delta and id (x) eps to
-    the identity.  Delta is coassociative and counital (AC-10), and the
-    embed(b_j) are independent: `comodule_matrix` computes the rank of the
-    b_j, and the embedding is injective (`podles.normal_basis_report`).
+    The right side is one product: the row Matrix of the iota(b_j), each the
+    tensor iota(b_j) (x) 1, times psi.  The identity is what the r-form
+    recursion of `chi_functionals` uses; `bimodule_report` certifies the
+    letter twists on its own.  It makes psi a corepresentation, Delta
+    psi_ij = sum_k psi_ik (x) psi_kj and eps(psi_ij) = delta_ij, when the
+    iota(b_j) are independent: apply Delta (x) id, id (x) Delta and
+    id (x) eps to the identity, with Delta coassociative and counital
+    (AC-10).  `comodule_matrix` proves the b_j independent in B, so that
+    holds where iota is injective, which only AC-10 computes, at s=1 and
+    at infinity (`podles.normal_basis_report`).
     """
     images = [alg.embed(b) for b in W]
+    rhs = Matrix({(0, j): oqsl2.SL2Element.unit(x) for j, x in enumerate(images)}) * psi
     for i, image in enumerate(images):
-        rhs = {}
-        for j, other in enumerate(images):
-            accumulate(rhs, (oqsl2.SL2Element.unit(other) * psi[j][i]).terms)
-        if oqsl2.coproduct(image) != oqsl2.SL2Element(rhs):
+        if oqsl2.coproduct(image) != rhs[0, i]:
             raise AssertionError("Delta(b_%d) is not sum_j b_j (x) psi_j%d" % (i, i))
 
 
@@ -532,18 +541,11 @@ def _chi_letters(pres):
              for g in podles.LETTERS}, [alg.counit(b) for b in pres.W_basis])
 
 
-def _module_letters(engine, basis):
-    """M(g) with v_i(g x) = sum_s s(g) v_(i,s)(x) = sum_k M(g)[i, k] v_k(x)."""
-    letters = {g: {} for g in podles.LETTERS}
-    legs = _coproduct_legs(engine, basis)
-    _, sols = _span_solve(basis, [rv for _, _, rv in legs])
-    for (i, left, _), coeffs in zip(legs, sols):
-        if coeffs is None:
-            raise AssertionError("a coproduct leg of T^eps leaves T^eps")
-        for g in podles.LETTERS:
-            accumulate(letters[g], {(i, k): a for k, a in enumerate(coeffs)},
-                       engine.psi_eval(left, engine.alg.gen(g)))
-    return {g: Matrix(terms) for g, terms in letters.items()}
+def _module_letters(ts):
+    """M(g) with v_i(g x) = sum_k L[i, k](g) v_k(x), L the coproduct matrix of ts."""
+    engine = ts.engine
+    return {g: Matrix({ik: engine.eval_vector(v, engine.alg.gen(g))
+                       for ik, v in ts.L.terms.items()}) for g in podles.LETTERS}
 
 
 def _walk(letters, values, monos):
@@ -556,11 +558,17 @@ def _walk(letters, values, monos):
 def chi_functionals(n, nu, c: CParam, engine=None):
     """chi_i(a) = r(nu(a), S^-1(b_i)) - eps(b_i) eps(a), and span{chi_i, eps} = T^eps.
 
-    T^eps = C eps + the module of weight ±q^(-2n).  Bimultiplicativity of r
-    and Delta(S^-1 b_i) = sum_j S^-1 psi_ji (x) S^-1 b_j give R(g m') =
-    G(g) R(m') for R(m)_i = r(nu(m), S^-1 b_i), with G(g)[i, j] =
-    r(nu(g), S^-1 psi_ji) = eps(M_g[i, j]); the legs v(g m') = sum v_(1)(g)
-    v_(2)(m') give M(g) on T^eps.  So both sides are closed under f -> f(g .).
+    T^eps = C eps + the module of weight ±q^(-2n), the tangent space of
+    (±1, 2n) that the engine keeps for AC-7, `classify` and `de-generated`
+    too.  The chi side: Delta(iota b_i) = sum_j iota(b_j) (x) psi_ji, which
+    `check_comodule_matrix` certified, gives Delta(S^-1 b_i) = sum_j S^-1
+    psi_ji (x) S^-1 b_j, and with bimultiplicativity of r that is R(g m') =
+    G(g) R(m') for R(m)_i = r(nu(m), S^-1 b_i), G(g)[i, j] = r(nu(g),
+    S^-1 psi_ji) = eps(M_g[i, j]).  The module side: v_i(g m') = sum_k
+    L[i, k](g) v_k(m'), L the coproduct matrix of T^eps, whose closure under
+    f -> f(g .) is its certified `coproduct_closed`; `spans_equal` requires
+    the whole tangent-space certificate.  No elimination runs here but the
+    ranks, once the calculus and the tangent space are kept.
     The identification holds in every degree by Schützenberger's equivalence
     test (Inf. Control 4, 1961; Tzeng, SIAM J. Comput. 21, 1992): let K_d be
     the f in span{R_i, eps} + T^eps vanishing on B_{<=d}, the normal
@@ -575,9 +583,9 @@ def chi_functionals(n, nu, c: CParam, engine=None):
     """
     engine = engine or engine_of(c)
     chi_letters, eps_W = _chi_letters(build_rform_calculus(n, nu, c, engine))
-    basis = [EPSILON] + engine.build_module(-1 if nu == "flip" else +1, 2 * n).basis
-    mod_letters = _module_letters(engine, basis)
-    at_unit = [v.value_at_unit() for v in basis]
+    ts = tangent_space(c, [(-1 if nu == "flip" else +1, 2 * n)], engine)
+    mod_letters = _module_letters(ts)
+    at_unit = [v.value_at_unit() for v in ts.basis]
     chi_values, mod_values, ranks = {(): _column(eps_W)}, {(): _column(at_unit)}, []
     for d in itertools.count():
         monos = engine.alg.normal_monomials(d)
@@ -594,7 +602,8 @@ def chi_functionals(n, nu, c: CParam, engine=None):
     r_chi, r_mod = linalg.rank(chi_rows), linalg.rank(mod_rows)
     return {"chi_rows": chi_rows, "module_rows": mod_rows, "monomials": monos,
             "rank_chi": r_chi, "rank_module": r_mod, "rank_joint": ranks[-1],
-            "spans_equal": r_chi == r_mod == ranks[-1] == 2 * n + 1,
+            "spans_equal": (ts.certificate["pass"]
+                            and r_chi == r_mod == ranks[-1] == 2 * n + 1),
             "stable_degree": d - 1}
 
 

@@ -14,7 +14,7 @@ Every element is kept in PBW normal form with basis
 lexicographic order, in any context.
 """
 
-from .algebra import LinComb, RewriteSystem, accumulate, rule_failures
+from .algebra import LinComb, RewriteSystem, accumulate, rule_failures, word_image
 from .scalars import ZERO, ONE, Q, QINV, QHAT, qpow
 
 GENS = ("a", "b", "c", "d")
@@ -87,27 +87,26 @@ _GEN_COPROD = {
     "d": [("c", "b"), ("d", "d")],
 }
 
-_COPROD_CACHE = {}
+
+def _letter_coproduct(g):
+    """Delta of a generator, read from `_GEN_COPROD` when it is reached."""
+    legs = {}
+    for x, y in _GEN_COPROD[g]:
+        accumulate(legs, {(y,): SL2Element.gen(x)})
+    return SL2Element(legs)
+
+
+_COPROD_CACHE = {(): SL2Element.unit(UNIT)}
 
 
 def word_coproduct(word):
-    """Delta of a free word, the product of its letters' Delta.
+    """Delta of a free word, the product of its letters' Delta (`algebra.word_image`).
 
     A tensor sum x (x) a of O_q(SL2) (x) O_q(SL2) is the SL2Element {a: x},
     its coefficients elements of the left leg: Delta(a) = a (x) a + b (x) c
     is {a: a, c: b}.
     """
-    out = _COPROD_CACHE.get(word)
-    if out is None:
-        if word:
-            legs = {}
-            for x, y in _GEN_COPROD[word[-1]]:
-                accumulate(legs, {(y,): SL2Element.gen(x)})
-            out = word_coproduct(word[:-1]) * SL2Element(legs)
-        else:
-            out = SL2Element.unit(UNIT)
-        _COPROD_CACHE[word] = out
-    return out
+    return word_image(word, _letter_coproduct, _COPROD_CACHE)
 
 
 def coproduct(x):

@@ -23,7 +23,7 @@ mu_n at c = c(n) and the localization onto the opposite Borel algebra.
 
 import math
 
-from .algebra import LinComb, RewriteSystem, accumulate, rule_failures
+from .algebra import LinComb, RewriteSystem, accumulate, rule_failures, word_image
 from .scalars import (ZERO, ONE, Q, QHAT, RatFunc, qpow, CParam, cn_value)
 from . import oqsl2
 from .oqsl2 import SL2Element, pi_coeff
@@ -55,9 +55,9 @@ class PodlesAlgebra:
         self.c = c
         self.rewriting = RewriteSystem(sphere_rules(c.c_value()))
         self._embed_letter = None
-        self._embed_cache = {}
+        self._embed_cache = {(): SL2Element.unit()}
         self._coact_letter = None
-        self._coact_cache = {}
+        self._coact_cache = {(): SL2Element.unit(self.unit())}
 
     # -- normal form
 
@@ -154,15 +154,8 @@ class PodlesAlgebra:
         return out
 
     def _embed_mono(self, mono):
-        """The image of a monomial, one SL2 product on the image of its prefix."""
-        v = self._embed_cache.get(mono)
-        if v is None:
-            if mono:
-                v = self._embed_mono(mono[:-1]) * self._letter_images()[mono[-1]]
-            else:
-                v = SL2Element.unit()
-            self._embed_cache[mono] = v
-        return v
+        """The image of a word, one SL2 product on the image of its prefix."""
+        return word_image(mono, lambda g: self._letter_images()[g], self._embed_cache)
 
     # -- left action of E, F, K^n, read off the right coaction
 
@@ -202,14 +195,7 @@ class PodlesAlgebra:
 
     def _coact_mono(self, mono):
         """The coaction of a word, one product in B (x) O_q(SL2) on that of its prefix."""
-        t = self._coact_cache.get(mono)
-        if t is None:
-            if mono:
-                t = self._coact_mono(mono[:-1]) * self._coact_letters()[mono[-1]]
-            else:
-                t = SL2Element.unit(self.unit())
-            self._coact_cache[mono] = t
-        return t
+        return word_image(mono, lambda g: self._coact_letters()[g], self._coact_cache)
 
 
 class PodlesElement(LinComb):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qsphere import oqsl2
-from qsphere.algebra import LinComb, RewriteSystem, accumulate
+from qsphere.algebra import LinComb, RewriteSystem, accumulate, word_image
 from qsphere.oqsl2 import A_, B_, D_, UNIT, SL2Element
 from qsphere.podles import LETTERS, BorelOp, PodlesAlgebra, sphere_rules
 from qsphere.dualfunc import PsiVector
@@ -142,3 +142,19 @@ def test_degree_is_the_longest_sphere_word():
     assert (alg.A() * alg.em1() * alg.e1() + 3).degree() == 3
     assert (alg.em1() * alg.e1()).degree() == 2      # m p -> A - A^2 + c
     assert not hasattr(XPoly, "degree") and not hasattr(X, "degree")
+
+
+def test_word_image_multiplies_each_letter_once_onto_the_kept_prefix():
+    # letters are read when reached; a kept word, () included, costs no product
+    calls, table = [], {"x": 2, "y": 3}
+    kept = {(): 1}
+
+    def letter(g):
+        calls.append(g)
+        return table[g]
+
+    assert word_image(("x", "y", "x"), letter, kept) == 12 and calls == ["x", "y", "x"]
+    assert word_image(("x", "y"), letter, kept) == 6 and word_image((), letter, kept) == 1
+    table["y"] = 5
+    assert word_image(("x", "y", "y"), letter, kept) == 30 and calls == ["x", "y", "x", "y"]
+    assert set(kept) == {(), ("x",), ("x", "y"), ("x", "y", "x"), ("x", "y", "y")}

@@ -315,7 +315,7 @@ def test_early_zero_in_the_orbit_is_refused(monkeypatch):
 
     monkeypatch.setattr(eng, "phi", planted)
     assert eng.is_nilpotent_weight(+1, 2)
-    with pytest.raises(AssertionError, match="collapsed early"):
+    with pytest.raises(AssertionError, match="^phi-orbit collapsed early$"):
         eng.build_module(+1, 2)
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qsphere.algebra import accumulate
 from qsphere.scalars import ONE, Q, RatFunc, CParam, qpow
 from qsphere import dualfunc, fodc, linalg, oqsl2
 from qsphere.cli import main, parse_param_spec
@@ -387,9 +388,10 @@ def test_module_rows_equal_the_evaluated_functionals(nu, c, n):
     eng = DualEngine(c)
     alg = eng.alg
     monos = alg.normal_monomials(2 * n + 2)
-    basis = [EPSILON] + eng.build_module(-1 if nu == "flip" else +1, 2 * n).basis
-    walked = _walked(fodc._module_letters(eng, basis),
-                     [v.value_at_unit() for v in basis], monos)
+    ts = tangent_space(c, [(-1 if nu == "flip" else +1, 2 * n)], engine=eng)
+    basis = ts.basis
+    assert basis == [EPSILON] + eng.build_module(-1 if nu == "flip" else +1, 2 * n).basis
+    walked = _walked(fodc._module_letters(ts), [v.value_at_unit() for v in basis], monos)
     elems = [alg.element({m: ONE}) for m in monos]
     assert walked == [[eng.eval_vector(v, x) for x in elems] for v in basis]
     chi = chi_functionals(n, nu, c, engine=eng)
@@ -415,17 +417,17 @@ def test_swapped_letter_matrices_break_the_span_identification(monkeypatch, side
         monkeypatch.setattr(fodc, "_chi_letters", swapped)
     else:
         real = fodc._module_letters
-        monkeypatch.setattr(fodc, "_module_letters",
-                            lambda engine, basis: _swap_m_p(real(engine, basis)))
+        monkeypatch.setattr(fodc, "_module_letters", lambda ts: _swap_m_p(real(ts)))
     for n, joint in ((1, 6), (2, 10)):
         chi = chi_functionals(n, "id", GENERIC, engine=DualEngine(GENERIC))
         assert chi["spans_equal"] is False
         assert chi["rank_joint"] == joint
 
 
-def test_module_leg_outside_the_tangent_space_is_a_check_failure(monkeypatch, capsys):
-    # psi^1_(q^2) has the leg psi^0_(q^-2) (x) psi^1_(q^2), and psi^0_(q^-2) is
-    # not in T^eps
+def test_module_leg_outside_the_tangent_space_fails_spans_equal(monkeypatch, capsys):
+    # psi^1_(q) has the right leg psi^0_(q^-1), which is not in T^eps: the
+    # tangent space fails coproduct_closed, so spans_equal is false although
+    # all three ranks are 2n+1
     real = DualEngine.build_module
 
     def widened(self, sign, l):
@@ -435,13 +437,20 @@ def test_module_leg_outside_the_tangent_space_is_a_check_failure(monkeypatch, ca
                         mod.matE, mod.matF, mod.matK)
 
     monkeypatch.setattr(DualEngine, "build_module", widened)
-    with pytest.raises(AssertionError, match="leaves T\\^eps"):
-        chi_functionals(1, "id", GENERIC, engine=DualEngine(GENERIC))
+    eng = DualEngine(GENERIC)
+    chi = chi_functionals(1, "id", GENERIC, engine=eng)
+    assert (chi["rank_chi"], chi["rank_module"], chi["rank_joint"]) == (3, 3, 3)
+    assert chi["spans_equal"] is False
+    cert = tangent_space(GENERIC, [(1, 2)], engine=eng).certificate
+    assert cert["coproduct_closed"] is False
+    assert cert["coproduct_witness"] == (str(PsiVector.symbol(1, qpow(2))),
+                                         str(PsiVector.symbol(0, qpow(-2))))
     monkeypatch.setattr(dualfunc, "_ENGINES", {})
-    assert main(["selftest", "--only", "AC-8"]) == 3
+    assert main(["--format", "json", "selftest", "--only", "AC-8"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "leaves T^eps" in captured.err
+    assert captured.err == ""
+    (report,) = json.loads(captured.out)["certificates"]
+    assert report["pass"] is False and report["details"]["n=1"]["spans_equal"] is False
 
 
 def _whole_monomial_twist(pres, mono):
@@ -452,9 +461,8 @@ def _whole_monomial_twist(pres, mono):
     for am, x in alg.coact(alg.element({mono: ONE})).terms.items():
         left = nu_apply(pres.nu, x)
         leg = oqsl2.SL2Element({am: ONE})
-        for i in range(N):
-            for j in range(N):
-                t[i][j] = t[i][j] + oqsl2.rform(leg, pres.sinv_psi[i][j]) * left
+        for (i, j), sinv in pres.sinv_psi.terms.items():
+            t[i][j] = t[i][j] + oqsl2.rform(leg, sinv) * left
     return t
 
 
@@ -625,7 +633,7 @@ def test_editing_a_returned_report_changes_no_later_answer():
 
 
 def _swap_first_columns(psi):
-    return [[row[1], row[0]] + row[2:] for row in psi]
+    return Matrix({(i, {0: 1, 1: 0}.get(j, j)): x for (i, j), x in psi.terms.items()})
 
 
 def _count_comodule_builds(monkeypatch):
@@ -689,7 +697,7 @@ def test_comodule_matrix_check_catches_swapped_columns(eng, monkeypatch):
     W = submodule_Vn(1, alg)
     psi, _ = comodule_matrix(alg, W)
     check_comodule_matrix(alg, W, psi)
-    with pytest.raises(AssertionError, match=r"Delta\(b_0\) is not"):
+    with pytest.raises(AssertionError, match=r"^Delta\(b_0\) is not sum_j b_j \(x\) psi_j0$"):
         check_comodule_matrix(alg, W, _swap_first_columns(psi))
     # the CLI reports the failed identity as an internal check failure, on
     # every call: a calculus that failed its checks is not kept
@@ -889,6 +897,50 @@ def test_dependent_module_basis_fails_every_vector(monkeypatch):
     assert _orbit_irreducibility(ts)["pass"]
 
 
+def _tensor(pairs):
+    """{(left symbol, right symbol): coefficient} of sum x (x) y over (x, y) PsiVector pairs."""
+    out = {}
+    for x, y in pairs:
+        for s1, c1 in x.terms.items():
+            for s2, c2 in y.terms.items():
+                accumulate(out, {(s1, s2): c1 * c2})
+    return out
+
+
+@pytest.mark.parametrize("spec, components", [
+    ("s=1", [(1, 2)]), ("s=1", [(1, 2), (1, 4)]), ("inf", [(-1, 0), (1, 2)]),
+    ("inf", [(-1, 2)])])
+def test_the_coproduct_matrix_of_a_tangent_space_gives_every_leg(spec, components):
+    # Delta basis[i] = sum_k L[i, k] (x) basis[k], against psi_coproduct term by term
+    c = parse_param_spec(spec)
+    eng = DualEngine(c)
+    ts = tangent_space(c, components, engine=eng)
+    assert ts.certificate["pass"]
+    for i, v in enumerate(ts.basis):
+        delta = _tensor((PsiVector({left: cc * coeff}), PsiVector({right: ONE}))
+                        for sym, coeff in v.terms.items()
+                        for cc, left, right in eng.psi_coproduct(sym))
+        assert _tensor((ts.L[i, k], ts.basis[k]) for (j, k) in ts.L.terms if j == i) == delta
+    # each call gets its own L
+    ts.L.terms.clear()
+    assert tangent_space(c, components, engine=eng).L.terms
+
+
+def test_chi_functionals_solves_nothing_once_its_spaces_are_kept(monkeypatch):
+    # the calculus's comodule solve and T^eps's one elimination are kept on the
+    # engine, and T^eps is the tangent space that `classify` keeps
+    calls, real = [], linalg.solve_with_rank
+    monkeypatch.setattr(linalg, "solve_with_rank", lambda a, b: calls.append(1) or real(a, b))
+    for n, nu, c in ((1, "id", GENERIC), (2, "id", GENERIC), (1, "flip", INF)):
+        eng = DualEngine(c)
+        build_rform_calculus(n, nu, c, engine=eng)
+        for sl in eng.scan_weights(2 * n):
+            tangent_space(c, [sl], engine=eng)
+        calls.clear()
+        assert chi_functionals(n, nu, c, engine=eng)["spans_equal"]
+        assert calls == [], (n, nu)
+
+
 def test_one_elimination_per_tangent_space_and_none_per_irreducibility(monkeypatch):
     eng = DualEngine(GENERIC)
     eng.scan_weights(4)                 # the weight verdicts rank matrices of their own
@@ -926,7 +978,7 @@ def _w_with_a_non_comodule_vector(monkeypatch):
 def _psi_entry_times_q(monkeypatch):
     real = fodc.check_comodule_matrix
     monkeypatch.setattr(fodc, "check_comodule_matrix", lambda alg, W, psi: real(
-        alg, W, [[Q * psi[0][0]] + psi[0][1:]] + psi[1:]))
+        alg, W, Matrix({**psi.terms, (0, 0): Q * psi[0, 0]})))
 
 
 def _varphi_coefficient_times_q(monkeypatch):

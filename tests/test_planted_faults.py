@@ -6,7 +6,8 @@ a FAIL (exit 1, nothing on stderr, the named report field flipped) or an
 internal check failure (exit 3, nothing on stdout).  Never a pass, and
 never a traceback.  The rows reach the failure branches of AC-2, AC-4
 (both routes), AC-5 (both checks), AC-6, AC-7 (counts and closure) and
-AC-8's submodule, and `comodule_matrix`'s rank check.
+AC-8's submodule, and the internal checks of `comodule_matrix`'s rank,
+the weight scan's two routes, X_c's superdiagonal and the E-orbit of V(n).
 """
 
 import json
@@ -18,7 +19,7 @@ from qsphere.cli import main
 from qsphere.dualfunc import DualEngine
 from qsphere.linalg import Matrix
 from qsphere.podles import PodlesAlgebra
-from qsphere.scalars import Q, QINV
+from qsphere.scalars import Q, QINV, ZERO
 
 
 def _repeated_w_vector(monkeypatch):
@@ -91,6 +92,29 @@ def _beta_singular_at_l1(monkeypatch):
     monkeypatch.setattr(uqsl2rep, "BETA", -Q / (Q + 2 + QINV))
 
 
+def _gamma_zero(monkeypatch):
+    # every superdiagonal entry of X_c carries GAMMA
+    monkeypatch.setattr(uqsl2rep, "GAMMA", ZERO)
+
+
+def _e_kills_e1(monkeypatch):
+    real = PodlesAlgebra.act
+    monkeypatch.setattr(PodlesAlgebra, "act", lambda self, kind, x, power=1: (
+        self.element() if kind == "E" and x == self.e1() else real(self, kind, x, power)))
+
+
+def _e_of_a_killed_vector_is_e1(monkeypatch):
+    # E |> x = e_1 wherever E kills a nonconstant x: at n=1 the last vector
+    # of the orbit of e_1, E^2 |> e_1, is mapped back to e_1
+    real = PodlesAlgebra.act
+
+    def planted(self, kind, x, power=1):
+        out = real(self, kind, x, power)
+        return self.e1() if kind == "E" and x.degree() and not out else out
+
+    monkeypatch.setattr(PodlesAlgebra, "act", planted)
+
+
 def _alpha_times_two(monkeypatch):
     # both weight routes read alpha(c), so they agree: the exceptional
     # values become generic ones
@@ -137,13 +161,21 @@ PLANTS = [
      lambda d: d["s=1"]["count"] == 0),
     (_psi_coproduct_times_q, ["selftest", "--only", "AC-7"], 1,
      lambda d: d["s=1"]["candidates_closed"] is False),
+    (_beta_singular_at_l1, ["selftest", "--only", "AC-6"], 3,
+     "operator and matrix routes disagree at sign=+1 l=1"),
+    (_gamma_zero, ["eigenvalues", "--c", "s=1", "--l", "1"], 3,
+     "X_c has a zero on its superdiagonal at sign=+1 l=1"),
+    (_e_kills_e1, ["build-fodc", "--n", "1"], 3, "E-orbit of e_1^n collapsed early"),
+    (_e_of_a_killed_vector_is_e1, ["build-fodc", "--n", "1"], 3,
+     "E-orbit of e_1^n does not close after 2n+1 steps"),
 ]
 
 
 @pytest.mark.parametrize("plant, argv, code, expected", PLANTS, ids=[
     "W-repeated-vector", "AC-8-K-weight", "AC-2-F-letter", "AC-4-irrep-E", "AC-4-phi-a_l",
     "AC-5-pair-sign", "AC-5-BETA-singular", "AC-6-alpha", "AC-7-generators",
-    "AC-7-psi-coproduct"])
+    "AC-7-psi-coproduct", "AC-6-BETA-singular", "X_c-GAMMA-zero", "V(n)-orbit-collapse",
+    "V(n)-orbit-open"])
 def test_a_planted_datum_fails_its_check(monkeypatch, capsys, plant, argv, code, expected):
     monkeypatch.setattr(dualfunc, "_ENGINES", {})
     plant(monkeypatch)

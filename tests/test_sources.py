@@ -143,3 +143,34 @@ def test_no_module_evaluates_text_as_python():
     found = {path.name: bare_calls(path.read_text())
              for path in sorted((ROOT / "src" / "qsphere").glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def assertion_messages(source):
+    """The literal text before the first % of each `raise AssertionError(...)` message."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "AssertionError"):
+            message = node.exc.args[0]
+            if isinstance(message, ast.BinOp):      # "text %d" % args
+                message = message.left
+            found.append(message.value.split("%")[0])
+    return sorted(found)
+
+
+def test_assertion_messages_finds_a_planted_raise():
+    source = ('def f(n):\n    if n:\n        raise AssertionError("rank %d < %d" % (n, 2))\n'
+              '    raise AssertionError("no "\n                         "witness")\n'
+              'raise ValueError("not an internal check")\n')
+    assert assertion_messages(source) == ["no witness", "rank "]
+
+
+def test_every_internal_check_message_is_named_in_full_by_a_test():
+    # an internal check (exit 3) that no test names may never have been reached
+    tests = "\n".join(path.read_text() for path in sorted((ROOT / "tests").glob("*.py")))
+    unnamed = {}
+    for path in sorted((ROOT / "src" / "qsphere").glob("*.py")):
+        missing = [m for m in assertion_messages(path.read_text()) if m not in tests]
+        if missing:
+            unnamed[path.name] = missing
+    assert unnamed == {}
