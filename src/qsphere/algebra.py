@@ -18,16 +18,58 @@ from .scalars import ZERO, ONE, RatFunc
 
 
 def accumulate(out, terms, coeff=None):
-    """Add coeff * terms (or terms) into the dict `out`, dropping zero sums; returns out."""
+    """Add coeff * terms (or terms) into the dict `out`, dropping zero sums; returns out.
+
+    Nothing is multiplied by ONE: coeff ONE adds the terms as they are, and
+    a term whose coefficient is ONE (a matrix unit, a word already normal)
+    takes coeff itself.
+    """
+    if coeff is ONE:
+        coeff = None
     for m, c in terms.items():
         if coeff is not None:
-            c = coeff * c
+            c = coeff if c is ONE else coeff * c
         old = out.get(m)
         v = c if old is None else old + c   # ZERO + c would copy an element entry
         if v:
             out[m] = v
         elif old is not None:
             del out[m]
+    return out
+
+
+def _product_into(out, x, y, scale=ONE):
+    """Add scale * x * y into the terms dict out and return it; x and y are of
+    one type, scale is a central scalar.
+
+    Each pair of terms gives the coefficient product c1 c2 on each monomial
+    of m1 m2.  When c1 and c2 are elements of one type (entries of a Matrix
+    over B, legs of a tensor), their product's terms are added straight
+    into one terms dict per output monomial, which becomes the entry once
+    every pair is in: no product element, copy or sum element is built per
+    pair.  Coefficient order is kept, c1 before c2, as the coefficient ring
+    need not commute.
+    """
+    parts = {}                          # monomial -> (an entry of its type, terms)
+    for m1, c1 in x.terms.items():
+        nested = isinstance(c1, LinComb)
+        for m2, c2 in y.terms.items():
+            t = x._mono_mul(m1, m2)
+            if not t:                   # no coefficient product for a zero product
+                continue
+            if nested and type(c2) is type(c1):
+                c2 = c1._coerce(c2)     # refuses what c1 * c2 refuses
+                for m, c in t.items():
+                    part = parts.get(m)
+                    if part is None:
+                        part = parts[m] = (c1, {})
+                    _product_into(part[1], c1, c2, c if scale is ONE else c * scale)
+            else:
+                c = c1 * c2
+                accumulate(out, t, c if scale is ONE else c * scale)
+    for m, (entry, terms) in parts.items():
+        if terms:
+            accumulate(out, {m: entry._new(terms)})
     return out
 
 
@@ -141,13 +183,7 @@ class LinComb:
             o = self._coerce(other)
             if o is None:
                 return NotImplemented
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in o.terms.items():
-                    t = self._mono_mul(m1, m2)
-                    if t:               # no coefficient product for a zero product
-                        accumulate(out, t, c1 * c2)
-            return self._new(out)
+            return self._new(_product_into({}, self, o))
         c = RatFunc.coerce(other)
         if c is None:
             return NotImplemented
@@ -168,8 +204,14 @@ class LinComb:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("powers must be nonnegative integers")
-        out = self._coerce(ONE)
-        for _ in range(n):
+        if n == 0:
+            unit = self._coerce(ONE)
+            if unit is None:
+                raise ValueError("%s has no unit (UNIT is None), so ** 0 is undefined"
+                                 % type(self).__name__)
+            return unit
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 

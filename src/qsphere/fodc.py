@@ -343,9 +343,14 @@ class CalculusPresentation:
         omega m' - d(m'), so d(m) = omega m - M_g (omega m' - d(m')) is one
         letter-matrix product from the kept d(m'), and d(1) = 0.
         """
-        out = [self.alg.element() for _ in range(self.N)]
-        for mono, cc in x.terms.items():
-            out = [u + v * cc for u, v in zip(out, self._d_mono(mono))]
+        return [self.alg.element(terms) for terms in self._d_terms(x.terms)]
+
+    def _d_terms(self, terms):
+        """The coordinates of d(sum c m) as terms dicts, each c d(m) added into one dict."""
+        out = [{} for _ in range(self.N)]
+        for mono, cc in terms.items():
+            for coord, v in zip(out, self._d_mono(mono)):
+                accumulate(coord, v.terms, cc)
         return out
 
     def _d_mono(self, mono):
@@ -389,7 +394,9 @@ class CalculusPresentation:
         x d(y) is M_x d(y), taken for each y by one walk over the x of
         degree <= bound - |y|, shortest first: M_(g x') d(y) = M_g (M_(x')
         d(y)), so each x costs one letter-matrix product, and the walk of
-        one y is dropped once its pairs are checked.  Failures are (x, y)
+        one y is dropped once its pairs are checked.  d(x) y and d(xy) are
+        read off the kept d of monomials, each coordinate added into one
+        terms dict, and compared as terms dicts.  Failures are (x, y)
         pairs in the order of the normal monomials, x first.  A bound below
         2 admits no pair of nonconstant monomials, so it is refused rather
         than passed on an empty check.  No certificate calls it; the
@@ -403,15 +410,16 @@ class CalculusPresentation:
         letters = {g: self._twist(g) for g in podles.LETTERS}
         failures = []
         for m2 in monos[1:]:
-            y = alg.element({m2: ONE})
-            acted = {(): _column(self.d(y))}        # x -> M_x d(y) as a column
+            acted = {(): _column(self._d_mono(m2))}  # x -> M_x d(y) as a column
             _walk(letters, acted, alg.normal_monomials(max_total_degree - len(m2)))
             for m1, col in acted.items():
                 if m1:
-                    x = alg.element({m1: ONE})
-                    rhs = [self._entry(col, k, 0) + v
-                           for k, v in enumerate(self.rmult(self.d(x), y))]
-                    if self.d(x * y) != rhs:
+                    # x d(y) + d(x) y, each coordinate added into one copied dict
+                    rhs = [dict(self._entry(col, k, 0).terms) for k in range(self.N)]
+                    for coord, v in zip(rhs, self._d_mono(m1)):
+                        for mono, cc in v.terms.items():
+                            accumulate(coord, alg.reduce_word(mono + m2), cc)
+                    if self._d_terms(alg.reduce_word(m1 + m2)) != rhs:
                         failures.append((m1, m2))
         position = {m: i for i, m in enumerate(monos)}
         failures.sort(key=lambda pair: (position[pair[0]], position[pair[1]]))

@@ -45,15 +45,29 @@ def _pneg(a):
 
 
 def _pmul(a, b):
+    """a*b; an operand with one term c*t^k shifts the other by k and scales it by c."""
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
+    if len(b) == 1:                     # a constant needs no scan
+        return _shift_scale(a, 0, b[0])
+    if len(a) == 1:
+        return _shift_scale(b, 0, a[0])
+    anz = [(i, x) for i, x in enumerate(a) if x]
+    if len(anz) == 1:
+        return _shift_scale(b, *anz[0])
     bnz = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in bnz:
-                out[i + j] += x * y
+    if len(bnz) == 1:
+        return _shift_scale(a, *bnz[0])
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in anz:
+        for j, y in bnz:
+            out[i + j] += x * y
     return tuple(out)
+
+
+def _shift_scale(a, k, c):
+    """t^k * c * a."""
+    return (0,) * k + (a if c == 1 else tuple([x * c for x in a]))
 
 
 def _pprim(a):
@@ -282,17 +296,20 @@ def _laurent(num, k, m):
     return RatFunc(num, _monomial_den(k, m), _reduced=True)
 
 
+_LAURENT_DENS = {}          # id -> each tuple `_monomial_den` made, kept alive
+
+
 @functools.cache
 def _monomial_den(k, m):
-    """The tuple of m*t^k, one per (k, m): canonical monomial denominators share it."""
-    return (0,) * k + (m,)
+    """The tuple of m*t^k, one per (k, m): canonical monomial denominators share it.
 
-
-def _align(a, shift, factor):
-    """t^shift * factor * a."""
-    if factor != 1:
-        a = tuple(x * factor for x in a)
-    return (0,) * shift + a if shift else a
+    _LAURENT_DENS holds each such tuple for the life of the process, so its
+    id is never reused, and a canonical denominator is a monomial exactly
+    when its id is in _LAURENT_DENS: one lookup, not a scan.
+    """
+    den = (0,) * k + (m,)
+    _LAURENT_DENS[id(den)] = den
+    return den
 
 
 def _sum(a, b, c, d):
@@ -301,11 +318,19 @@ def _sum(a, b, c, d):
     Laurent operands are aligned on lcm(lc(b), lc(d)) * t^max(deg b, deg d).
     Otherwise, with g = gcd(b, d), only gcd(num, g) remains.
     """
-    if _is_monomial(b) and _is_monomial(d):
-        k, l, beta, delta = len(b) - 1, len(d) - 1, b[-1], d[-1]
-        m, top = math.lcm(beta, delta), max(k, l)
-        return _laurent(_padd(_align(a, top - k, m // beta),
-                              _align(c, top - l, m // delta)), top, m)
+    if id(b) in _LAURENT_DENS and id(d) in _LAURENT_DENS:
+        beta, delta = b[-1], d[-1]
+        m = beta if beta == delta else math.lcm(beta, delta)
+        if m != beta:
+            a = tuple([x * (m // beta) for x in a])
+        if m != delta:
+            c = tuple([x * (m // delta) for x in c])
+        k, l = len(b) - 1, len(d) - 1
+        if k < l:
+            a, k = (0,) * (l - k) + a, l
+        elif l < k:
+            c = (0,) * (k - l) + c
+        return _laurent(_padd(a, c), k, m)
     if b == d:
         return RatFunc(*_canonical(_padd(a, c), (1,), b), _reduced=True)
     g, bq, dq = _pgcd(b, d)
@@ -365,7 +390,7 @@ class RatFunc:
     # -- arithmetic
 
     def __add__(self, other):
-        o = RatFunc.coerce(other)
+        o = other if type(other) is RatFunc else RatFunc.coerce(other)
         if o is None:
             return NotImplemented
         if not self.num:
@@ -380,7 +405,7 @@ class RatFunc:
         return RatFunc(_pneg(self.num), self.den, _reduced=True)
 
     def __sub__(self, other):
-        o = RatFunc.coerce(other)
+        o = other if type(other) is RatFunc else RatFunc.coerce(other)
         if o is None:
             return NotImplemented
         if not o.num:
@@ -393,7 +418,7 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
-        o = RatFunc.coerce(other)
+        o = other if type(other) is RatFunc else RatFunc.coerce(other)
         if o is None:
             return NotImplemented
         a, b, c, d = self.num, self.den, o.num, o.den
@@ -403,7 +428,7 @@ class RatFunc:
             return o
         if c == d == (1,):
             return self
-        if _is_monomial(b) and _is_monomial(d):
+        if id(b) in _LAURENT_DENS and id(d) in _LAURENT_DENS:
             return _laurent(_pmul(a, c), len(b) + len(d) - 2, b[-1] * d[-1])
         # Henrici: cancel across the operands, so the product is reduced
         _, a, d = _pgcd(a, d)
@@ -423,13 +448,13 @@ class RatFunc:
         return RatFunc(num, den, _reduced=True)
 
     def __truediv__(self, other):
-        o = RatFunc.coerce(other)
+        o = other if type(other) is RatFunc else RatFunc.coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inv()
 
     def __rtruediv__(self, other):
-        o = RatFunc.coerce(other)
+        o = other if type(other) is RatFunc else RatFunc.coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inv()
@@ -449,7 +474,7 @@ class RatFunc:
         return out
 
     def __eq__(self, other):
-        o = RatFunc.coerce(other)
+        o = other if type(other) is RatFunc else RatFunc.coerce(other)
         if o is None:
             return NotImplemented
         return self.num == o.num and self.den == o.den
@@ -571,8 +596,9 @@ def clear_denominators(values):
     if not nonzero:
         return ONE, list(values)
     delta = _den_lcm(nonzero)
-    return (RatFunc(delta, (1,), _reduced=True),
-            [RatFunc(_pmul(x.num, _pdiv_exact(delta, x.den)), (1,), _reduced=True)
+    one = _monomial_den(0, 1)
+    return (RatFunc(delta, one, _reduced=True),
+            [RatFunc(_pmul(x.num, _pdiv_exact(delta, x.den)), one, _reduced=True)
              if x.num else ZERO for x in values])
 
 
@@ -597,7 +623,7 @@ def eval_mod(x, t0, p):
 def qpow(k2):
     """t**k2 as a field element, i.e. q^(k2/2); k2 may be negative."""
     if k2 >= 0:
-        return RatFunc((0,) * k2 + (1,), (1,), _reduced=True)
+        return RatFunc((0,) * k2 + (1,), _monomial_den(0, 1), _reduced=True)
     return RatFunc((1,), _monomial_den(-k2, 1), _reduced=True)
 
 

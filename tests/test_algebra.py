@@ -8,6 +8,7 @@ from qsphere.algebra import LinComb, RewriteSystem, accumulate, word_image
 from qsphere.oqsl2 import A_, B_, D_, UNIT, SL2Element
 from qsphere.podles import LETTERS, BorelOp, PodlesAlgebra, sphere_rules
 from qsphere.dualfunc import PsiVector
+from qsphere.linalg import Matrix
 from qsphere.uqsl2rep import X, XPoly
 from qsphere.scalars import ZERO, ONE, Q, CParam, RatFunc, qpow
 
@@ -55,6 +56,8 @@ def test_mixed_types_do_not_combine():
         PsiVector.symbol(0, ONE) * PsiVector.symbol(1, ONE)
     with pytest.raises(ValueError):
         alg.A() + other.A()
+    with pytest.raises(ValueError, match="mixing sphere algebras"):
+        Matrix({(0, 0): alg.A()}) * Matrix({(0, 0): other.A()})
     assert A_ != alg.A()
 
 
@@ -158,3 +161,19 @@ def test_word_image_multiplies_each_letter_once_onto_the_kept_prefix():
     table["y"] = 5
     assert word_image(("x", "y", "y"), letter, kept) == 30 and calls == ["x", "y", "x", "y"]
     assert set(kept) == {(), ("x",), ("x", "y"), ("x", "y", "x"), ("x", "y", "y")}
+
+
+def test_powers_start_from_the_element_and_need_a_unit_only_at_zero():
+    m = Matrix({(0, 1): Q, (1, 0): ONE, (1, 1): -ONE})
+    assert m ** 1 == m and m ** 2 == m * m and m ** 3 == m * m * m
+    v = PsiVector.symbol(1, Q)
+    assert v ** 1 == v
+    for no_unit in (m, v, Matrix(), PsiVector()):
+        with pytest.raises(ValueError, match="%s has no unit" % type(no_unit).__name__):
+            no_unit ** 0
+    alg = PodlesAlgebra(CParam.generic(1))
+    x = alg.em1() + Q * alg.A()
+    assert x ** 0 == alg.unit() == 1 and x ** 1 == x and x ** 3 == x * x * x
+    assert X ** 0 == XPoly({0: ONE}) == 1 and X ** 3 == XPoly({3: ONE})
+    with pytest.raises(ValueError, match="nonnegative"):
+        m ** -1

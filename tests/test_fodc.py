@@ -1013,3 +1013,40 @@ def test_a_planted_fault_reaches_its_internal_check(monkeypatch, capsys, plant, 
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == "internal check failed: %s\n" % message
+
+
+def test_d_returns_fresh_coordinates_and_leaves_its_cache_alone():
+    pres = build_rform_calculus(1, "id", GENERIC, engine=DualEngine(GENERIC))
+    alg = pres.alg
+    for x in (alg.element({("A", "p"): ONE}), alg.e0() * alg.e1() - Q * alg.A() + 2):
+        first = pres.d(x)
+        want = [dict(v.terms) for v in first]
+        kept = {m: [dict(v.terms) for v in dm] for m, dm in pres._d_cache.items()}
+        second = pres.d(x)
+        assert second is not first
+        assert all(u is not v and u.terms is not v.terms for u, v in zip(first, second))
+        for v in first:                 # mutate every entry and the list itself
+            v.terms.clear()
+            v.terms[("m",)] = Q
+        first.append(alg.unit())
+        assert [v.terms for v in second] == want
+        assert [v.terms for v in pres.d(x)] == want
+        assert {m: [v.terms for v in dm] for m, dm in pres._d_cache.items()} == kept
+
+
+def test_d_of_a_seeded_combination_is_the_sum_over_its_monomials():
+    rng = random.Random(4821)
+    pres = build_rform_calculus(1, "id", GENERIC, engine=DualEngine(GENERIC))
+    alg = pres.alg
+    monos = alg.normal_monomials(3)
+    for _ in range(10):
+        coeffs = {m: qpow(rng.randint(-3, 3)) * rng.choice((-2, -1, 1, 3))
+                  for m in rng.sample(monos, rng.randint(1, 6))}
+        if len(coeffs) > 1 and rng.random() < 0.5:
+            coeffs[next(iter(coeffs))] = ONE            # a term on the unit coefficient
+        want = [alg.element() for _ in range(pres.N)]
+        for m, c in coeffs.items():
+            want = [u + c * v for u, v in zip(want, pres.d(alg.element({m: ONE})))]
+        got = pres.d(alg.element(coeffs))
+        assert got == want
+        assert all(v for u in got for v in u.terms.values())

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from qsphere import linalg
-from qsphere.scalars import ZERO, ONE, Q, QINV, MOD_T0, RatFunc
+from qsphere import linalg, oqsl2
+from qsphere.oqsl2 import SL2Element
+from qsphere.podles import PodlesAlgebra
+from qsphere.scalars import ZERO, ONE, Q, QINV, MOD_T0, CParam, RatFunc
 from qsphere.linalg import Matrix, rank, solve_with_rank, transpose
 from qsphere.uqsl2rep import X, charpoly_tridiag
 
@@ -429,3 +431,58 @@ def test_a_product_of_units_that_do_not_chain_multiplies_no_scalars(monkeypatch)
     assert (e01 * e01).is_zero() and (e10 * e10).is_zero()
     assert calls == []
     assert e01 * e10 == Matrix({(0, 0): ONE}) and calls          # the spy sees products
+
+
+def _random_sphere_entry(rng, alg, monos):
+    """A sphere element of 0-3 terms with Laurent coefficients."""
+    return alg.element({m: _random_laurent_entry(rng, density=1.0)
+                        for m in rng.sample(monos, rng.randint(0, 3))})
+
+
+def _kept_nonzero(terms):
+    """No zero entry, no empty element and no zero coefficient inside one."""
+    return all(v and all(getattr(v, "terms", {1: v}).values()) for v in terms.values())
+
+
+def test_products_over_the_sphere_equal_the_entrywise_oracle():
+    # entries and tensor legs are sphere elements; each product must be the
+    # sum of the element products, with planted pairs that cancel exactly
+    rng = random.Random(6301)
+    alg = PodlesAlgebra(CParam.generic(1))
+    monos = alg.normal_monomials(2)
+    for _ in range(25):
+        a = [[_random_sphere_entry(rng, alg, monos) for _ in range(3)] for _ in range(3)]
+        b = [[_random_sphere_entry(rng, alg, monos) for _ in range(3)] for _ in range(3)]
+        i0, k0 = rng.randrange(3), rng.randrange(3)
+        a[i0][1], a[i0][2], b[1][k0] = -a[i0][0], alg.element(), b[0][k0]
+        if rng.random() < 0.5:
+            a[(i0 + 1) % 3][rng.randrange(3)] = Q          # a scalar entry among elements
+        prod = _as_matrix(a) * _as_matrix(b)
+        want = {}
+        for i in range(3):
+            for k in range(3):
+                s = ZERO
+                for j in range(3):
+                    s = s + a[i][j] * b[j][k]
+                if s:
+                    want[i, k] = s
+        assert prod.terms == want and (i0, k0) not in prod.terms
+        assert _kept_nonzero(prod.terms)
+        assert prod == Matrix(want) and hash(prod) == hash(Matrix(want))
+
+    words = [(), ("a", "a"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "d"), ("b",), ("c",)]
+    for _ in range(25):
+        u, v = ({w: _random_sphere_entry(rng, alg, monos) for w in rng.sample(words, 3)}
+                for _ in range(2))
+        x, y = _random_sphere_entry(rng, alg, monos), _random_sphere_entry(rng, alg, monos)
+        u.update({("b",): x, ("c",): -x})               # x y (x) bc - x y (x) cb = 0
+        v.update({("b",): y, ("c",): y})
+        su, sv = SL2Element(u), SL2Element(v)
+        prod = su * sv
+        want = SL2Element()
+        for w1, x1 in su.terms.items():
+            for w2, x2 in sv.terms.items():
+                for w, c in oqsl2.reduce_word(w1 + w2).items():
+                    want = want + SL2Element({w: x1 * x2 * c})
+        assert prod.terms == want.terms and _kept_nonzero(prod.terms)
+        assert prod == want and hash(prod) == hash(want)

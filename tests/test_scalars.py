@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import random
 import subprocess
@@ -237,6 +238,17 @@ def test_pmul_operand_order():
         assert _pmul(a, b) == _pmul(b, a) == _naive_pmul(a, b)
 
 
+def test_pmul_by_a_one_term_operand_shifts_and_scales():
+    rng = random.Random(78)
+    dense = tuple(rng.randint(-9, 9) for _ in range(39)) + (5,)
+    holey = (3, 0, 0, -2, 0, 0, 0, 7)
+    one_term = [(1,), (-1,), (7,), (0, 0, 1), (0, -3), (0,) * 5 + (12,), (0,) * 160 + (1,)]
+    for c in one_term:
+        for p in [dense, holey, (4,), (0, 1), (0, 0, -6)] + one_term:
+            assert _pmul(p, c) == _pmul(c, p) == _naive_pmul(p, c)
+    assert _pmul(dense, (1,)) is dense          # a shift by 0 and a scale by 1 copy nothing
+
+
 # -- oracle tests: Henrici arithmetic and GCDHEU against cross-multiplication
 # and the primitive PRS gcd
 
@@ -396,6 +408,19 @@ def test_laurent_operands_take_no_polynomial_gcd(monkeypatch):
     rng = random.Random(881)
     pairs = [(_unreduced(*_rand_laurent(rng)), _unreduced(*_rand_laurent(rng)))
              for _ in range(100)]
+    # a Laurent value from each construction route is recognised as one:
+    # unreduced RatFunc(num, den), inv, -, from_int, arithmetic, qpow and
+    # clear_denominators
+    values = [x for x, _ in pairs[:8]]
+    values += [RatFunc((0,) * rng.randint(0, 3) + (rng.choice((-3, 1, 2)),), den).inv()
+               for _, den in (_rand_laurent(rng) for _ in range(6))]
+    values += [-x for x in values[:4]] + [RatFunc.from_int(n) for n in (-2, 0, 1, 5)]
+    values += [op(x, y) for x, y in pairs[8:12] for op in (operator.add, operator.sub,
+                                                        operator.mul, operator.truediv)
+               if op is not operator.truediv or len(y.num) == 1]
+    values += [qpow(k) for k in (-3, 0, 2)] + [ZERO, ONE]
+    delta, cleared = clear_denominators(values[:6])
+    values += [delta] + cleared
     calls = []
     real = scalars._pgcd
 
@@ -406,6 +431,9 @@ def test_laurent_operands_take_no_polynomial_gcd(monkeypatch):
     monkeypatch.setattr(scalars, "_pgcd", spy)
     for x, y in pairs:
         x + y, x - y, x * y
+    for x in values:
+        for y in values:
+            x + y, x - y, x * y
     assert calls == []
     # the spy sees the general route
     parse_ratfunc("1/(q+1)") + parse_ratfunc("1/(q-1)")
