@@ -558,19 +558,51 @@ def test_the_suffix_walk_gives_the_direct_d_and_leibniz(n, nu, c, bound):
     assert pres.d(x) == _direct_d(pres, x)
 
 
-def test_a_twist_entry_times_q_fails_the_walked_leibniz_on_the_direct_pairs(monkeypatch):
-    # the plant of test_a_twist_entry_times_q_fails_three_rules: M_A[0, 0] times q
+@pytest.mark.parametrize("letter, ij", [("m", (0, 0)), ("A", (0, 0)), ("A", (1, 0)),
+                                        ("p", (1, 0))], ids=["m00", "A00", "A10", "p10"])
+@pytest.mark.parametrize("n, nu, c", [(1, "id", GENERIC), (2, "id", GENERIC), (1, "flip", INF)],
+                         ids=["n1-id", "n2-id", "n1-flip-inf"])
+@pytest.mark.parametrize("bound", [3, 4])
+def test_a_twist_entry_times_q_fails_the_walked_leibniz_on_the_direct_pairs(
+        monkeypatch, letter, ij, n, nu, c, bound):
+    # one letter-matrix entry times q (M_A[0, 0] is the plant of
+    # test_a_twist_entry_times_q_fails_three_rules), in a fresh engine
     real = fodc.CalculusPresentation._twist
 
     def planted(self, g):
         m = real(self, g)
-        return Matrix({**m.terms, (0, 0): m[0, 0] * Q}) if g == "A" else m
+        return Matrix({**m.terms, ij: m[ij] * Q}) if g == letter else m
 
     monkeypatch.setattr(fodc.CalculusPresentation, "_twist", planted)
-    pres = build_rform_calculus(1, "id", GENERIC, engine=DualEngine(GENERIC))
-    rep = pres.leibniz_report(3)
-    assert rep["pass"] is False and rep["bound"] == 3
-    assert rep["failures"] == _direct_leibniz_failures(pres, 3) != []
+    pres = build_rform_calculus(n, nu, c, engine=DualEngine(c))
+    rep = pres.leibniz_report(bound)
+    assert rep["pass"] is False and rep["bound"] == bound
+    assert rep["failures"] == _direct_leibniz_failures(pres, bound) != []
+
+
+def test_leibniz_makes_one_letter_product_per_non_normal_word(monkeypatch):
+    # with M_m omega kept for every normal m of degree <= 4, each distinct
+    # word x y that is not normal costs one product and a normal one none
+    pres = build_rform_calculus(2, "id", GENERIC, engine=DualEngine(GENERIC))
+    alg = pres.alg
+    monos = [m for m in alg.normal_monomials(4) if m]
+    for m in monos:
+        pres.d(alg.element({m: ONE}))
+    words = {x + y for x in monos for y in monos if len(x + y) <= 4}
+    non_normal = {w for w in words if alg.reduce_word(w) != {w: ONE}}
+    assert len(non_normal) < len(words)
+    calls = []
+    real = Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__", lambda self, other: (
+        isinstance(other, Matrix) and calls.append(other)) or real(self, other))
+
+    def refused(*args):
+        raise AssertionError("leibniz_report builds d(x) y or d(xy)")
+
+    monkeypatch.setattr(fodc.CalculusPresentation, "rmult", refused)
+    monkeypatch.setattr(fodc.CalculusPresentation, "_d_terms", refused)
+    assert pres.leibniz_report(4)["pass"]
+    assert len(calls) == len(non_normal)
 
 
 @pytest.mark.parametrize("bound", [1, 0, -1])

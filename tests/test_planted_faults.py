@@ -8,6 +8,8 @@ never a traceback.  The rows reach the failure branches of AC-2, AC-4
 (both routes), AC-5 (both checks), AC-6, AC-7 (counts and closure) and
 AC-8's submodule, and the internal checks of `comodule_matrix`'s rank,
 the weight scan's two routes, X_c's superdiagonal and the E-orbit of V(n).
+The r-form rows plant on its values on generator pairs: r(a, a) reaches
+AC-8's Leibniz verdict and AC-10's well-definedness, r(c, b) AC-8's spans.
 """
 
 import json
@@ -138,6 +140,16 @@ def _psi_coproduct_times_q(monkeypatch):
     monkeypatch.setattr(DualEngine, "psi_coproduct", planted)
 
 
+def _r_form_letter_times_q(pair):
+    # one value of the universal r-form on a generator pair times q, with a
+    # fresh evaluator memo
+    def plant(monkeypatch):
+        monkeypatch.setitem(oqsl2._R_GEN, pair, Q * oqsl2._R_GEN[pair])
+        monkeypatch.setattr(oqsl2, "EVALUATOR", oqsl2.Evaluator())
+
+    return plant
+
+
 def _routes(details):
     return {route for *_, route in details["mismatches"]}
 
@@ -161,6 +173,12 @@ PLANTS = [
      lambda d: d["s=1"]["count"] == 0),
     (_psi_coproduct_times_q, ["selftest", "--only", "AC-7"], 1,
      lambda d: d["s=1"]["candidates_closed"] is False),
+    (_r_form_letter_times_q(("a", "a")), ["selftest", "--only", "AC-8"], 1,
+     lambda d: not any(part["leibniz"] for part in d.values())),
+    (_r_form_letter_times_q(("a", "a")), ["selftest", "--only", "AC-10"], 1,
+     lambda d: d["rform_well_defined"] is False),
+    (_r_form_letter_times_q(("c", "b")), ["selftest", "--only", "AC-8"], 1,
+     lambda d: all(part["leibniz"] and not part["spans_equal"] for part in d.values())),
     (_beta_singular_at_l1, ["selftest", "--only", "AC-6"], 3,
      "operator and matrix routes disagree at sign=+1 l=1"),
     (_gamma_zero, ["eigenvalues", "--c", "s=1", "--l", "1"], 3,
@@ -174,8 +192,8 @@ PLANTS = [
 @pytest.mark.parametrize("plant, argv, code, expected", PLANTS, ids=[
     "W-repeated-vector", "AC-8-K-weight", "AC-2-F-letter", "AC-4-irrep-E", "AC-4-phi-a_l",
     "AC-5-pair-sign", "AC-5-BETA-singular", "AC-6-alpha", "AC-7-generators",
-    "AC-7-psi-coproduct", "AC-6-BETA-singular", "X_c-GAMMA-zero", "V(n)-orbit-collapse",
-    "V(n)-orbit-open"])
+    "AC-7-psi-coproduct", "AC-8-r(a,a)", "AC-10-r(a,a)", "AC-8-r(c,b)", "AC-6-BETA-singular",
+    "X_c-GAMMA-zero", "V(n)-orbit-collapse", "V(n)-orbit-open"])
 def test_a_planted_datum_fails_its_check(monkeypatch, capsys, plant, argv, code, expected):
     monkeypatch.setattr(dualfunc, "_ENGINES", {})
     plant(monkeypatch)
