@@ -80,10 +80,8 @@ def _coproduct_legs(engine, basis):
 def tangent_space(c: CParam, components, engine=None):
     """Build and certify the tangent space for a list of (sign, l) components.
 
-    The rank of the basis, the coefficients of every right coproduct leg
-    (the matrix L) and those of every X_c image come from one elimination.
-    It is kept on the engine per component set; each call gets its own
-    lists, modules, certificate and L.
+    It is kept on the engine per component set (`_certified_space`); each
+    call gets its own lists, modules, certificate and L.
     """
     engine = engine or engine_of(c)
     components = sorted(set(components), key=lambda sl: (sl[1], -sl[0]))
@@ -94,8 +92,20 @@ def tangent_space(c: CParam, components, engine=None):
 
 
 def _certified_space(c, components, engine):
+    """T^eps of the components, certified.
+
+    A sum of components is read off their own kept tangent spaces when
+    every one passes and one `linalg.rank` proves the union basis
+    independent (`_sum_of_components`).  Otherwise the rank of the basis,
+    the coefficients of every right coproduct leg (the matrix L) and those
+    of every X_c image come from one elimination.
+    """
     modules = [engine.build_module(sign, l)     # ValueError outside J^c
                for sign, l in components]
+    if len(components) > 1:
+        ts = _sum_of_components(c, components, modules, engine)
+        if ts is not None:
+            return ts
     basis = [EPSILON]
     for mod in modules:
         if (mod.sign, mod.l) != (+1, 0):        # V_1 is the counit line itself
@@ -128,6 +138,32 @@ def _certified_space(c, components, engine):
                      if not cert[k])
         cert["first_failure"] = first
     return TangentSpace(c, components, modules, basis, dim, engine, cert, Matrix(L))
+
+
+def _sum_of_components(c, components, modules, engine):
+    """The certified sum of the components' kept tangent spaces, or None.
+
+    None when a component fails its certificate or the union basis is
+    dependent; the union solve then finds the failure and its witness.
+    Otherwise the union solve would give the same dim, certificate, basis
+    and L: every coproduct leg and X_c image of a component vector lies in
+    span(eps, that component), inside the union span, so both closures
+    hold; the union basis is independent, so a leg's coordinates over it
+    are unique, and they are its coordinates over the component, so L is
+    the components' L re-indexed (row 0, eps, is the same in each).
+    """
+    parts = [tangent_space(c, [sl], engine) for sl in components]
+    if not all(ts.certificate["pass"] for ts in parts):
+        return None
+    basis, L = [EPSILON], {}
+    for ts in parts:
+        index = [0] + list(range(len(basis), len(basis) + len(ts.basis) - 1))
+        basis.extend(ts.basis[1:])
+        L.update(((index[i], index[k]), v) for (i, k), v in ts.L.terms.items())
+    if linalg.rank(_coordinates(basis)) < len(basis):
+        return None
+    cert = {"dim_matches": True, "coproduct_closed": True, "xc_closed": True, "pass": True}
+    return TangentSpace(c, components, modules, basis, len(basis), engine, cert, Matrix(L))
 
 
 def irreducibility_report(ts: TangentSpace):

@@ -337,6 +337,9 @@ def normal_basis_report(c: CParam):
 # ---------------------------------------------------------------------------
 # the indecomposable representations mu_n at c = c(n)
 
+_MU_REPORTS = {}                        # n -> the `mu_rep_report` of mu_n, kept for the process
+
+
 def build_mu_n(n):
     """mu_n as {"A", "em1", "e1"} matrices: A diagonal with spectrum
     q^(n-2k)/(q^n+q^-n), k=1..n; e_1 the unit subdiagonal shift, e_{-1} the
@@ -357,7 +360,17 @@ def mu_rep_report(n):
     Nilpotency is read off the support, e_1 strictly lower and e_{-1}
     strictly upper triangular, which the rules force: A is diagonal with
     pairwise distinct eigenvalues, and e_{±1} shift them by q^∓2.
+    The report is kept in _MU_REPORTS per n; each call gets its own
+    failure list, matrices and dict of them.
     """
+    if n not in _MU_REPORTS:
+        _MU_REPORTS[n] = _mu_rep(n)
+    r = _MU_REPORTS[n]
+    return dict(r, relation_failures=list(r["relation_failures"]),
+                rep={k: Matrix(m.terms) for k, m in r["rep"].items()})
+
+
+def _mu_rep(n):
     rep = build_mu_n(n)
     failures = rule_failures(sphere_rules(cn_value(2 * n)), _products(
         {g: rep[_PRINT[g]] for g in LETTERS}, Matrix.identity(n)), _PRINT.get)

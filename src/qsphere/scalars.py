@@ -607,17 +607,28 @@ MOD_P = 2 ** 61 - 1
 MOD_T0 = 1234567891011
 
 
+_POWERS_MOD = {}            # (t0, p) -> [t0^i mod p], grown on demand
+
+
 def eval_mod(x, t0, p):
     """x(t0) in GF(p) for a prime p, or None when the denominator of x vanishes there.
 
     On the fractions whose denominator does not vanish at t0 mod p this is
     a ring homomorphism to GF(p); a canonical fraction outside that ring
     has a vanishing denominator, so None is returned exactly off its domain.
+    Numerator and denominator are each sum c_i T[i], T the kept powers of
+    t0 mod p, reduced once.
     """
-    den = _peval(x.den, t0) % p
-    if not den:
+    num, den = x.num, x.den
+    powers = _POWERS_MOD.get((t0, p))
+    if powers is None:
+        powers = _POWERS_MOD[t0, p] = [1]
+    while len(powers) < max(len(num), len(den)):
+        powers.append(powers[-1] * t0 % p)
+    d = sum(map(operator.mul, den, powers)) % p
+    if not d:
         return None
-    return _peval(x.num, t0) * pow(den, -1, p) % p
+    return sum(map(operator.mul, num, powers)) * pow(d, -1, p) % p
 
 
 def qpow(k2):

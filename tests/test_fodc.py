@@ -977,14 +977,115 @@ def test_one_elimination_per_tangent_space_and_none_per_irreducibility(monkeypat
     eng = DualEngine(GENERIC)
     eng.scan_weights(4)                 # the weight verdicts rank matrices of their own
     calls = []
-    real = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate", lambda rows, nc: calls.append(nc) or real(rows, nc))
-    for components in ([(1, 2)], [(1, 2), (1, 4)], [(1, 0), (1, 4)], [(1, 4)]):
+    real, real_rank = linalg._eliminate, linalg.rank
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda rows, nc: calls.append("_eliminate") or real(rows, nc))
+    monkeypatch.setattr(linalg, "rank", lambda rows: calls.append("rank") or real_rank(rows))
+    for components in ([(1, 0)], [(1, 2)], [(1, 4)]):
         calls.clear()
         ts = tangent_space(GENERIC, components, engine=eng)
-        assert ts.certificate["pass"] and len(calls) == 1, components
+        assert ts.certificate["pass"] and calls == ["_eliminate"], components
     calls.clear()
     assert irreducibility_report(ts)["pass"] and calls == []
+    # a sum of kept components: their kept certificates and one rank
+    for components in ([(1, 2), (1, 4)], [(1, 0), (1, 4)], [(1, 0), (1, 2), (1, 4)]):
+        calls.clear()
+        assert tangent_space(GENERIC, components, engine=eng).certificate["pass"]
+        assert calls == ["rank"], components
+
+
+def _union_space(c, components, engine):
+    """The union solve, as (dim, certificate, basis, items of L): the rank of
+    the basis, the coordinates of every coproduct leg and of every X_c image
+    by one elimination over all the components together."""
+    modules = [engine.build_module(sign, l) for sign, l in components]
+    basis = [EPSILON]
+    for mod in modules:
+        if (mod.sign, mod.l) != (+1, 0):
+            basis.extend(mod.basis)
+    legs = fodc._coproduct_legs(engine, basis)
+    dim, sols = fodc._span_solve(basis, [rv for _, _, rv in legs]
+                                 + [engine.xc_right_action(v) for v in basis])
+    cert = {"dim_matches": dim == len(basis)}
+    L = {}
+    for (i, left, _), coeffs in zip(legs, sols):
+        if coeffs is not None:
+            accumulate(L, {(i, k): PsiVector({left: a}) for k, a in enumerate(coeffs) if a})
+    cop_witness = next(((str(PsiVector({left: ONE})), str(rv)) for (_, left, rv), coeffs
+                        in zip(legs, sols) if coeffs is None), None)
+    cert["coproduct_closed"] = cop_witness is None
+    if cop_witness:
+        cert["coproduct_witness"] = cop_witness
+    xc_witness = next((str(v) for v, coeffs in zip(basis, sols[len(legs):])
+                       if coeffs is None), None)
+    cert["xc_closed"] = xc_witness is None
+    if xc_witness:
+        cert["xc_witness"] = xc_witness
+    cert["pass"] = cert["dim_matches"] and cert["coproduct_closed"] and cert["xc_closed"]
+    if not cert["pass"]:
+        cert["first_failure"] = next(k for k in ("dim_matches", "coproduct_closed", "xc_closed")
+                                     if not cert[k])
+    return dim, cert, basis, list(L.items())
+
+
+# the component sets of the benchmark's tangent-space requests, of every c-class
+_QUERY_SETS = ("+2", "+4", "+0,+2", "+2,+4", "-0,+2", "-2", "+4,-4", "-0,-2", "-1", "-3",
+               "-1,+2", "+2,-3", "+2,-2", "-2,-4")
+
+
+@pytest.mark.parametrize("spec", ["s=1", "s=2", "inf", "exc:1", "exc:2"])
+def test_every_built_tangent_space_equals_the_union_solve(monkeypatch, capsys, spec):
+    # the sets that classify --lmax 4, de-generated (at lmax 6, AC-7's
+    # enumeration at s=1, inf and exc:1) and the query sets in J^c build
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
+    built, real = [], fodc._certified_space
+
+    def recorded(c, comps, eng):
+        ts = real(c, comps, eng)        # a set outside J^c raises and is not recorded
+        built.append(comps)
+        return ts
+
+    monkeypatch.setattr(fodc, "_certified_space", recorded)
+    for argv in ([["classify", "--c", spec, "--lmax", "4"], ["de-generated", "--c", spec]]
+                 + [["tangent-space", "--c", spec, "--components=" + x] for x in _QUERY_SETS]):
+        main(argv)
+    capsys.readouterr()
+    c = parse_param_spec(spec)
+    eng = dualfunc.engine_of(c)
+    assert any(len(comps) > 1 for comps in built)
+    for comps in built:
+        ts = tangent_space(c, comps, engine=eng)
+        assert ts.certificate["pass"], comps
+        assert (ts.dim, ts.certificate, ts.basis, list(ts.L.terms.items())) == _union_space(
+            c, comps, eng), comps
+
+
+def test_a_sum_with_a_failing_component_fails_as_the_union_solve(monkeypatch, capsys):
+    # every coefficient of Delta psi^l_lam, l >= 1, times q: the components
+    # fail their closure, so the sum is certified by the union solve
+    monkeypatch.setattr(dualfunc, "_ENGINES", {})
+    real = DualEngine.psi_coproduct
+    monkeypatch.setattr(DualEngine, "psi_coproduct", lambda self, sym: [
+        (Q * cc if sym[1] else cc, s1, s2) for cc, s1, s2 in real(self, sym)])
+    assert main(["--format", "json", "tangent-space", "--c", "s=1", "--components=+2,+4"]) == 1
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    _, want, _, _ = _union_space(GENERIC, [(1, 2), (1, 4)], DualEngine(GENERIC))
+    assert cert == json.loads(json.dumps(want))
+    assert cert["first_failure"] == "coproduct_closed" and cert["coproduct_witness"]
+
+
+def test_a_sum_of_passing_but_dependent_components_fails_as_the_union_solve(monkeypatch):
+    # the (+1, 4) module planted as a copy of the (+1, 2) one: each component
+    # passes, and the union basis is dependent
+    eng = DualEngine(GENERIC)
+    real = DualEngine.build_module
+    monkeypatch.setattr(DualEngine, "build_module", lambda self, sign, l: real(
+        self, 1, 2) if (sign, l) == (1, 4) else real(self, sign, l))
+    assert tangent_space(GENERIC, [(1, 4)], engine=eng).certificate["pass"]
+    ts = tangent_space(GENERIC, [(1, 2), (1, 4)], engine=eng)
+    assert ts.certificate["dim_matches"] is False and ts.dim == 4
+    assert (ts.dim, ts.certificate, ts.basis, list(ts.L.terms.items())) == _union_space(
+        GENERIC, [(1, 2), (1, 4)], eng)
 
 
 def test_tangent_space_report_names_a_coproduct_witness(monkeypatch, capsys):

@@ -323,6 +323,7 @@ def test_mu_reps():
 
 def test_a_non_triangular_entry_in_em1_is_not_read_as_nilpotent(monkeypatch):
     # mu_n's nilpotency verdicts are read off the support of e_{±1}
+    monkeypatch.setattr(podles, "_MU_REPORTS", {})     # the planted reports stay here
     real = podles.build_mu_n
 
     def planted(n):
@@ -338,6 +339,7 @@ def test_a_non_triangular_entry_in_em1_is_not_read_as_nilpotent(monkeypatch):
 def test_a_wrong_coefficient_in_one_rule_fails_ac1_and_ac9(monkeypatch, capsys):
     # e_1 A -> q^4 A e_1 in place of q^2 A e_1: mu_n is checked against the
     # same rules as the embedded generators, so both criteria see the plant
+    monkeypatch.setattr(podles, "_MU_REPORTS", {})     # the planted reports stay here
     real = podles.sphere_rules
 
     def planted(c):
@@ -357,6 +359,24 @@ def test_a_wrong_coefficient_in_one_rule_fails_ac1_and_ac9(monkeypatch, capsys):
     assert main(["selftest", "--only", "AC-9"]) == 1
     captured = capsys.readouterr()
     assert captured.out.startswith("AC-9 FAIL") and captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [["mu-rep", "--n", "3"], ["mu-rep", "--c", "cn:6"]])
+def test_a_repeated_mu_rep_makes_no_matrix_product(monkeypatch, capsys, argv):
+    monkeypatch.setattr(podles, "_MU_REPORTS", {})
+    products, real = [], Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    assert main(["--format", "json"] + argv) == 0
+    cold = capsys.readouterr().out
+    assert products
+    products.clear()
+    assert main(["--format", "json"] + argv) == 0
+    assert capsys.readouterr().out == cold and products == []
+    # each call gets its own report
+    rep = mu_rep_report(3)
+    rep["rep"]["A"].terms.clear()
+    rep["relation_failures"].append("planted")
+    assert mu_rep_report(3) == podles._mu_rep(3)
 
 
 def test_verify_localization():

@@ -552,3 +552,31 @@ def test_eval_mod_is_a_ring_map_off_the_vanishing_denominators():
     assert eval_mod(QHAT.inv(), 1, p) is None      # (q - q^-1)^-1 = t^2/(t^4 - 1)
     assert eval_mod(RatFunc.from_fraction(Fraction(1, p)), t0, p) is None
     assert eval_mod(ZERO, t0, p) == 0
+
+
+def _horner_mod(x, t0, p):
+    """x(t0) in GF(p) by Horner on the exact numerator and denominator, or None."""
+    num, den = 0, 0
+    for c in reversed(x.den):
+        den = den * t0 + c
+    if not den % p:
+        return None
+    for c in reversed(x.num):
+        num = num * t0 + c
+    return num * pow(den, -1, p) % p
+
+
+def test_eval_mod_equals_horner_on_seeded_fractions():
+    # small primes make denominators vanish at t0; the fractions include
+    # monomial denominators m t^k with k >= 1
+    rng = random.Random(20261022)
+    xs = [_rand_canonical(rng) for _ in range(300)]
+    nones = 0
+    for x in xs:
+        for p in (2, 3, 5, 13, 2 ** 61 - 1):
+            for t0 in (0, 1, 2, p - 1, 1234567891011):
+                want = _horner_mod(x, t0, p)
+                assert eval_mod(x, t0, p) == want, (x, t0, p)
+                nones += want is None
+    assert nones > 100
+    assert sum(len(x.den) > 1 and not any(x.den[:-1]) for x in xs) > 20
